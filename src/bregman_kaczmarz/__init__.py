@@ -5,7 +5,7 @@ from .priors import PriorFunction, SparsePrior, soft_shrink
 from .systems import (DCTQuadraticSystem, Linearization, NonlinearSystem,
                       QuadraticSystem)
 from .selection import (Adaptive, Constant, GreedyBlock, MaxResidual,
-                        ResidualProbability, UniformRandom, WeightScheme)
+                        ResidualProbability, UniformRandom)
 from .solver import RunRecord, SolverConfig, run, solution_error
 from .generators import (GeneratorSpec, ProblemInstance, generate,
                          generate_dct, generate_gaussian,
@@ -15,7 +15,7 @@ __all__ = [
     "PriorFunction", "SparsePrior", "soft_shrink",
     "NonlinearSystem", "QuadraticSystem", "DCTQuadraticSystem", "Linearization",
     "UniformRandom", "ResidualProbability", "MaxResidual", "GreedyBlock",
-    "WeightScheme", "Constant", "Adaptive",
+    "Constant", "Adaptive",
     "SolverConfig", "RunRecord", "run", "solution_error",
     "GeneratorSpec", "ProblemInstance", "generate", "generate_gaussian",
     "generate_dct", "generate_sparse_signal", "save_instance", "load_instance",

@@ -124,8 +124,7 @@ def save_instance(path, instance):
     meta = dict(asdict(instance.spec), format_version=FORMAT_VERSION)
     arrays = {"truth": instance.truth,
               "b": instance.system.b,
-              "c": instance.system.c,
-              "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
+              "c": instance.system.c}
     if isinstance(instance.system, DCTQuadraticSystem):
         meta["storage"] = "dct_seed"
         arrays["xi"] = instance.system.xi

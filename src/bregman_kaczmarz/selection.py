@@ -11,7 +11,6 @@ Generator passed by the caller.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,6 @@ DIRECTION_FLOOR = 1e-30      # adaptive-stepsize denominator underflow guard
 
 class AllResidualsZero(Exception):
     """Selection requested at an exact root; the solver should have stopped."""
-
-
-class DegenerateBlock(Exception):
-    """Gradient-norm weights requested but every row in the block has zero gradient."""
 
 
 class DegenerateDirection(Exception):
@@ -60,11 +55,6 @@ class GreedyBlock:
     def __post_init__(self):
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must be in (0, 1], got {self.theta}")
-
-
-class WeightScheme(enum.Enum):
-    GRAD_NORM = "grad_norm"     # w_i proportional to ||grad F_i||^2
-    UNIFORM = "uniform"         # w_i = 1 / |block|
 
 
 @dataclass(frozen=True)
@@ -123,22 +113,16 @@ def select_indices(rule, r, rng):
     raise TypeError(f"unknown selection rule: {rule!r}")
 
 
-def weights_for(block, grads, scheme):
-    """Averaging weights over the block: nonnegative, summing to one."""
-    if len(block) == 0:
-        raise ValueError("block must be non-empty")
-    if scheme is WeightScheme.UNIFORM:
-        return np.full(len(block), 1.0 / len(block))
-    if scheme is WeightScheme.GRAD_NORM:
-        norms_sq = np.einsum("ij,ij->i", grads, grads)
-        total = norms_sq.sum()
-        if total == 0.0:
-            raise DegenerateBlock("all gradient rows in the block are zero")
-        return norms_sq / total
-    raise TypeError(f"unknown weight scheme: {scheme!r}")
+def weights_for(norms_sq):
+    """Gradient-norm averaging weights w_i = ||grad F_i||^2 / ||J||_F^2.
+
+    `norms_sq` holds the squared gradient norms of the block rows, all
+    positive: the caller drops rows with vanishing gradient first.
+    """
+    return norms_sq / norms_sq.sum()
 
 
-def adaptive_stepsize(block, fvals, grads, weights, delta):
+def adaptive_stepsize(fvals, grads, norms_sq, weights, delta):
     """Extrapolated stepsize
 
         alpha_k = delta * sum_i wh_i F_i^2 / ||sum_i wh_i F_i grad F_i||^2,
@@ -146,7 +130,6 @@ def adaptive_stepsize(block, fvals, grads, weights, delta):
     with wh_i = w_i / ||grad F_i||^2.  Collapses to exactly delta on
     singleton blocks and to 0 when every F_i in the block vanishes.
     """
-    norms_sq = np.einsum("ij,ij->i", grads, grads)
     wh = weights / norms_sq
     numer = float(np.sum(wh * fvals * fvals))
     if numer == 0.0:
@@ -159,14 +142,7 @@ def adaptive_stepsize(block, fvals, grads, weights, delta):
     return delta * numer / denom
 
 
-def effective_direction(block, fvals, grads, weights, sigma):
-    """The bracketed dual direction sum_i w_i sigma F_i / ||grad F_i||^2 grad F_i.
-
-    Rows with vanishing gradient must be dropped by the caller first;
-    raises ZeroGradientRow if any survive.
-    """
-    norms_sq = np.einsum("ij,ij->i", grads, grads)
-    if np.any(norms_sq <= GRAD_NORM_FLOOR ** 2):
-        raise ZeroGradientRow("selected block contains a zero gradient row")
+def effective_direction(fvals, grads, norms_sq, weights, sigma):
+    """The bracketed dual direction sum_i w_i sigma F_i / ||grad F_i||^2 grad F_i."""
     coeff = weights * sigma * fvals / norms_sq
     return coeff @ grads

@@ -50,7 +50,6 @@ def solution_error(x, truth):
 @dataclass
 class SolverConfig:
     selection: object = field(default_factory=lambda: sel.GreedyBlock(0.1))
-    weights: sel.WeightScheme = sel.WeightScheme.GRAD_NORM
     stepsize: object = field(default_factory=lambda: sel.Constant(1.0))
     max_iters: int = 1000
     tol: float = 1e-6           # on the squared relative residual
@@ -159,19 +158,20 @@ def abnbk_step(state, system, prior, config, rng):
             raise sel.ZeroGradientRow("every selected row has a zero gradient")
     fvals = -r[block]
 
-    weights = sel.weights_for(block, grads, config.weights)
+    weights = sel.weights_for(norms_sq)
     if isinstance(config.stepsize, sel.Constant):
         alpha = config.stepsize.alpha
     else:
         try:
-            alpha = sel.adaptive_stepsize(block, fvals, grads, weights,
+            alpha = sel.adaptive_stepsize(fvals, grads, norms_sq, weights,
                                           config.stepsize.delta)
         except sel.DegenerateDirection as exc:
             log.warning("adaptive stepsize degenerate at k=%d (%s); using alpha=1",
                         state.k, exc)
             alpha = 1.0
 
-    direction = sel.effective_direction(block, fvals, grads, weights, prior.sigma)
+    direction = sel.effective_direction(fvals, grads, norms_sq, weights,
+                                        prior.sigma)
     if (config.block_norm == "spectral" and len(block) > 1
             and isinstance(config.stepsize, sel.Constant)):
         smax_sq = np.linalg.norm(grads, 2) ** 2
@@ -193,11 +193,10 @@ def run(system, prior, config, x0_star, truth=None):
     """
     rng = np.random.default_rng(config.seed)
     state = initial_state(system, prior, x0_star)
-    rows = []
     duals = [state.dual.copy()] if config.keep_iterates else None
     blocks = [] if config.keep_iterates else None
 
-    def record(st, elapsed_ns):
+    def history_row(st, elapsed_ns):
         rel = st.res_sq / st.res0_sq if st.res0_sq > 0 else 0.0
         if truth is not None:
             err = solution_error(st.primal, truth)
@@ -205,28 +204,24 @@ def run(system, prior, config, x0_star, truth=None):
         else:
             err = float("nan")
             breg = float("nan")
-        rows.append((st.k, rel, err, breg, st.block_size, st.alpha_used,
-                     elapsed_ns))
+        return (st.k, rel, err, breg, st.block_size, st.alpha_used, elapsed_ns)
 
-    if not np.isfinite(state.res0_sq):
-        record(state, 0)
-        return RunRecord(DEGENERATE, 0, rows,
-                         message="non-finite residual at the start",
-                         duals=duals, blocks=blocks, final_dual=state.dual,
-                         final_primal=state.primal)
-    record(state, 0)
-    if state.res0_sq == 0.0:
-        return RunRecord(CONVERGED, 0, rows, duals=duals, blocks=blocks,
-                         final_dual=state.dual, final_primal=state.primal)
-
+    # without history only the row of the last recorded state is built
+    recorded, recorded_ns = state, 0
+    rows = [history_row(state, 0)] if config.record_history else []
     status = MAX_ITERS
     message = ""
-    while state.k < config.max_iters:
+    if not np.isfinite(state.res0_sq):
+        status = DEGENERATE
+        message = "non-finite residual at the start"
+    elif state.res0_sq == 0.0:
+        status = CONVERGED
+
+    while status == MAX_ITERS and state.k < config.max_iters:
         t0 = time.perf_counter_ns()
         try:
             state = abnbk_step(state, system, prior, config, rng)
-        except (sel.DegenerateBlock, sel.ZeroGradientRow,
-                sel.AllResidualsZero) as exc:
+        except (sel.ZeroGradientRow, sel.AllResidualsZero) as exc:
             status = DEGENERATE
             message = str(exc)
             break
@@ -238,13 +233,15 @@ def run(system, prior, config, x0_star, truth=None):
         if config.keep_iterates:
             duals.append(state.dual.copy())
             blocks.append(state.block)
-        record(state, elapsed)
+        recorded, recorded_ns = state, elapsed
+        if config.record_history:
+            rows.append(history_row(state, elapsed))
         if state.res_sq / state.res0_sq <= config.tol:
             status = CONVERGED
             break
 
     if not config.record_history:
-        rows = rows[-1:]
+        rows = [history_row(recorded, recorded_ns)]
     return RunRecord(status, state.k, rows, message=message, duals=duals,
                      blocks=blocks, final_dual=state.dual,
                      final_primal=state.primal)

@@ -144,8 +144,8 @@ def test_criterion_5_reduction_oracles():
         g = prng.standard_normal((1, 6))
         f = prng.standard_normal(1)
         delta = float(prng.uniform(0.5, 1.9))
-        alpha = sel.adaptive_stepsize(np.array([0]), f, g, np.array([1.0]),
-                                      delta)
+        alpha = sel.adaptive_stepsize(f, g, np.einsum("ij,ij->i", g, g),
+                                      np.array([1.0]), delta)
         dev_b = max(dev_b, abs(alpha - delta) / delta)
 
     # (c) theta = 1 greedy singleton at alpha = 1 equals the max-residual trace

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bregman_kaczmarz import selection as sel
 
@@ -72,33 +75,27 @@ class TestSelectIndices:
             assert out[0] == 1
 
 
+def row_norms_sq(grads):
+    return np.einsum("ij,ij->i", grads, grads)
+
+
 class TestWeights:
     def test_equal_norms(self):
         grads = np.array([[1.0, 0.0], [0.0, 1.0]])
-        w = sel.weights_for(np.array([0, 1]), grads, sel.WeightScheme.GRAD_NORM)
+        w = sel.weights_for(row_norms_sq(grads))
         np.testing.assert_allclose(w, [0.5, 0.5])
 
     def test_norm_ratio(self):
         grads = np.array([[1.0, 0.0], [np.sqrt(3.0), 0.0]])
-        w = sel.weights_for(np.array([0, 1]), grads, sel.WeightScheme.GRAD_NORM)
+        w = sel.weights_for(row_norms_sq(grads))
         np.testing.assert_allclose(w, [0.25, 0.75])
-
-    def test_uniform(self):
-        grads = np.zeros((4, 3))
-        w = sel.weights_for(np.arange(4), grads, sel.WeightScheme.UNIFORM)
-        np.testing.assert_allclose(w, 0.25)
 
     def test_sums_to_one(self, rng):
         for _ in range(50):
             grads = rng.standard_normal((5, 7))
-            w = sel.weights_for(np.arange(5), grads, sel.WeightScheme.GRAD_NORM)
+            w = sel.weights_for(row_norms_sq(grads))
             assert np.all(w >= 0.0) and np.all(w <= 1.0)
             assert abs(w.sum() - 1.0) <= 1e-12
-
-    def test_degenerate_block(self):
-        with pytest.raises(sel.DegenerateBlock):
-            sel.weights_for(np.array([0, 1]), np.zeros((2, 3)),
-                            sel.WeightScheme.GRAD_NORM)
 
 
 class TestAdaptiveStepsize:
@@ -109,13 +106,13 @@ class TestAdaptiveStepsize:
             if f[0] == 0.0:
                 continue
             delta = float(rng.uniform(0.5, 1.9))
-            alpha = sel.adaptive_stepsize(np.array([0]), f, g,
+            alpha = sel.adaptive_stepsize(f, g, row_norms_sq(g),
                                           np.array([1.0]), delta)
             assert alpha == pytest.approx(delta, rel=1e-14)
 
     def test_zero_block_values(self):
         g = np.array([[1.0, 0.0], [0.0, 1.0]])
-        alpha = sel.adaptive_stepsize(np.array([0, 1]), np.zeros(2), g,
+        alpha = sel.adaptive_stepsize(np.zeros(2), g, row_norms_sq(g),
                                       np.array([0.5, 0.5]), 1.3)
         assert alpha == 0.0
 
@@ -123,7 +120,7 @@ class TestAdaptiveStepsize:
         # two orthonormal gradient rows, F = (1, 1), equal weights: alpha = 2 delta
         g = np.array([[1.0, 0.0], [0.0, 1.0]])
         f = np.array([1.0, 1.0])
-        alpha = sel.adaptive_stepsize(np.array([0, 1]), f, g,
+        alpha = sel.adaptive_stepsize(f, g, row_norms_sq(g),
                                       np.array([0.5, 0.5]), 1.3)
         assert alpha == pytest.approx(2.0 * 1.3, rel=1e-12)
 
@@ -132,7 +129,7 @@ class TestAdaptiveStepsize:
         g = np.array([[1.0, 0.0], [-1.0, 0.0]])
         f = np.array([1.0, 1.0])
         with pytest.raises(sel.DegenerateDirection):
-            sel.adaptive_stepsize(np.array([0, 1]), f, g,
+            sel.adaptive_stepsize(f, g, row_norms_sq(g),
                                   np.array([0.5, 0.5]), 1.3)
 
 
@@ -143,28 +140,24 @@ class TestEffectiveDirection:
             grads = rng.standard_normal((6, 8))
             fvals = rng.standard_normal(6)
             sigma = float(rng.uniform(0.5, 2.0))
-            w = sel.weights_for(np.arange(6), grads, sel.WeightScheme.GRAD_NORM)
-            d = sel.effective_direction(np.arange(6), fvals, grads, w, sigma)
+            norms_sq = row_norms_sq(grads)
+            w = sel.weights_for(norms_sq)
+            d = sel.effective_direction(fvals, grads, norms_sq, w, sigma)
             collapsed = sigma * (grads.T @ fvals) / np.sum(grads ** 2)
             np.testing.assert_allclose(d, collapsed, atol=1e-12)
 
     def test_zero_values_zero_direction(self, rng):
         grads = rng.standard_normal((4, 5))
         w = np.full(4, 0.25)
-        d = sel.effective_direction(np.arange(4), np.zeros(4), grads, w, 1.0)
+        d = sel.effective_direction(np.zeros(4), grads, row_norms_sq(grads),
+                                    w, 1.0)
         np.testing.assert_allclose(d, 0.0)
 
     def test_singleton_classic_direction(self, rng):
         g = rng.standard_normal((1, 5))
         f = np.array([2.5])
-        d = sel.effective_direction(np.array([3]), f, g, np.array([1.0]), 1.0)
+        d = sel.effective_direction(f, g, row_norms_sq(g), np.array([1.0]), 1.0)
         np.testing.assert_allclose(d, (f[0] / np.sum(g ** 2)) * g[0], rtol=1e-12)
-
-    def test_zero_gradient_row_raises(self):
-        grads = np.array([[0.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(sel.ZeroGradientRow):
-            sel.effective_direction(np.array([0, 1]), np.ones(2), grads,
-                                    np.array([0.5, 0.5]), 1.0)
 
     def test_adaptive_composite_update(self, rng):
         # adaptive alpha times the direction equals the extrapolated form
@@ -173,12 +166,111 @@ class TestEffectiveDirection:
             grads = rng.standard_normal((5, 7))
             fvals = rng.standard_normal(5)
             sigma, delta = 1.0, 1.3
-            w = sel.weights_for(np.arange(5), grads, sel.WeightScheme.GRAD_NORM)
-            alpha = sel.adaptive_stepsize(np.arange(5), fvals, grads, w, delta)
-            d = sel.effective_direction(np.arange(5), fvals, grads, w, sigma)
+            norms_sq = row_norms_sq(grads)
+            w = sel.weights_for(norms_sq)
+            alpha = sel.adaptive_stepsize(fvals, grads, norms_sq, w, delta)
+            d = sel.effective_direction(fvals, grads, norms_sq, w, sigma)
             jt_f = grads.T @ fvals
             expected = delta * sigma * np.sum(fvals ** 2) / np.sum(jt_f ** 2) * jt_f
             np.testing.assert_allclose(alpha * d, expected, rtol=1e-10)
+
+
+# Relative tolerance of the helpers against the row-by-row reference, fixed
+# before running.  Both sides sum at most 50 terms of a few roundings each,
+# so their difference is a small multiple of 50 * 2.2e-16 times the sum of
+# the absolute values of the terms; where terms cancel, that sum, not the
+# result, is what the tolerance is relative to.
+RTOL = 1e-12
+
+UNIT = st.one_of(st.just(0.0), st.floats(0.1, 1.0), st.floats(-1.0, -0.1))
+
+
+@st.composite
+def row_scaled_blocks(draw):
+    """F and the Jacobian rows of a block of 1-50 equations, equation i
+    multiplied by 10**e_i with e_i in [-6, 6]."""
+    m = draw(st.integers(1, 50))
+    n = draw(st.integers(1, 8))
+    fvals = draw(hnp.arrays(float, m, elements=UNIT))
+    grads = draw(hnp.arrays(float, (m, n), elements=UNIT))
+    scale = 10.0 ** draw(hnp.arrays(float, m, elements=st.floats(-6.0, 6.0)))
+    return fvals * scale, grads * scale[:, None]
+
+
+def paper_step(fvals, grads, sigma):
+    """The block step of the paper, one row at a time in plain Python.
+
+    Returns the weights w_i = ||grad F_i||^2 / sum_j ||grad F_j||^2; the
+    stepsize numerator sum_i wh_i F_i^2 and the extrapolated direction
+    sum_i wh_i F_i grad F_i, with wh_i = w_i / ||grad F_i||^2; the dual
+    direction sum_i w_i sigma F_i / ||grad F_i||^2 grad F_i; and, for both
+    vector sums, the sum of the absolute values of their terms.
+    """
+    rows = [[float(v) for v in g] for g in grads]
+    norms = [sum(v * v for v in g) for g in rows]
+    total = sum(norms)
+    n = len(rows[0])
+    weights, numer = [], 0.0
+    extrap, extrap_abs = [0.0] * n, [0.0] * n
+    direction, direction_abs = [0.0] * n, [0.0] * n
+    for f, g, norm in zip(map(float, fvals), rows, norms):
+        w = norm / total
+        weights.append(w)
+        wh = w / norm
+        numer += wh * f * f
+        for j, v in enumerate(g):
+            extrap[j] += wh * f * v
+            extrap_abs[j] += abs(wh * f * v)
+            direction[j] += w * sigma * f / norm * v
+            direction_abs[j] += abs(w * sigma * f / norm * v)
+    return (np.array(weights), numer, np.array(extrap), np.array(extrap_abs),
+            np.array(direction), np.array(direction_abs))
+
+
+class TestAgainstPaperFormula:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(block=row_scaled_blocks(), sigma=st.floats(0.5, 2.0),
+           delta=st.floats(0.01, 1.99))
+    def test_helpers_match_row_loop(self, block, sigma, delta):
+        fvals, grads = block
+        # the caller's precondition: rows with vanishing gradient are dropped
+        norms_sq = row_norms_sq(grads)
+        usable = norms_sq > sel.GRAD_NORM_FLOOR ** 2
+        assume(usable.any())
+        fvals, grads, norms_sq = fvals[usable], grads[usable], norms_sq[usable]
+        (ref_w, ref_numer, extrap, extrap_abs,
+         ref_d, ref_d_abs) = paper_step(fvals, grads, sigma)
+
+        w = sel.weights_for(norms_sq)
+        np.testing.assert_allclose(w, ref_w, rtol=RTOL, atol=0.0)
+        assert abs(w.sum() - 1.0) <= RTOL
+
+        # the averaged direction, and its collapse to sigma J^T F / ||J||_F^2
+        d = sel.effective_direction(fvals, grads, norms_sq, w, sigma)
+        assert np.all(np.abs(d - ref_d) <= RTOL * ref_d_abs)
+        frob_sq = np.sum(grads ** 2)
+        collapsed = sigma * (grads.T @ fvals) / frob_sq
+        collapsed_abs = sigma * (np.abs(grads).T @ np.abs(fvals)) / frob_sq
+        assert np.all(np.abs(d - collapsed) <= RTOL * collapsed_abs)
+
+        # the extrapolated stepsize, and its collapse to
+        # delta ||F||^2 ||J||_F^2 / ||J^T F||^2
+        try:
+            alpha = sel.adaptive_stepsize(fvals, grads, norms_sq, w, delta)
+        except sel.DegenerateDirection:
+            alpha = None
+        denom = float(extrap @ extrap)
+        band = RTOL * float(extrap_abs @ extrap_abs)   # error bound on denom
+        if ref_numer == 0.0:
+            assert alpha == 0.0
+        elif denom + band < sel.DIRECTION_FLOOR:
+            assert alpha is None
+        elif denom - band > sel.DIRECTION_FLOOR:
+            rtol = RTOL + band / denom
+            assert alpha == pytest.approx(delta * ref_numer / denom, rel=rtol)
+            jt_f = grads.T @ fvals
+            assert alpha == pytest.approx(
+                delta * np.sum(fvals ** 2) * frob_sq / (jt_f @ jt_f), rel=rtol)
 
 
 class TestStepsizeValidation:

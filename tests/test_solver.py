@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,55 @@ from bregman_kaczmarz.systems import NonlinearSystem
 
 def small_instance(seed=5, m=20, n=10, sp=0.2):
     return generate_gaussian(GeneratorSpec("gaussian", m, n, sp, seed=seed))
+
+
+class Exploding(NonlinearSystem):
+    """F(x) = exp(x^2) - 2, which overflows at the start x = 40."""
+    m, n = 1, 1
+
+    def eval_component(self, i, x):
+        with np.errstate(over="ignore"):
+            return float(np.exp(x[0] ** 2) - 2.0)
+
+    def grad_component(self, i, x):
+        return np.array([2.0 * x[0] * np.exp(x[0] ** 2)])
+
+
+class Logarithm(NonlinearSystem):
+    """F(x) = log(x); the first step from x = 3 lands at x < 0."""
+    m, n = 1, 1
+
+    def eval_component(self, i, x):
+        with np.errstate(invalid="ignore"):
+            return float(np.log(x[0]))
+
+    def grad_component(self, i, x):
+        return np.array([1.0 / x[0]])
+
+
+def _history_case(seed, stepsize, max_iters, status):
+    inst = small_instance(seed=seed)
+    config = slv.SolverConfig(selection=sel.GreedyBlock(0.1), stepsize=stepsize,
+                              max_iters=max_iters)
+    x0 = np.random.default_rng(seed).standard_normal(10)
+    return inst.system, SparsePrior(2.0), config, x0, inst.truth, status
+
+
+# (system, prior, config, x0, truth, status) for each way a run ends
+HISTORY_CASES = {
+    "converged": _history_case(5, sel.Adaptive(1.3), 1000, slv.CONVERGED),
+    "max_iters": _history_case(5, sel.Constant(1.0), 20, slv.MAX_ITERS),
+    "zero_gradient": (affine_system(np.zeros((1, 2)), np.array([1.0])),
+                      SparsePrior(0.0),
+                      slv.SolverConfig(selection=sel.MaxResidual()),
+                      np.zeros(2), None, slv.DEGENERATE),
+    "non_finite_start": (Exploding(), SparsePrior(0.0),
+                         slv.SolverConfig(selection=sel.MaxResidual()),
+                         np.array([40.0]), None, slv.DEGENERATE),
+    "non_finite_step": (Logarithm(), SparsePrior(0.0),
+                        slv.SolverConfig(selection=sel.MaxResidual()),
+                        np.array([3.0]), None, slv.DEGENERATE),
+}
 
 
 class TestSolutionError:
@@ -176,12 +227,22 @@ class TestRun:
         for r1, r2 in zip(rec1.rows, rec2.rows):
             assert r1[:6] == r2[:6]     # everything except elapsed_ns
 
-    def test_history_suppressed(self, rng):
-        inst = small_instance()
-        config = slv.SolverConfig(record_history=False, max_iters=20)
-        record = slv.run(inst.system, SparsePrior(2.0), config,
-                         rng.standard_normal(10))
-        assert len(record.rows) == 1
+    def test_history_suppressed(self):
+        # without history the run keeps exactly the terminal row of the
+        # recorded run, on every exit path
+        for name, (system, prior, config, x0, truth, status) in HISTORY_CASES.items():
+            full = slv.run(system, prior, config, x0, truth=truth)
+            last = slv.run(system, prior,
+                           dataclasses.replace(config, record_history=False),
+                           x0, truth=truth)
+            assert full.status == last.status == status, name
+            assert (last.iterations, last.message) == (full.iterations,
+                                                      full.message), name
+            assert len(last.rows) == 1, name
+            np.testing.assert_array_equal(last.rows[0][:6], full.rows[-1][:6],
+                                          err_msg=name)
+            np.testing.assert_array_equal(last.final_dual, full.final_dual,
+                                          err_msg=name)
 
     def test_degenerate_zero_gradient(self):
         # a constant nonzero row has zero gradient everywhere
@@ -192,16 +253,6 @@ class TestRun:
         assert record.status == slv.DEGENERATE
 
     def test_nan_aborts(self):
-        class Exploding(NonlinearSystem):
-            m, n = 1, 1
-
-            def eval_component(self, i, x):
-                with np.errstate(over="ignore"):
-                    return float(np.exp(x[0] ** 2) - 2.0)
-
-            def grad_component(self, i, x):
-                return np.array([2.0 * x[0] * np.exp(x[0] ** 2)])
-
         record = slv.run(Exploding(), SparsePrior(0.0),
                          slv.SolverConfig(selection=sel.MaxResidual()),
                          np.array([40.0]))
