@@ -71,11 +71,6 @@ def _streams(spec):
     return per_matrix, rng_b, rng_truth
 
 
-def _consistency_offsets(system_eval, truth):
-    # c_i absorbing the value of the homogeneous part at the ground truth
-    return -system_eval(truth)
-
-
 def generate_gaussian(spec):
     """Dense standard-normal quadratics (Example-1 family)."""
     if spec.kind != GAUSSIAN:
@@ -85,7 +80,7 @@ def generate_gaussian(spec):
     b = rng_b.standard_normal((spec.m, spec.n))
     truth = generate_sparse_signal(spec.n, spec.sp, rng_truth)
     zero_c = QuadraticSystem(A, b, np.zeros(spec.m))
-    c = _consistency_offsets(zero_c.eval_all, truth)
+    c = -zero_c.eval_all(truth)
     return ProblemInstance(QuadraticSystem(A, b, c), truth, spec)
 
 
@@ -105,7 +100,7 @@ def generate_dct(spec, matrix_free=False):
     zero_c = DCTQuadraticSystem(xi, b, np.zeros(spec.m))
     if not matrix_free:
         zero_c = zero_c.to_dense()
-    c = _consistency_offsets(zero_c.eval_all, truth)
+    c = -zero_c.eval_all(truth)
     if matrix_free:
         system = DCTQuadraticSystem(xi, b, c)
     else:
@@ -115,6 +110,9 @@ def generate_dct(spec, matrix_free=False):
 
 def generate(spec, matrix_free=False):
     if spec.kind == GAUSSIAN:
+        if matrix_free:
+            raise ValueError("matrix-free storage exists only for the "
+                             f"'{DCT}' family")
         return generate_gaussian(spec)
     return generate_dct(spec, matrix_free=matrix_free)
 
@@ -136,17 +134,19 @@ def save_instance(path, instance):
 
 
 def load_instance(path):
+    """Read an instance container; raises ValueError on an unknown format
+    or on non-finite stored values."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported instance format {meta['format_version']}")
         spec = GeneratorSpec(kind=meta["kind"], m=meta["m"], n=meta["n"],
                              sp=meta["sp"], seed=meta["seed"])
-        b = data["b"]
-        c = data["c"]
-        truth = data["truth"]
-        if meta["storage"] == "dct_seed":
-            system = DCTQuadraticSystem(data["xi"], b, c)
-        else:
-            system = QuadraticSystem(data["A"], b, c)
-    return ProblemInstance(system, truth, spec)
+        tensor = "xi" if meta["storage"] == "dct_seed" else "A"
+        arrays = {name: data[name] for name in (tensor, "b", "c", "truth")}
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: non-finite values in {name!r}")
+    system_type = DCTQuadraticSystem if tensor == "xi" else QuadraticSystem
+    system = system_type(arrays[tensor], arrays["b"], arrays["c"])
+    return ProblemInstance(system, arrays["truth"], spec)

@@ -21,30 +21,40 @@ def soft_shrink(v, lam):
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
-class PriorFunction:
-    """A sigma-strongly convex generating function phi.
+class SparsePrior:
+    """phi(x) = lam * ||x||_1 + 0.5 * ||x||_2^2, the sparsity-inducing choice.
 
-    Subclasses provide phi, its conjugate phi* and the mirror map
-    grad phi* in closed form.  `sigma` is the strong-convexity modulus
-    with respect to the Euclidean norm and is consumed by the solver;
-    `smooth_modulus` (M) is only used by diagnostics and may be None
-    when phi is not globally smooth.
+    Its conjugate is phi*(x*) = 0.5 * ||S_lam(x*)||^2 and the mirror map is
+    the soft shrinkage operator itself.  `sigma` is the strong-convexity
+    modulus with respect to the Euclidean norm and is consumed by the
+    solver; `smooth_modulus` (M) of the smooth quadratic part is only used
+    by diagnostics.
     """
 
-    sigma: float = 1.0
-    smooth_modulus = None
+    sigma = 1.0
+    smooth_modulus = 1.0
+
+    def __init__(self, lam):
+        if lam < 0:
+            raise ValueError(f"lambda must be >= 0, got {lam}")
+        self.lam = float(lam)
+
+    def __repr__(self):
+        return f"SparsePrior(lam={self.lam})"
 
     def value(self, x):
         """phi(x)."""
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        return self.lam * np.abs(x).sum() + 0.5 * float(x @ x)
 
     def conj_value(self, xstar):
         """phi*(x*)."""
-        raise NotImplementedError
+        s = soft_shrink(xstar, self.lam)
+        return 0.5 * float(s @ s)
 
     def conj_grad(self, xstar):
         """The mirror point grad phi*(x*)."""
-        raise NotImplementedError
+        return soft_shrink(xstar, self.lam)
 
     def bregman_distance(self, xstar, y):
         """D_phi^{x*}(x, y) = phi*(x*) - <x*, y> + phi(y).
@@ -54,33 +64,3 @@ class PriorFunction:
         xstar = np.asarray(xstar, dtype=float)
         y = np.asarray(y, dtype=float)
         return self.conj_value(xstar) - float(xstar @ y) + self.value(y)
-
-
-class SparsePrior(PriorFunction):
-    """phi(x) = lam * ||x||_1 + 0.5 * ||x||_2^2, the sparsity-inducing choice.
-
-    Its conjugate is phi*(x*) = 0.5 * ||S_lam(x*)||^2 and the mirror map is
-    the soft shrinkage operator itself.  Strongly convex with sigma = 1;
-    the smooth quadratic part has modulus 1.
-    """
-
-    def __init__(self, lam):
-        if lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {lam}")
-        self.lam = float(lam)
-        self.sigma = 1.0
-        self.smooth_modulus = 1.0
-
-    def __repr__(self):
-        return f"SparsePrior(lam={self.lam})"
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.lam * np.abs(x).sum() + 0.5 * float(x @ x)
-
-    def conj_value(self, xstar):
-        s = soft_shrink(xstar, self.lam)
-        return 0.5 * float(s @ s)
-
-    def conj_grad(self, xstar):
-        return soft_shrink(xstar, self.lam)

@@ -9,17 +9,7 @@ All systems are read-only after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Linearization:
-    """Hyperplane {y : <gradient, y> = offset} of a local row linearization."""
-
-    gradient: np.ndarray
-    offset: float
 
 
 class NonlinearSystem:
@@ -47,13 +37,6 @@ class NonlinearSystem:
 
     def jacobian(self, x):
         return self.grad_block(np.arange(self.m), x)
-
-    def linearize_row(self, i, x):
-        """Gradient row and offset beta = <grad, x> - F_i(x) of the local
-        linearization hyperplane at x."""
-        x = np.asarray(x, dtype=float)
-        g = self.grad_component(i, x)
-        return Linearization(gradient=g, offset=float(g @ x) - self.eval_component(i, x))
 
     def _check_index(self, i):
         if not 0 <= i < self.m:

@@ -84,6 +84,13 @@ class TestGenerate:
                        "20", "--sp", "0.01", "--out", str(tmp_path / "x.npz")])
         assert rc == cli.EXIT_VALIDATION
 
+    def test_gaussian_matrix_free_rejected(self, tmp_path):
+        out = tmp_path / "x.npz"
+        rc = cli.main(["generate", "--kind", "gaussian", "--m", "10", "--n",
+                       "5", "--sp", "0.2", "--matrix-free", "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
     def test_missing_instance(self, tmp_path):
         rc = cli.main(["run", str(tmp_path / "absent.npz"),
                        "--out", str(tmp_path / "out")])
@@ -111,6 +118,21 @@ class TestRun:
         rec = np.array([float(r[1]) for r in rows])
         truth = np.array([float(r[2]) for r in rows])
         assert slv.solution_error(rec, truth) < 0.1
+
+    @pytest.mark.parametrize("kind, flags", [("gaussian", []),
+                                             ("dct", ["--matrix-free"])])
+    def test_non_finite_instance_rejected(self, tmp_path, kind, flags):
+        path = tmp_path / "inst.npz"
+        cli.main(["generate", "--kind", kind, "--m", "10", "--n", "5",
+                  "--sp", "0.2", "--out", str(path)] + flags)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["b"][3, 1] = np.nan
+        np.savez(path, **arrays)
+        out = tmp_path / "out"
+        rc = cli.main(["run", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
 
     def test_max_iters_exit(self, instance_path, tmp_path):
         rc = cli.main(["run", str(instance_path), "--solver", "nbk",

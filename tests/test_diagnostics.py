@@ -6,7 +6,8 @@ from conftest import affine_system, random_quadratic
 from bregman_kaczmarz import diagnostics as diag
 from bregman_kaczmarz import selection as sel
 from bregman_kaczmarz import solver as slv
-from bregman_kaczmarz.generators import GeneratorSpec, generate_gaussian
+from bregman_kaczmarz.generators import (GeneratorSpec, generate_dct,
+                                         generate_gaussian)
 from bregman_kaczmarz.priors import SparsePrior
 from bregman_kaczmarz.systems import QuadraticSystem
 
@@ -14,6 +15,23 @@ from bregman_kaczmarz.systems import QuadraticSystem
 def sample_pairs(n, count, rng, scale=1.0):
     return [(rng.standard_normal(n), rng.standard_normal(n) * scale)
             for _ in range(count)]
+
+
+def assert_matches_row_loop(system, pairs):
+    """estimate_eta against the defining ratio, one pair and one row at a
+    time."""
+    eta, count = 0.0, 0
+    for x1, x2 in pairs:
+        for i in range(system.m):
+            diff = system.eval_component(i, x1) - system.eval_component(i, x2)
+            lin = float(system.grad_component(i, x1) @ (x1 - x2))
+            if diff != 0.0:
+                count += 1
+                eta = max(eta, abs(diff - lin) / abs(diff))
+    est = diag.estimate_eta(system, pairs)
+    assert eta > 0.0
+    assert est.eta == pytest.approx(eta, rel=1e-12)
+    assert est.sample_count == count
 
 
 class TestEtaEstimate:
@@ -49,11 +67,27 @@ class TestEtaEstimate:
         with pytest.raises(diag.NoValidPairs):
             diag.estimate_eta(sys, [(x, x)])
 
-    def test_per_row_shape(self, rng):
-        sys = random_quadratic(4, 3, seed=1)
-        est = diag.estimate_eta(sys, sample_pairs(3, 10, rng), per_row=True)
-        assert est.per_row.shape == (4,)
-        assert est.per_row.max() == pytest.approx(est.eta)
+    def test_matches_row_loop_generic_pairs(self, rng):
+        assert_matches_row_loop(random_quadratic(6, 4, seed=2),
+                                sample_pairs(4, 30, rng))
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    @pytest.mark.parametrize("local", [False, True])
+    def test_matches_row_loop_trajectory(self, rng, matrix_free, local):
+        if matrix_free:
+            inst = generate_dct(GeneratorSpec("dct", 12, 8, 0.25, seed=3),
+                                matrix_free=True)
+        else:
+            inst = generate_gaussian(GeneratorSpec("gaussian", 12, 8, 0.25, seed=3))
+        prior = SparsePrior(0.5)
+        x0 = rng.standard_normal(8)
+        if local:
+            x0 = inst.truth + 0.5 * np.sign(inst.truth) + 1e-2 * x0
+        record = slv.run(inst.system, prior,
+                         slv.SolverConfig(max_iters=8, keep_iterates=True),
+                         x0, truth=inst.truth)
+        assert_matches_row_loop(inst.system,
+                                diag.trajectory_pairs(record, prior, inst.truth))
 
     def test_trajectory_pairs_requires_iterates(self, rng):
         inst = generate_gaussian(GeneratorSpec("gaussian", 10, 6, 0.5, seed=4))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bregman_kaczmarz.generators import (DCT, GAUSSIAN, GeneratorSpec,
                                          generate, generate_dct,
@@ -99,3 +101,33 @@ class TestDCT:
     def test_dispatch(self):
         inst = generate(GeneratorSpec(DCT, 6, 8, 0.25, seed=5))
         assert inst.spec.kind == DCT
+
+
+@st.composite
+def small_specs(draw, kind):
+    n = draw(st.integers(1, 12))
+    nonzeros = draw(st.integers(1, n))
+    return GeneratorSpec(kind, draw(st.integers(1, 20)), n, nonzeros / n,
+                         seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def assert_truth_is_root(inst):
+    resid = inst.system.eval_all(inst.truth)
+    assert np.abs(resid).max() <= 1e-9 * (1.0 + np.abs(inst.system.c).max())
+
+
+class TestGeneratedRoots:
+    @given(spec=small_specs(GAUSSIAN))
+    def test_gaussian(self, spec):
+        assert_truth_is_root(generate(spec))
+
+    @given(spec=small_specs(DCT), x=st.integers(0, 2 ** 32 - 1))
+    def test_dct_dense_and_matrix_free(self, spec, x):
+        dense = generate(spec)
+        free = generate(spec, matrix_free=True)
+        assert_truth_is_root(dense)
+        assert_truth_is_root(free)
+        for point in (free.truth, np.random.default_rng(x).standard_normal(spec.n)):
+            np.testing.assert_allclose(free.system.eval_all(point),
+                                       free.system.to_dense().eval_all(point),
+                                       rtol=1e-12, atol=1e-12)

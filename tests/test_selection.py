@@ -228,7 +228,7 @@ def paper_step(fvals, grads, sigma):
 
 
 class TestAgainstPaperFormula:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(block=row_scaled_blocks(), sigma=st.floats(0.5, 2.0),
            delta=st.floats(0.01, 1.99))
     def test_helpers_match_row_loop(self, block, sigma, delta):

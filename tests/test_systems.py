@@ -59,7 +59,7 @@ class TestGradients:
             sys.grad_component(1, rng.standard_normal(2)), [1.0, 2.0])
 
     def test_finite_differences_nonsymmetric(self, rng):
-        sys = random_quadratic(5, 4, seed=3, symmetric=False)
+        sys = random_quadratic(5, 4, seed=3)
         for i in range(5):
             for _ in range(20):
                 x = rng.standard_normal(4)
@@ -80,27 +80,6 @@ class TestGradients:
         block = sys.grad_block(idx, x)
         for row, i in zip(block, idx):
             np.testing.assert_allclose(row, sys.grad_component(i, x))
-
-
-class TestLinearization:
-    def test_affine_offset_is_minus_c(self, rng):
-        sys = identity_and_affine()
-        lin = sys.linearize_row(1, rng.standard_normal(2))
-        assert lin.offset == pytest.approx(3.0)   # -c with c = -3
-
-    def test_on_hyperplane(self):
-        sys = identity_and_affine()
-        x = np.array([1.0, 1.0])        # F_1(x) = 0 there
-        lin = sys.linearize_row(1, x)
-        assert lin.offset == pytest.approx(float(lin.gradient @ x))
-
-    def test_self_residual(self, rng):
-        sys = random_quadratic(4, 3, seed=9)
-        x = rng.standard_normal(3)
-        i = 2
-        lin = sys.linearize_row(i, x)
-        assert float(lin.gradient @ x) - lin.offset == pytest.approx(
-            sys.eval_component(i, x), rel=1e-12)
 
 
 class TestDCTSystem:
@@ -152,6 +131,23 @@ class TestSerialization:
         assert isinstance(loaded.system, DCTQuadraticSystem)
         np.testing.assert_array_equal(loaded.system.xi, inst.system.xi)
         np.testing.assert_array_equal(loaded.truth, inst.truth)
+
+
+    @pytest.mark.parametrize("matrix_free, name", [
+        (False, "A"), (False, "b"), (False, "c"), (False, "truth"),
+        (True, "xi"), (True, "b"), (True, "c"), (True, "truth")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, tmp_path, matrix_free, name, bad):
+        inst = generate_dct(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                            matrix_free=matrix_free)
+        path = tmp_path / "inst.npz"
+        save_instance(path, inst)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name].flat[-1] = bad
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            load_instance(path)
 
 
 class TestShapes:
