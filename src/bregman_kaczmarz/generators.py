@@ -133,16 +133,26 @@ def save_instance(path, instance):
     np.savez(path, **arrays)
 
 
+def _require(container, names, where):
+    missing = [name for name in names if name not in container]
+    if missing:
+        raise ValueError(f"{where}: missing {', '.join(map(repr, missing))}")
+
+
 def load_instance(path):
-    """Read an instance container; raises ValueError on an unknown format
-    or on non-finite stored values."""
+    """Read an instance container; raises ValueError on an unknown format,
+    a missing array or meta key, or non-finite stored values."""
     with np.load(path) as data:
+        _require(data, ["meta"], path)
         meta = json.loads(bytes(data["meta"]).decode())
+        _require(meta, ["format_version", "storage", "kind", "m", "n", "sp",
+                        "seed"], f"{path}: meta")
         if meta["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported instance format {meta['format_version']}")
         spec = GeneratorSpec(kind=meta["kind"], m=meta["m"], n=meta["n"],
                              sp=meta["sp"], seed=meta["seed"])
         tensor = "xi" if meta["storage"] == "dct_seed" else "A"
+        _require(data, [tensor, "b", "c", "truth"], path)
         arrays = {name: data[name] for name in (tensor, "b", "c", "truth")}
     for name, values in arrays.items():
         if not np.isfinite(values).all():

@@ -2,8 +2,9 @@
 
 A system exposes m scalar equations F_i and their gradient rows.  The
 quadratic measurement model F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i is
-the workhorse of the experiments; a matrix-free variant backs the
-partial-cosine family when materializing the full tensor is too large.
+the workhorse of the experiments (one dense tensor, residuals in m*|S|*n
+on the support S of x); a matrix-free variant backs the partial-cosine
+family when materializing the full tensor is too large.
 All systems are read-only after construction.
 """
 
@@ -46,13 +47,13 @@ class NonlinearSystem:
 class QuadraticSystem(NonlinearSystem):
     """F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i with dense storage.
 
-    A_i may be non-symmetric; gradients use the symmetrization
-    0.5 (A_i + A_i^T) x + b_i, which is the calculus gradient of the
-    quadratic form.
+    A_i may be non-symmetric and is stored once, as given.  Gradient
+    rows 0.5 (A_i + A_i^T) x + b_i come from the contiguous slab A_i;
+    `eval_all` touches only the support S of x, at cost m*|S|*n.
     """
 
     def __init__(self, A, b, c):
-        A = np.asarray(A, dtype=float)
+        A = np.ascontiguousarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         c = np.asarray(c, dtype=float)
         m, n, n2 = A.shape
@@ -66,14 +67,6 @@ class QuadraticSystem(NonlinearSystem):
         self.c = c
         self.m = m
         self.n = n
-        self._asym = None
-
-    @property
-    def asym(self):
-        # symmetrized tensor, built once on first gradient request
-        if self._asym is None:
-            self._asym = 0.5 * (self.A + self.A.transpose(0, 2, 1))
-        return self._asym
 
     def eval_component(self, i, x):
         self._check_index(i)
@@ -83,16 +76,15 @@ class QuadraticSystem(NonlinearSystem):
     def grad_component(self, i, x):
         self._check_index(i)
         x = np.asarray(x, dtype=float)
-        return self.asym[i] @ x + self.b[i]
+        return 0.5 * (self.A[i] @ x + x @ self.A[i]) + self.b[i]
 
     def eval_all(self, x):
         x = np.asarray(x, dtype=float)
-        v = self.A @ x                       # (m, n), rows A_i x
-        return 0.5 * (v @ x) + self.b @ x + self.c
-
-    def grad_block(self, idx, x):
-        x = np.asarray(x, dtype=float)
-        return self.asym[idx] @ x + self.b[idx]
+        S = np.flatnonzero(x)
+        u = np.empty((self.m, S.size))
+        for s, j in enumerate(S):
+            u[:, s] = self.A[:, j, :] @ x    # (A_i x)_j for every row i
+        return 0.5 * (u * x[S]).sum(axis=1) + self.b @ x + self.c
 
 
 class DCTQuadraticSystem(NonlinearSystem):

@@ -134,6 +134,17 @@ class TestRun:
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    def test_missing_array_rejected(self, instance_path, tmp_path, command):
+        with np.load(instance_path) as data:
+            arrays = dict(data)
+        del arrays["A"]
+        np.savez(instance_path, **arrays)
+        out = tmp_path / "out"
+        rc = cli.main([command, str(instance_path), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
     def test_max_iters_exit(self, instance_path, tmp_path):
         rc = cli.main(["run", str(instance_path), "--solver", "nbk",
                        "--max-iters", "2", "--out", str(tmp_path / "o")])

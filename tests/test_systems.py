@@ -1,5 +1,10 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import affine_system, random_quadratic
 
@@ -82,6 +87,90 @@ class TestGradients:
             np.testing.assert_allclose(row, sys.grad_component(i, x))
 
 
+def dense_reference(sys, x):
+    """F and the Jacobian by full contraction, with the sums of absolute
+    term values that bound their rounding error."""
+    A, b, c = sys.A, sys.b, sys.c
+    F = 0.5 * np.einsum("ijk,j,k->i", A, x, x) + b @ x + c
+    F_scale = (0.5 * np.einsum("ijk,j,k->i", abs(A), abs(x), abs(x))
+               + abs(b) @ abs(x) + abs(c))
+    J = 0.5 * (A + A.transpose(0, 2, 1)) @ x + b
+    J_scale = 0.5 * (abs(A) + abs(A).transpose(0, 2, 1)) @ abs(x) + abs(b)
+    return F, F_scale, J, J_scale
+
+
+class TestSupportKernel:
+    """The support-restricted kernel against the dense contraction."""
+
+    RTOL = 1e-12
+
+    @given(m=st.integers(1, 12), n=st.integers(1, 10),
+           support=st.integers(0, 10), negative_zeros=st.booleans(),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_reference(self, m, n, support, negative_zeros,
+                                     scale, seed):
+        rng = np.random.default_rng(seed)
+        sys = random_quadratic(m, n, seed)      # A_i non-symmetric
+        x = np.full(n, -0.0 if negative_zeros else 0.0)
+        S = rng.choice(n, size=min(support, n), replace=False)
+        x[S] = scale * rng.standard_normal(S.size)
+        F, F_scale, J, J_scale = dense_reference(sys, x)
+
+        assert np.all(abs(sys.eval_all(x) - F) <= self.RTOL * F_scale)
+        blocks = [rng.integers(m, size=1),
+                  rng.choice(m, size=rng.integers(1, m + 1), replace=False),
+                  np.arange(m)]
+        for idx in blocks:
+            rows = sys.grad_block(idx, x)
+            assert np.all(abs(rows - J[idx]) <= self.RTOL * J_scale[idx])
+            for row, i in zip(rows, idx):
+                np.testing.assert_array_equal(row, sys.grad_component(i, x))
+        assert np.all(abs(sys.jacobian(x) - J) <= self.RTOL * J_scale)
+
+    @given(m=st.integers(1, 12), n=st.integers(1, 10),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_zero_gives_offsets_exactly(self, m, n, seed):
+        sys = random_quadratic(m, n, seed)
+        np.testing.assert_array_equal(sys.eval_all(np.zeros(n)), sys.c)
+        np.testing.assert_array_equal(sys.eval_all(np.full(n, -0.0)), sys.c)
+
+    @given(m=st.integers(1, 12), n=st.integers(1, 10),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           dense_support=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_non_finite_x_gives_non_finite_residuals(self, m, n, bad,
+                                                     dense_support, seed):
+        rng = np.random.default_rng(seed)
+        sys = random_quadratic(m, n, seed)
+        x = rng.standard_normal(n) if dense_support else np.zeros(n)
+        x[rng.integers(n)] = bad
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(dense_reference(sys, x)[0]).any()
+            assert not np.isfinite(sys.eval_all(x)).any()
+
+    def test_no_tensor_beyond_storage(self, rng):
+        # one (m, n, n) tensor: no call caches a copy or allocates one
+        m, n = 40, 30
+        # numpy's one-time allocations happen here, not under the trace
+        random_quadratic(m, n, seed=1).jacobian(rng.standard_normal(n))
+        sys = random_quadratic(m, n, seed=2)
+        x = rng.standard_normal(n)
+        x[::3] = 0.0
+        calls = [lambda: sys.eval_all(x), lambda: sys.grad_block([0, 7, 39], x),
+                 lambda: sys.jacobian(x), lambda: sys.grad_component(5, x)]
+        tracemalloc.start()
+        try:
+            for call in calls:
+                tracemalloc.reset_peak()
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak < m * n * n * 8 / 4
+        finally:
+            tracemalloc.stop()
+        arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"A", "b", "c"}
+
+
 class TestDCTSystem:
     def make(self, rng):
         xi = rng.random((3, 5))
@@ -132,6 +221,38 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.system.xi, inst.system.xi)
         np.testing.assert_array_equal(loaded.truth, inst.truth)
 
+    @pytest.mark.parametrize("matrix_free, name", [
+        (False, "A"), (False, "b"), (False, "c"), (False, "truth"),
+        (False, "meta"), (True, "xi"), (True, "b"), (True, "c"),
+        (True, "truth"), (True, "meta")])
+    def test_missing_array_rejected(self, tmp_path, matrix_free, name):
+        inst = generate_dct(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                            matrix_free=matrix_free)
+        path = tmp_path / "inst.npz"
+        save_instance(path, inst)
+        with np.load(path) as data:
+            arrays = dict(data)
+        del arrays[name]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"missing '{name}'"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    @pytest.mark.parametrize("key", ["format_version", "storage", "kind", "m",
+                                     "n", "sp", "seed"])
+    def test_missing_meta_key_rejected(self, tmp_path, matrix_free, key):
+        inst = generate_dct(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                            matrix_free=matrix_free)
+        path = tmp_path / "inst.npz"
+        save_instance(path, inst)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        del meta[key]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"meta: missing '{key}'"):
+            load_instance(path)
 
     @pytest.mark.parametrize("matrix_free, name", [
         (False, "A"), (False, "b"), (False, "c"), (False, "truth"),
