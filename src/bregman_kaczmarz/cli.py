@@ -127,7 +127,8 @@ def cmd_bench(args):
     for rep in range(args.reps):
         inst_seed, x0_seed, solver_seed = derived_seeds(args.seed, rep)
         instance = gen.generate(gen.GeneratorSpec(seed=inst_seed,
-                                                  **spec_template))
+                                                  **spec_template),
+                                matrix_free=args.matrix_free)
         x0_star = initial_dual(instance.system.n, x0_seed)
         for name in solvers:
             config = preset_config(name, seed=solver_seed, alpha=args.alpha,
@@ -232,6 +233,7 @@ def build_parser():
     p.add_argument("--sp", type=float, required=True)
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--curves", action="store_true")
+    p.add_argument("--matrix-free", action="store_true")
     p.add_argument("--force-large", action="store_true")
     _add_solver_flags(p)
     p.set_defaults(solver=None)

@@ -4,7 +4,7 @@ A system exposes m scalar equations F_i and their gradient rows.  The
 quadratic measurement model F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i is
 the workhorse of the experiments (one dense tensor, residuals in m*|S|*n
 on the support S of x); a matrix-free variant backs the partial-cosine
-family when materializing the full tensor is too large.
+family and computes only the cosines that meet the support.
 All systems are read-only after construction.
 """
 
@@ -91,8 +91,10 @@ class DCTQuadraticSystem(NonlinearSystem):
     """Matrix-free partial-cosine quadratics.
 
     Column j of A_i is cos(2*pi*j*xi_i) elementwise (j = 0..n-1), so only
-    the frequency vectors xi_i need to be stored.  Rows are rebuilt on
-    demand; prefer `to_dense()` whenever m*n^2 doubles fit in memory.
+    the frequency vectors xi_i need to be stored.  Entries are computed on
+    demand and only where they meet the support S of x: m*|S|^2 cosines
+    per residual vector and 2*n*|S| - |S|^2 per gradient row, against n^2
+    per row for a materialized A_i.  Nothing is cached between calls.
     """
 
     def __init__(self, xi, b, c):
@@ -109,22 +111,65 @@ class DCTQuadraticSystem(NonlinearSystem):
         self.m = m
         self.n = n
 
+    @staticmethod
+    def _cosines(xi, cols):
+        """cos(2*pi*xi_k*j) for every entry xi_k of xi and every column j in
+        cols, shape xi.shape + (len(cols),): the entries A_i[k, j] for the
+        rows k of xi = xi_i."""
+        # einsum, not a broadcast multiply: that one allocates two 64 KiB
+        # iterator buffers per call
+        out = np.einsum("...k,j->...kj", 2.0 * np.pi * xi,
+                        np.asarray(cols, dtype=float), order="C")
+        return np.cos(out, out=out)
+
+    def _values(self, rows, x):
+        """F_i(x) for the rows selected by an index array or slice."""
+        S = np.flatnonzero(x)
+        xS = x[S]
+        C = self._cosines(self.xi[rows][:, S], S)      # A_i[S, S]
+        return 0.5 * (C @ xS * xS).sum(axis=1) + self.b[rows] @ x + self.c[rows]
+
+    def _gradients(self, rows, x):
+        """Gradient rows 0.5 (A_i x + A_i^T x) + b_i for an index array.
+
+        A_i x needs the support columns A_i[:, S]; A_i^T x needs the support
+        rows A_i[S, :], whose block A_i[S, S] is read from the columns.
+        """
+        S = np.flatnonzero(x)
+        xS = x[S]
+        xi = self.xi[rows]
+        cols = self._cosines(xi, S)                    # A_i[:, S]
+        Ax = cols @ xS
+        Atx = np.empty_like(xi)
+        Atx[:, S] = x @ cols                           # x is zero off S
+        del cols                        # freed before the second block
+        Sc = np.flatnonzero(x == 0.0)
+        Atx[:, Sc] = xS @ self._cosines(xi[:, S], Sc)  # A_i[S, S^c]
+        return 0.5 * (Ax + Atx) + self.b[rows]
+
     def matrix(self, i):
         """Materialize A_i, shape (n, n)."""
         self._check_index(i)
-        j = np.arange(self.n)
-        return np.cos(2.0 * np.pi * self.xi[i][:, None] * j[None, :])
+        return self._cosines(self.xi[i], np.arange(self.n))
 
     def eval_component(self, i, x):
-        x = np.asarray(x, dtype=float)
-        Ai = self.matrix(i)
-        return 0.5 * float(x @ (Ai @ x)) + float(self.b[i] @ x) + float(self.c[i])
+        self._check_index(i)
+        return float(self._values([i], np.asarray(x, dtype=float))[0])
 
     def grad_component(self, i, x):
-        x = np.asarray(x, dtype=float)
-        Ai = self.matrix(i)
-        return 0.5 * (Ai @ x + Ai.T @ x) + self.b[i]
+        self._check_index(i)
+        return self._gradients([i], np.asarray(x, dtype=float))[0]
+
+    def eval_all(self, x):
+        return self._values(slice(None), np.asarray(x, dtype=float))
+
+    def grad_block(self, idx, x):
+        idx = np.asarray(idx, dtype=int)
+        if idx.size:
+            self._check_index(idx.min())
+            self._check_index(idx.max())
+        return self._gradients(idx, np.asarray(x, dtype=float))
 
     def to_dense(self):
-        A = np.stack([self.matrix(i) for i in range(self.m)])
+        A = self._cosines(self.xi, np.arange(self.n))
         return QuadraticSystem(A, self.b, self.c)

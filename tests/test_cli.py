@@ -191,6 +191,23 @@ class TestBench:
         assert rc == cli.EXIT_VALIDATION
         assert not (tmp_path / "b" / "table.csv").exists()
 
+    def test_matrix_free_cosine(self, tmp_path):
+        out = tmp_path / "bench"
+        rc = cli.main(["bench", "--kind", "dct", "--m", "20", "--n", "10",
+                       "--sp", "0.2", "--reps", "2", "--solver", "abnbk-a",
+                       "--matrix-free", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        table = read_csv(out / "table.csv")
+        assert table[0] == cli.TABLE_HEADER
+        assert [row[3] for row in table[1:]] == ["abnbk-a"]
+
+    def test_gaussian_matrix_free_rejected(self, tmp_path):
+        rc = cli.main(["bench", "--kind", "gaussian", "--m", "20", "--n", "10",
+                       "--sp", "0.2", "--reps", "1", "--matrix-free",
+                       "--out", str(tmp_path / "b")])
+        assert rc == cli.EXIT_VALIDATION
+        assert not (tmp_path / "b" / "table.csv").exists()
+
     def test_bench_matches_run(self, tmp_path):
         # one repetition of the sweep reproduces a direct solver call
         out = tmp_path / "bench"

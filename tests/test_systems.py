@@ -99,54 +99,94 @@ def dense_reference(sys, x):
     return F, F_scale, J, J_scale
 
 
+RTOL = 1e-12
+SIZES = dict(m=st.integers(1, 12), n=st.integers(1, 10),
+             seed=st.integers(0, 2 ** 32 - 1))
+SUPPORTS = dict(support=st.integers(0, 10), negative_zeros=st.booleans(),
+                scale=st.sampled_from([1e-3, 1.0, 1e3]))
+NON_FINITE = dict(bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+                  dense_support=st.booleans())
+
+
+def random_cosine(m, n, seed):
+    rng = np.random.default_rng(seed)
+    return DCTQuadraticSystem(rng.random((m, n)), rng.standard_normal((m, n)),
+                              rng.standard_normal(m))
+
+
+def check_dense_reference(sys, dense, support, negative_zeros, scale, seed):
+    """Every evaluation of sys against the full contraction of its dense
+    tensor; gradient rows of a block bit-equal to single rows."""
+    rng = np.random.default_rng(seed)
+    m, n = sys.m, sys.n
+    x = np.full(n, -0.0 if negative_zeros else 0.0)
+    S = rng.choice(n, size=min(support, n), replace=False)
+    x[S] = scale * rng.standard_normal(S.size)
+    F, F_scale, J, J_scale = dense_reference(dense, x)
+
+    assert np.all(abs(sys.eval_all(x) - F) <= RTOL * F_scale)
+    for i in range(m):
+        assert abs(sys.eval_component(i, x) - F[i]) <= RTOL * F_scale[i]
+        assert np.all(abs(sys.grad_component(i, x) - J[i]) <= RTOL * J_scale[i])
+    blocks = [rng.integers(m, size=1),
+              rng.choice(m, size=rng.integers(1, m + 1), replace=False),
+              np.arange(m)]
+    for idx in blocks:
+        rows = sys.grad_block(idx, x)
+        assert np.all(abs(rows - J[idx]) <= RTOL * J_scale[idx])
+        for row, i in zip(rows, idx):
+            np.testing.assert_array_equal(row, sys.grad_component(i, x))
+    assert np.all(abs(sys.jacobian(x) - J) <= RTOL * J_scale)
+
+
+def check_zero_gives_offsets(sys):
+    np.testing.assert_array_equal(sys.eval_all(np.zeros(sys.n)), sys.c)
+    np.testing.assert_array_equal(sys.eval_all(np.full(sys.n, -0.0)), sys.c)
+
+
+def check_non_finite(sys, dense, bad, dense_support, seed):
+    rng = np.random.default_rng(seed)
+    n = sys.n
+    x = rng.standard_normal(n) if dense_support else np.zeros(n)
+    x[rng.integers(n)] = bad
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(dense_reference(dense, x)[0]).any()
+        assert not np.isfinite(sys.eval_all(x)).any()
+
+
+def peak_bytes(calls):
+    """The tracemalloc peak of each call, in bytes."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
 class TestSupportKernel:
-    """The support-restricted kernel against the dense contraction."""
+    """The support-restricted kernel against the dense contraction, for
+    non-symmetric A_i."""
 
-    RTOL = 1e-12
+    @given(**SIZES, **SUPPORTS)
+    def test_matches_dense_reference(self, m, n, seed, support,
+                                     negative_zeros, scale):
+        sys = random_quadratic(m, n, seed)
+        check_dense_reference(sys, sys, support, negative_zeros, scale, seed)
 
-    @given(m=st.integers(1, 12), n=st.integers(1, 10),
-           support=st.integers(0, 10), negative_zeros=st.booleans(),
-           scale=st.sampled_from([1e-3, 1.0, 1e3]),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_dense_reference(self, m, n, support, negative_zeros,
-                                     scale, seed):
-        rng = np.random.default_rng(seed)
-        sys = random_quadratic(m, n, seed)      # A_i non-symmetric
-        x = np.full(n, -0.0 if negative_zeros else 0.0)
-        S = rng.choice(n, size=min(support, n), replace=False)
-        x[S] = scale * rng.standard_normal(S.size)
-        F, F_scale, J, J_scale = dense_reference(sys, x)
-
-        assert np.all(abs(sys.eval_all(x) - F) <= self.RTOL * F_scale)
-        blocks = [rng.integers(m, size=1),
-                  rng.choice(m, size=rng.integers(1, m + 1), replace=False),
-                  np.arange(m)]
-        for idx in blocks:
-            rows = sys.grad_block(idx, x)
-            assert np.all(abs(rows - J[idx]) <= self.RTOL * J_scale[idx])
-            for row, i in zip(rows, idx):
-                np.testing.assert_array_equal(row, sys.grad_component(i, x))
-        assert np.all(abs(sys.jacobian(x) - J) <= self.RTOL * J_scale)
-
-    @given(m=st.integers(1, 12), n=st.integers(1, 10),
-           seed=st.integers(0, 2 ** 32 - 1))
+    @given(**SIZES)
     def test_zero_gives_offsets_exactly(self, m, n, seed):
-        sys = random_quadratic(m, n, seed)
-        np.testing.assert_array_equal(sys.eval_all(np.zeros(n)), sys.c)
-        np.testing.assert_array_equal(sys.eval_all(np.full(n, -0.0)), sys.c)
+        check_zero_gives_offsets(random_quadratic(m, n, seed))
 
-    @given(m=st.integers(1, 12), n=st.integers(1, 10),
-           bad=st.sampled_from([np.nan, np.inf, -np.inf]),
-           dense_support=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_non_finite_x_gives_non_finite_residuals(self, m, n, bad,
-                                                     dense_support, seed):
-        rng = np.random.default_rng(seed)
+    @given(**SIZES, **NON_FINITE)
+    def test_non_finite_x_gives_non_finite_residuals(self, m, n, seed, bad,
+                                                     dense_support):
         sys = random_quadratic(m, n, seed)
-        x = rng.standard_normal(n) if dense_support else np.zeros(n)
-        x[rng.integers(n)] = bad
-        with np.errstate(invalid="ignore"):
-            assert not np.isfinite(dense_reference(sys, x)[0]).any()
-            assert not np.isfinite(sys.eval_all(x)).any()
+        check_non_finite(sys, sys, bad, dense_support, seed)
 
     def test_no_tensor_beyond_storage(self, rng):
         # one (m, n, n) tensor: no call caches a copy or allocates one
@@ -156,19 +196,63 @@ class TestSupportKernel:
         sys = random_quadratic(m, n, seed=2)
         x = rng.standard_normal(n)
         x[::3] = 0.0
-        calls = [lambda: sys.eval_all(x), lambda: sys.grad_block([0, 7, 39], x),
-                 lambda: sys.jacobian(x), lambda: sys.grad_component(5, x)]
-        tracemalloc.start()
-        try:
-            for call in calls:
-                tracemalloc.reset_peak()
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-                assert peak < m * n * n * 8 / 4
-        finally:
-            tracemalloc.stop()
+        peaks = peak_bytes([
+            lambda: sys.eval_all(x), lambda: sys.grad_block([0, 7, 39], x),
+            lambda: sys.jacobian(x), lambda: sys.grad_component(5, x)])
+        assert max(peaks) < m * n * n * 8 / 4
         arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
         assert arrays == {"A", "b", "c"}
+
+
+class TestMatrixFreeKernel:
+    """The support-restricted cosine kernel against its materialized
+    tensor."""
+
+    @given(**SIZES, **SUPPORTS)
+    def test_matches_dense_reference(self, m, n, seed, support,
+                                     negative_zeros, scale):
+        sys = random_cosine(m, n, seed)
+        check_dense_reference(sys, sys.to_dense(), support, negative_zeros,
+                              scale, seed)
+
+    @given(**SIZES)
+    def test_zero_gives_offsets_exactly(self, m, n, seed):
+        check_zero_gives_offsets(random_cosine(m, n, seed))
+
+    @given(**SIZES, **NON_FINITE)
+    def test_non_finite_x_gives_non_finite_residuals(self, m, n, seed, bad,
+                                                     dense_support):
+        sys = random_cosine(m, n, seed)
+        check_non_finite(sys, sys.to_dense(), bad, dense_support, seed)
+
+    def test_no_tensor_beyond_storage(self, rng):
+        # no per-row n x n matrix and no cache: a call holds at most a few
+        # (|B|, n, |S|) blocks of cosines
+        m, n, support = 40, 30, 3
+        random_cosine(m, n, seed=1).jacobian(rng.standard_normal(n))
+        sys = random_cosine(m, n, seed=2)
+        x = np.zeros(n)
+        x[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
+        block = [0, 7, 39]
+        peaks = peak_bytes([lambda: sys.eval_all(x),
+                            lambda: sys.grad_block(block, x),
+                            lambda: sys.jacobian(x),
+                            lambda: sys.grad_component(5, x)])
+        for rows, peak in zip([m, len(block), m, 1], peaks):
+            assert peak < 3 * rows * n * support * 8 + 16 * 1024
+        arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"xi", "b", "c"}
+
+
+@pytest.mark.parametrize("matrix_free", [False, True])
+@pytest.mark.parametrize("method", ["eval_component", "grad_component",
+                                    "grad_block"])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_index_out_of_range_rejected(matrix_free, method, bad):
+    sys = (random_cosine if matrix_free else random_quadratic)(4, 3, 0)
+    i = [0, bad] if method == "grad_block" else bad
+    with pytest.raises(IndexError):
+        getattr(sys, method)(i, np.ones(3))
 
 
 class TestDCTSystem:
