@@ -123,10 +123,10 @@ class DCTQuadraticSystem(NonlinearSystem):
         return np.cos(out, out=out)
 
     def _values(self, rows, x):
-        """F_i(x) for the rows selected by an index array or slice."""
+        """F_i(x) for the rows of an index array."""
         S = np.flatnonzero(x)
         xS = x[S]
-        C = self._cosines(self.xi[rows][:, S], S)      # A_i[S, S]
+        C = self._cosines(self.xi[:, S][rows], S)      # A_i[S, S]
         return 0.5 * (C @ xS * xS).sum(axis=1) + self.b[rows] @ x + self.c[rows]
 
     def _gradients(self, rows, x):
@@ -152,23 +152,32 @@ class DCTQuadraticSystem(NonlinearSystem):
         self._check_index(i)
         return self._cosines(self.xi[i], np.arange(self.n))
 
+    def _rows(self, idx):
+        """idx as an int array, every entry checked against [0, m)."""
+        idx = np.asarray(idx, dtype=int)
+        if idx.size:
+            self._check_index(idx.min())
+            self._check_index(idx.max())
+        return idx
+
     def eval_component(self, i, x):
-        self._check_index(i)
-        return float(self._values([i], np.asarray(x, dtype=float))[0])
+        """F_i(x); for an index array i, the array of F_i(x) over its
+        entries in one vectorized call (eval_all passes every row)."""
+        x = np.asarray(x, dtype=float)
+        if np.ndim(i) == 0:
+            self._check_index(i)
+            return float(self._values([i], x)[0])
+        return self._values(self._rows(i), x)
 
     def grad_component(self, i, x):
         self._check_index(i)
         return self._gradients([i], np.asarray(x, dtype=float))[0]
 
     def eval_all(self, x):
-        return self._values(slice(None), np.asarray(x, dtype=float))
+        return self.eval_component(np.arange(self.m), x)
 
     def grad_block(self, idx, x):
-        idx = np.asarray(idx, dtype=int)
-        if idx.size:
-            self._check_index(idx.min())
-            self._check_index(idx.max())
-        return self._gradients(idx, np.asarray(x, dtype=float))
+        return self._gradients(self._rows(idx), np.asarray(x, dtype=float))
 
     def to_dense(self):
         A = self._cosines(self.xi, np.arange(self.n))

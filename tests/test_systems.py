@@ -243,6 +243,21 @@ class TestMatrixFreeKernel:
         arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
         assert arrays == {"xi", "b", "c"}
 
+    def test_eval_component_over_index_array(self, rng):
+        # an index array gives its rows of F in one call, bit-equal to the
+        # single-row calls; every entry is range-checked
+        sys = random_cosine(9, 6, seed=3)
+        x = np.zeros(6)
+        x[[1, 4]] = rng.standard_normal(2)
+        F = np.array([sys.eval_component(i, x) for i in range(9)])
+        np.testing.assert_array_equal(sys.eval_all(x), F)
+        for idx in ([], [4], [8, 0, 8], range(9)):
+            idx = np.array(idx, dtype=int)
+            np.testing.assert_array_equal(sys.eval_component(idx, x), F[idx])
+        for bad in ([0, -1], [9, 0]):
+            with pytest.raises(IndexError):
+                sys.eval_component(bad, x)
+
 
 @pytest.mark.parametrize("matrix_free", [False, True])
 @pytest.mark.parametrize("method", ["eval_component", "grad_component",
