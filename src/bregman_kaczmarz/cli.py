@@ -11,6 +11,7 @@ import argparse
 import csv
 import statistics
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,8 @@ DEFAULT_LAMBDA = 2.0
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 1000
 SOLVER_NAMES = ["nbk", "mrnbk", "abnbk-c", "abnbk-a"]
+# `bkz bench` refuses instances storing more than a dense (400, 200) one
+DESK_SCALE_BYTES = 400 * 200 ** 2 * 8
 
 TABLE_HEADER = ["m", "n", "sp", "solver", "it_median", "it_mean",
                 "elapsed_median_ns", "converged_frac"]
@@ -108,16 +111,19 @@ def cmd_run(args):
         for j, (xj, tj) in enumerate(zip(record.final_primal, instance.truth)):
             w.writerow([j, xj, tj])
     print(f"{args.solver}: status={record.status} iterations={record.iterations} "
-          f"rel_res_sq={record.terminal_row[1]:.3e}")
+          f"rel_res_sq={record.rows[-1][1]:.3e}")
     return _status_exit(record.status)
 
 
 def cmd_bench(args):
     solvers = [args.solver] if args.solver else SOLVER_NAMES
-    spec_template = dict(kind=args.kind, m=args.m, n=args.n, sp=args.sp)
-    if not args.force_large and args.m * args.n ** 2 > 400 * 200 ** 2:
-        print(f"refusing m*n^2 = {args.m * args.n ** 2} beyond desk scale; "
-              "pass --force-large to override", file=sys.stderr)
+    spec = gen.GeneratorSpec(kind=args.kind, m=args.m, n=args.n, sp=args.sp,
+                             seed=args.seed)
+    size = gen.stored_bytes(spec, args.matrix_free)
+    if not args.force_large and size > DESK_SCALE_BYTES:
+        print(f"refusing {size} stored bytes beyond desk scale "
+              f"({DESK_SCALE_BYTES}); pass --force-large to override",
+              file=sys.stderr)
         return EXIT_VALIDATION
 
     out = Path(args.out)
@@ -126,8 +132,7 @@ def cmd_bench(args):
     results = {name: [] for name in solvers}
     for rep in range(args.reps):
         inst_seed, x0_seed, solver_seed = derived_seeds(args.seed, rep)
-        instance = gen.generate(gen.GeneratorSpec(seed=inst_seed,
-                                                  **spec_template),
+        instance = gen.generate(replace(spec, seed=inst_seed),
                                 matrix_free=args.matrix_free)
         x0_star = initial_dual(instance.system.n, x0_seed)
         for name in solvers:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import selection as sel
 from . import solver as slv
+from .priors import SparsePrior
 
 
 class NoValidPairs(Exception):
@@ -126,16 +127,16 @@ def block_jacobians(record, system, prior):
     return jacs
 
 
-def contraction_audit(record, eta, config, per_block_jacobians, sigma=1.0,
-                      smooth_modulus=1.0):
+def contraction_audit(record, eta, config, per_block_jacobians):
     """Check the per-iteration geometric decrease of the Bregman distance.
 
     For constant stepsize alpha the factor is
 
         1 - (2(1-eta)alpha - alpha^2) sigma / (M (1+eta)^2 kappa_F^2),
 
-    with kappa_F = ||J||_F / sigma_min(J) of the block Jacobian; the
-    adaptive bound uses delta and the spectral ratio sigma_max/sigma_min.
+    with kappa_F = ||J||_F / sigma_min(J) of the block Jacobian and the
+    moduli sigma and M of `SparsePrior`; the adaptive bound uses delta and
+    the spectral ratio sigma_max/sigma_min.
     The (1+eta)^2 term follows the proof of the NBK bound (Gower, Lorenz &
     Winkler, 2023).  A step passes with an absolute slack of 1e-12, so
     distances at rounding level near convergence are not flagged.
@@ -156,7 +157,7 @@ def contraction_audit(record, eta, config, per_block_jacobians, sigma=1.0,
         raise TypeError(f"unknown stepsize policy: {config.stepsize!r}")
 
     eta_term = (1.0 + eta) ** 2
-    gain = (2.0 * (1.0 - eta) * step - step ** 2) * sigma
+    gain = (2.0 * (1.0 - eta) * step - step ** 2) * SparsePrior.sigma
     breg = record.column("bregman")
     rows = []
     satisfied = 0
@@ -167,7 +168,7 @@ def contraction_audit(record, eta, config, per_block_jacobians, sigma=1.0,
             kappa_sq = (svals ** 2).sum() / smin ** 2     # Frobenius over min
         else:
             kappa_sq = svals[0] ** 2 / smin ** 2          # spectral ratio
-        factor = 1.0 - gain / (smooth_modulus * eta_term * kappa_sq)
+        factor = 1.0 - gain / (SparsePrior.smooth_modulus * eta_term * kappa_sq)
         ok = breg[k + 1] <= factor * breg[k] + 1e-12
         satisfied += int(ok)
         rows.append((k, float(breg[k]), float(breg[k + 1]), float(factor), ok))
@@ -185,7 +186,5 @@ def audit_run(instance, prior, config, x0_star):
     pairs = trajectory_pairs(record, prior, truth=instance.truth)
     est = estimate_eta(instance.system, pairs)
     jacs = block_jacobians(record, instance.system, prior)
-    audit = contraction_audit(record, est.eta, config, jacs,
-                              sigma=prior.sigma,
-                              smooth_modulus=prior.smooth_modulus)
+    audit = contraction_audit(record, est.eta, config, jacs)
     return record, est, audit

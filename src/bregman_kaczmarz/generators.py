@@ -108,11 +108,20 @@ def generate_dct(spec, matrix_free=False):
     return ProblemInstance(system, truth, spec)
 
 
+def stored_bytes(spec, matrix_free=False):
+    """Bytes of the stored coefficients of a `spec` instance: the m*n^2
+    doubles of the tensor A when dense, the 2*m*n + m doubles of xi, b and
+    c when matrix-free.  Raises ValueError for a storage the family lacks.
+    """
+    if matrix_free and spec.kind != DCT:
+        raise ValueError(f"matrix-free storage exists only for the '{DCT}' family")
+    m, n = spec.m, spec.n
+    return 8 * (2 * m * n + m if matrix_free else m * n * n)
+
+
 def generate(spec, matrix_free=False):
+    stored_bytes(spec, matrix_free)     # rejects a storage the family lacks
     if spec.kind == GAUSSIAN:
-        if matrix_free:
-            raise ValueError("matrix-free storage exists only for the "
-                             f"'{DCT}' family")
         return generate_gaussian(spec)
     return generate_dct(spec, matrix_free=matrix_free)
 
@@ -140,8 +149,8 @@ def _require(container, names, where):
 
 
 def load_instance(path):
-    """Read an instance container; raises ValueError on an unknown format,
-    a missing array or meta key, or non-finite stored values."""
+    """Read an instance container; raises ValueError on an unknown format
+    or storage, a missing array or meta key, or non-finite stored values."""
     with np.load(path) as data:
         _require(data, ["meta"], path)
         meta = json.loads(bytes(data["meta"]).decode())
@@ -151,7 +160,9 @@ def load_instance(path):
             raise ValueError(f"unsupported instance format {meta['format_version']}")
         spec = GeneratorSpec(kind=meta["kind"], m=meta["m"], n=meta["n"],
                              sp=meta["sp"], seed=meta["seed"])
-        tensor = "xi" if meta["storage"] == "dct_seed" else "A"
+        tensor = {"dct_seed": "xi", "dense": "A"}.get(meta["storage"])
+        if tensor is None:
+            raise ValueError(f"{path}: unknown storage {meta['storage']!r}")
         _require(data, [tensor, "b", "c", "truth"], path)
         arrays = {name: data[name] for name in (tensor, "b", "c", "truth")}
     for name, values in arrays.items():

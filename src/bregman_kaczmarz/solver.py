@@ -83,23 +83,6 @@ class SolverConfig:
 
 
 @dataclass
-class IterationState:
-    k: int
-    dual: np.ndarray
-    primal: np.ndarray
-    residual: np.ndarray
-    res0_sq: float
-    # bookkeeping of the step that produced this state
-    block_size: int = 0
-    alpha_used: float = 0.0
-    block: np.ndarray | None = None
-
-    @property
-    def res_sq(self):
-        return float(self.residual @ self.residual)
-
-
-@dataclass
 class RunRecord:
     status: str
     iterations: int
@@ -109,10 +92,6 @@ class RunRecord:
     blocks: list | None = None  # index set of the step k -> k+1
     final_dual: np.ndarray | None = None
     final_primal: np.ndarray | None = None
-
-    @property
-    def terminal_row(self):
-        return self.rows[-1]
 
     def column(self, name):
         j = CSV_HEADER.index(name)
@@ -126,28 +105,17 @@ class RunRecord:
                 w.writerow(list(row) + [self.status])
 
 
-def initial_state(system, prior, x0_star):
-    x0_star = np.asarray(x0_star, dtype=float)
-    if x0_star.shape != (system.n,):
-        raise ValueError(f"x0_star must have length {system.n}, got {x0_star.shape}")
-    dual = x0_star.copy()
-    primal = prior.conj_grad(dual)
-    F = system.eval_all(primal)
-    return IterationState(k=0, dual=dual, primal=primal, residual=-F,
-                          res0_sq=float(F @ F))
+def abnbk_step(dual, primal, F, system, prior, config, rng, k):
+    """One dual update of the block iteration from the dual iterate `dual`,
+    its mirror image `primal` and the residual F = F(primal), at step `k`;
+    returns (next dual, block, alpha).
 
-
-def abnbk_step(state, system, prior, config, rng):
-    """One dual update per the block iteration; returns the next state.
-
-    Precondition: the current residual is nonzero.  Rows with vanishing
-    gradient are dropped from the block before weighting; a
-    DegenerateDirection from the adaptive stepsize falls back to
-    alpha = 1 and is logged.
+    Precondition: F is nonzero.  Rows with vanishing gradient are dropped
+    from the block before weighting; a DegenerateDirection from the
+    adaptive stepsize falls back to alpha = 1 and is logged.
     """
-    r = state.residual
-    block = sel.select_indices(config.selection, r, rng)
-    grads = system.grad_block(block, state.primal)
+    block = sel.select_indices(config.selection, F, rng)
+    grads = system.grad_block(block, primal)
     norms_sq = np.einsum("ij,ij->i", grads, grads)
     usable = norms_sq > sel.GRAD_NORM_FLOOR ** 2
     if not np.all(usable):
@@ -156,7 +124,7 @@ def abnbk_step(state, system, prior, config, rng):
         norms_sq = norms_sq[usable]
         if len(block) == 0:
             raise sel.ZeroGradientRow("every selected row has a zero gradient")
-    fvals = -r[block]
+    fvals = F[block]
 
     weights = sel.weights_for(norms_sq)
     if isinstance(config.stepsize, sel.Constant):
@@ -167,7 +135,7 @@ def abnbk_step(state, system, prior, config, rng):
                                           config.stepsize.delta)
         except sel.DegenerateDirection as exc:
             log.warning("adaptive stepsize degenerate at k=%d (%s); using alpha=1",
-                        state.k, exc)
+                        k, exc)
             alpha = 1.0
 
     direction = sel.effective_direction(fvals, grads, norms_sq, weights,
@@ -176,12 +144,7 @@ def abnbk_step(state, system, prior, config, rng):
             and isinstance(config.stepsize, sel.Constant)):
         smax_sq = np.linalg.norm(grads, 2) ** 2
         direction = direction * (norms_sq.sum() / smax_sq)
-    dual = state.dual - alpha * direction
-    primal = prior.conj_grad(dual)
-    F = system.eval_all(primal)
-    return IterationState(k=state.k + 1, dual=dual, primal=primal, residual=-F,
-                          res0_sq=state.res0_sq, block_size=len(block),
-                          alpha_used=float(alpha), block=block)
+    return dual - alpha * direction, block, float(alpha)
 
 
 def run(system, prior, config, x0_star, truth=None):
@@ -191,57 +154,63 @@ def run(system, prior, config, x0_star, truth=None):
     only when `truth` is given.  Identical (config, x0_star, instance)
     inputs reproduce the record bit-exactly apart from timings.
     """
+    dual = np.array(x0_star, dtype=float)
+    if dual.shape != (system.n,):
+        raise ValueError(f"x0_star must have length {system.n}, got {dual.shape}")
     rng = np.random.default_rng(config.seed)
-    state = initial_state(system, prior, x0_star)
-    duals = [state.dual.copy()] if config.keep_iterates else None
+    primal = prior.conj_grad(dual)
+    F = system.eval_all(primal)
+    res0_sq = float(F @ F)
+    duals = [dual] if config.keep_iterates else None
     blocks = [] if config.keep_iterates else None
 
-    def history_row(st, elapsed_ns):
-        rel = st.res_sq / st.res0_sq if st.res0_sq > 0 else 0.0
-        if truth is not None:
-            err = solution_error(st.primal, truth)
-            breg = prior.bregman_distance(st.dual, truth)
+    def history_row(k, res_sq, block_size, alpha, elapsed_ns):
+        # the truth columns are those of the current (dual, primal)
+        rel = res_sq / res0_sq if res0_sq > 0 else 0.0
+        if truth is None:
+            err = breg = float("nan")
         else:
-            err = float("nan")
-            breg = float("nan")
-        return (st.k, rel, err, breg, st.block_size, st.alpha_used, elapsed_ns)
+            err = solution_error(primal, truth)
+            breg = prior.bregman_distance(dual, truth)
+        return (k, rel, err, breg, block_size, alpha, elapsed_ns)
 
-    # without history only the row of the last recorded state is built
-    recorded, recorded_ns = state, 0
-    rows = [history_row(state, 0)] if config.record_history else []
+    rows = [history_row(0, res0_sq, 0, 0.0, 0)]
+    k = 0
     status = MAX_ITERS
     message = ""
-    if not np.isfinite(state.res0_sq):
+    if not np.isfinite(res0_sq):
         status = DEGENERATE
         message = "non-finite residual at the start"
-    elif state.res0_sq == 0.0:
+    elif res0_sq == 0.0:
         status = CONVERGED
 
-    while status == MAX_ITERS and state.k < config.max_iters:
+    while status == MAX_ITERS and k < config.max_iters:
         t0 = time.perf_counter_ns()
         try:
-            state = abnbk_step(state, system, prior, config, rng)
+            dual, block, alpha = abnbk_step(dual, primal, F, system, prior,
+                                            config, rng, k)
         except (sel.ZeroGradientRow, sel.AllResidualsZero) as exc:
             status = DEGENERATE
             message = str(exc)
             break
+        primal = prior.conj_grad(dual)
+        F = system.eval_all(primal)
         elapsed = time.perf_counter_ns() - t0
-        if not np.isfinite(state.res_sq):
+        k += 1
+        res_sq = float(F @ F)
+        if not np.isfinite(res_sq):
             status = DEGENERATE
-            message = f"non-finite residual at k={state.k}"
+            message = f"non-finite residual at k={k}"
             break
         if config.keep_iterates:
-            duals.append(state.dual.copy())
-            blocks.append(state.block)
-        recorded, recorded_ns = state, elapsed
-        if config.record_history:
-            rows.append(history_row(state, elapsed))
-        if state.res_sq / state.res0_sq <= config.tol:
+            duals.append(dual)
+            blocks.append(block)
+        if not config.record_history:
+            rows.clear()        # keep only the row of the last recorded step
+        rows.append(history_row(k, res_sq, len(block), alpha, elapsed))
+        if res_sq / res0_sq <= config.tol:
             status = CONVERGED
             break
 
-    if not config.record_history:
-        rows = [history_row(recorded, recorded_ns)]
-    return RunRecord(status, state.k, rows, message=message, duals=duals,
-                     blocks=blocks, final_dual=state.dual,
-                     final_primal=state.primal)
+    return RunRecord(status, k, rows, message=message, duals=duals,
+                     blocks=blocks, final_dual=dual, final_primal=primal)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -28,3 +30,13 @@ def affine_system(B, y):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def set_storage(path, storage):
+    """Rewrite the storage named in the meta of an instance file."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["storage"] = storage
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)

@@ -3,10 +3,12 @@ import csv
 import numpy as np
 import pytest
 
+from conftest import set_storage
+
 from bregman_kaczmarz import cli
 from bregman_kaczmarz import selection as sel
 from bregman_kaczmarz import solver as slv
-from bregman_kaczmarz.generators import load_instance
+from bregman_kaczmarz.generators import GeneratorSpec, load_instance, stored_bytes
 
 
 @pytest.fixture
@@ -134,6 +136,13 @@ class TestRun:
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
+    def test_unknown_storage_rejected(self, instance_path, tmp_path):
+        set_storage(instance_path, "bogus")
+        out = tmp_path / "out"
+        rc = cli.main(["run", str(instance_path), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "diagnose"])
     def test_missing_array_rejected(self, instance_path, tmp_path, command):
         with np.load(instance_path) as data:
@@ -207,6 +216,29 @@ class TestBench:
                        "--out", str(tmp_path / "b")])
         assert rc == cli.EXIT_VALIDATION
         assert not (tmp_path / "b" / "table.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "gaussian", "--sp", "0.2", "--matrix-free"],
+        ["--kind", "dct", "--sp", "0.01"],
+        ["--kind", "gaussian", "--sp", "0.2", "--m", "2000", "--n", "2000"]])
+    def test_rejected_spec_leaves_no_directory(self, tmp_path, flags):
+        out = tmp_path / "b"
+        rc = cli.main(["bench", "--m", "20", "--n", "10", "--reps", "1",
+                       "--out", str(out)] + flags)
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_desk_scale_counts_stored_bytes(self):
+        spec = GeneratorSpec("dct", 2000, 2000, 0.1, seed=0)
+        assert stored_bytes(spec) == 2000 ** 3 * 8 > cli.DESK_SCALE_BYTES
+        assert (stored_bytes(spec, matrix_free=True)
+                == (2 * 2000 * 2000 + 2000) * 8 < cli.DESK_SCALE_BYTES)
+        # the limit is that of a dense (400, 200) instance
+        assert stored_bytes(GeneratorSpec("gaussian", 400, 200, 0.1, seed=0)) \
+            == cli.DESK_SCALE_BYTES
+        with pytest.raises(ValueError, match="matrix-free"):
+            stored_bytes(GeneratorSpec("gaussian", 20, 10, 0.2, seed=0),
+                         matrix_free=True)
 
     def test_bench_matches_run(self, tmp_path):
         # one repetition of the sweep reproduces a direct solver call

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import affine_system, random_quadratic
 
+from bregman_kaczmarz import cli
 from bregman_kaczmarz import selection as sel
 from bregman_kaczmarz import solver as slv
-from bregman_kaczmarz.generators import GeneratorSpec, generate_gaussian
+from bregman_kaczmarz.generators import GeneratorSpec, generate, generate_gaussian
 from bregman_kaczmarz.priors import SparsePrior
 from bregman_kaczmarz.systems import NonlinearSystem
 
@@ -243,6 +244,28 @@ class TestRun:
                                           err_msg=name)
             np.testing.assert_array_equal(last.final_dual, full.final_dual,
                                           err_msg=name)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "dct"])
+    @pytest.mark.parametrize("preset", cli.SOLVER_NAMES)
+    def test_keep_iterates_changes_nothing(self, kind, preset):
+        inst = generate(GeneratorSpec(kind, 40, 20, 0.1, seed=3),
+                        matrix_free=kind == "dct")
+        prior = SparsePrior(2.0)
+        x0 = cli.initial_dual(20, 3)
+        config = cli.preset_config(preset, seed=3)
+        plain = slv.run(inst.system, prior, config, x0, truth=inst.truth)
+        kept = slv.run(inst.system, prior,
+                       dataclasses.replace(config, keep_iterates=True), x0,
+                       truth=inst.truth)
+        assert (kept.status, kept.iterations) == (plain.status, plain.iterations)
+        np.testing.assert_array_equal([row[:6] for row in kept.rows],
+                                      [row[:6] for row in plain.rows])
+        np.testing.assert_array_equal(kept.final_dual, plain.final_dual)
+        assert len(kept.duals) == len(kept.blocks) + 1 == kept.iterations + 1
+        # each kept iterate is still the one its history row was built from
+        breg = kept.column("bregman")
+        for k, dual in enumerate(kept.duals):
+            assert prior.bregman_distance(dual, inst.truth) == breg[k]
 
     def test_degenerate_zero_gradient(self):
         # a constant nonzero row has zero gradient everywhere

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import affine_system, random_quadratic
+from conftest import affine_system, random_quadratic, set_storage
 
 from bregman_kaczmarz.generators import (DCT, GAUSSIAN, GeneratorSpec,
                                          generate_dct, generate_gaussian,
@@ -367,6 +367,16 @@ class TestSerialization:
         arrays[name].flat[-1] = bad
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=f"'{name}'"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_unknown_storage_rejected(self, tmp_path, matrix_free):
+        inst = generate_dct(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                            matrix_free=matrix_free)
+        path = tmp_path / "inst.npz"
+        save_instance(path, inst)
+        set_storage(path, "bogus")
+        with pytest.raises(ValueError, match="unknown storage 'bogus'"):
             load_instance(path)
 
 
