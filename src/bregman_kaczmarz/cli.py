@@ -119,6 +119,8 @@ def cmd_bench(args):
     solvers = [args.solver] if args.solver else SOLVER_NAMES
     spec = gen.GeneratorSpec(kind=args.kind, m=args.m, n=args.n, sp=args.sp,
                              seed=args.seed)
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     size = gen.stored_bytes(spec, args.matrix_free)
     if not args.force_large and size > DESK_SCALE_BYTES:
         print(f"refusing {size} stored bytes beyond desk scale "

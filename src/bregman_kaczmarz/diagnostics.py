@@ -38,16 +38,27 @@ def estimate_eta(system, pairs):
         |F_i(x1) - F_i(x2) - <grad F_i(x1), x1 - x2>| / |F_i(x1) - F_i(x2)|.
 
     Rows with zero denominator are skipped; raises NoValidPairs if none
-    survive.
+    survive.  F is evaluated once per distinct point of the call (a point
+    recurs in the pairs of `trajectory_pairs`), and the linear term is
+    `system.jvp(x1, x1 - x2)`, so no Jacobian is formed.
     """
+    residuals = {}
+
+    def residual(x):
+        # keyed on the contents: a temporary from np.asarray can reuse an id
+        key = x.tobytes()
+        if key not in residuals:
+            residuals[key] = system.eval_all(x)
+        return residuals[key]
+
     eta = 0.0
     count = 0
     for x1, x2 in pairs:
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        f1 = system.eval_all(x1)
-        f2 = system.eval_all(x2)
-        lin = system.jacobian(x1) @ (x1 - x2)
+        f1 = residual(x1)
+        f2 = residual(x2)
+        lin = system.jvp(x1, x1 - x2)
         num = np.abs(f1 - f2 - lin)
         den = np.abs(f1 - f2)
         valid = den > 0.0

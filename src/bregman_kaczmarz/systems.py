@@ -4,7 +4,8 @@ A system exposes m scalar equations F_i and their gradient rows.  The
 quadratic measurement model F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i is
 the workhorse of the experiments (one dense tensor, residuals in m*|S|*n
 on the support S of x); a matrix-free variant backs the partial-cosine
-family and computes only the cosines that meet the support.
+family and computes only the cosines that meet the support.  Both give the
+Jacobian-vector product J(x) d without forming J(x).
 All systems are read-only after construction.
 """
 
@@ -39,6 +40,10 @@ class NonlinearSystem:
     def jacobian(self, x):
         return self.grad_block(np.arange(self.m), x)
 
+    def jvp(self, x, d):
+        """The Jacobian-vector product J(x) d, length m."""
+        return self.jacobian(x) @ np.asarray(d, dtype=float)
+
     def _check_index(self, i):
         if not 0 <= i < self.m:
             raise IndexError(f"component index {i} out of range [0, {self.m})")
@@ -49,7 +54,8 @@ class QuadraticSystem(NonlinearSystem):
 
     A_i may be non-symmetric and is stored once, as given.  Gradient
     rows 0.5 (A_i + A_i^T) x + b_i come from the contiguous slab A_i;
-    `eval_all` touches only the support S of x, at cost m*|S|*n.
+    `eval_all` touches only the support S of x, at cost m*|S|*n, and
+    `jvp` only the union U of the supports of x and d, at cost 2m*|U|*n.
     """
 
     def __init__(self, A, b, c):
@@ -86,6 +92,19 @@ class QuadraticSystem(NonlinearSystem):
             u[:, s] = self.A[:, j, :] @ x    # (A_i x)_j for every row i
         return 0.5 * (u * x[S]).sum(axis=1) + self.b @ x + self.c
 
+    def jvp(self, x, d):
+        """J(x) d: row i is 0.5 (<x, A_i d> + <d, A_i x>) + <b_i, d>, where
+        only the entries j of A_i d and A_i x with x_j or d_j nonzero count.
+        """
+        x = np.asarray(x, dtype=float)
+        d = np.asarray(d, dtype=float)
+        U = np.flatnonzero((x != 0.0) | (d != 0.0))
+        dx = np.column_stack((d, x))
+        w = np.empty((self.m, U.size, 2))
+        for s, j in enumerate(U):
+            w[:, s] = self.A[:, j, :] @ dx   # (A_i d)_j, (A_i x)_j for every row i
+        return 0.5 * (w[:, :, 0] @ x[U] + w[:, :, 1] @ d[U]) + self.b @ d
+
 
 class DCTQuadraticSystem(NonlinearSystem):
     """Matrix-free partial-cosine quadratics.
@@ -93,8 +112,9 @@ class DCTQuadraticSystem(NonlinearSystem):
     Column j of A_i is cos(2*pi*j*xi_i) elementwise (j = 0..n-1), so only
     the frequency vectors xi_i need to be stored.  Entries are computed on
     demand and only where they meet the support S of x: m*|S|^2 cosines
-    per residual vector and 2*n*|S| - |S|^2 per gradient row, against n^2
-    per row for a materialized A_i.  Nothing is cached between calls.
+    per residual vector, 2*n*|S| - |S|^2 per gradient row and
+    2*|S|*|S(d)| per row of J(x) d, against n^2 per row for a materialized
+    A_i.  Nothing is cached between calls.
     """
 
     def __init__(self, xi, b, c):
@@ -178,6 +198,17 @@ class DCTQuadraticSystem(NonlinearSystem):
 
     def grad_block(self, idx, x):
         return self._gradients(self._rows(idx), np.asarray(x, dtype=float))
+
+    def jvp(self, x, d):
+        """J(x) d from the cosines A_i[S, S(d)] and A_i[S(d), S] alone,
+        one block of them alive at a time."""
+        x = np.asarray(x, dtype=float)
+        d = np.asarray(d, dtype=float)
+        Sx, Sd = np.flatnonzero(x), np.flatnonzero(d)
+        xS, dS = x[Sx], d[Sd]
+        xAd = self._cosines(self.xi[:, Sx], Sd) @ dS @ xS   # <x, A_i d>
+        dAx = self._cosines(self.xi[:, Sd], Sx) @ xS @ dS   # <d, A_i x>
+        return 0.5 * (xAd + dAx) + self.b @ d
 
     def to_dense(self):
         A = self._cosines(self.xi, np.arange(self.n))

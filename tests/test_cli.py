@@ -228,6 +228,14 @@ class TestBench:
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_no_repetitions_rejected(self, tmp_path, reps):
+        out = tmp_path / "b"
+        rc = cli.main(["bench", "--kind", "gaussian", "--m", "20", "--n", "10",
+                       "--sp", "0.2", "--reps", reps, "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
     def test_desk_scale_counts_stored_bytes(self):
         spec = GeneratorSpec("dct", 2000, 2000, 0.1, seed=0)
         assert stored_bytes(spec) == 2000 ** 3 * 8 > cli.DESK_SCALE_BYTES

@@ -44,6 +44,37 @@ def assert_matches_row_loop(system, pairs):
     assert est.sample_count == count
 
 
+def count_calls(system, names):
+    """Count the calls of the named methods of one system instance."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(system, name)
+
+        def counted(*args, name=name, method=method):
+            counts[name] += 1
+            return method(*args)
+        setattr(system, name, counted)
+    return counts
+
+
+def recorded_trajectory(matrix_free, rng, local=False):
+    """An 8-step run on a (12, 8) instance from a far or a local start, its
+    eta pairs and the instance."""
+    if matrix_free:
+        inst = generate_dct(GeneratorSpec("dct", 12, 8, 0.25, seed=3),
+                            matrix_free=True)
+    else:
+        inst = generate_gaussian(GeneratorSpec("gaussian", 12, 8, 0.25, seed=3))
+    prior = SparsePrior(0.5)
+    x0 = rng.standard_normal(8)
+    if local:
+        x0 = inst.truth + 0.5 * np.sign(inst.truth) + 1e-2 * x0
+    record = slv.run(inst.system, prior,
+                     slv.SolverConfig(max_iters=8, keep_iterates=True),
+                     x0, truth=inst.truth)
+    return record, diag.trajectory_pairs(record, prior, inst.truth), inst
+
+
 class TestEtaEstimate:
     def test_affine_is_zero(self, rng):
         sys = affine_system(rng.standard_normal((5, 3)), rng.standard_normal(5))
@@ -84,20 +115,31 @@ class TestEtaEstimate:
     @pytest.mark.parametrize("matrix_free", [False, True])
     @pytest.mark.parametrize("local", [False, True])
     def test_matches_row_loop_trajectory(self, rng, matrix_free, local):
-        if matrix_free:
-            inst = generate_dct(GeneratorSpec("dct", 12, 8, 0.25, seed=3),
-                                matrix_free=True)
-        else:
-            inst = generate_gaussian(GeneratorSpec("gaussian", 12, 8, 0.25, seed=3))
-        prior = SparsePrior(0.5)
-        x0 = rng.standard_normal(8)
-        if local:
-            x0 = inst.truth + 0.5 * np.sign(inst.truth) + 1e-2 * x0
-        record = slv.run(inst.system, prior,
-                         slv.SolverConfig(max_iters=8, keep_iterates=True),
-                         x0, truth=inst.truth)
-        assert_matches_row_loop(inst.system,
-                                diag.trajectory_pairs(record, prior, inst.truth))
+        _, pairs, inst = recorded_trajectory(matrix_free, rng, local)
+        assert_matches_row_loop(inst.system, pairs)
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_one_evaluation_per_point_and_no_jacobian(self, rng, matrix_free):
+        record, pairs, inst = recorded_trajectory(matrix_free, rng)
+        steps = len(record.duals) - 1
+        points = {x.tobytes() for pair in pairs for x in pair}
+        assert steps == 8 and len(points) == steps + 2
+        counts = count_calls(inst.system, ["eval_all", "jacobian"])
+        diag.estimate_eta(inst.system, pairs)
+        assert counts == {"eval_all": steps + 2, "jacobian": 0}
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_points_keyed_on_contents(self, rng, matrix_free):
+        # every pair holds fresh arrays, or lists that become temporaries
+        # whose ids can recur, and each point is still evaluated once
+        record, pairs, inst = recorded_trajectory(matrix_free, rng)
+        est = diag.estimate_eta(inst.system, pairs)
+        copies = [(x1.copy(), x2.copy()) for x1, x2 in pairs]
+        lists = [(list(x1), list(x2)) for x1, x2 in pairs]
+        counts = count_calls(inst.system, ["eval_all"])
+        assert diag.estimate_eta(inst.system, copies) == est
+        assert diag.estimate_eta(inst.system, lists) == est
+        assert counts["eval_all"] == 2 * (len(record.duals) + 1)
 
     def test_trajectory_pairs_requires_iterates(self, rng):
         inst = generate_gaussian(GeneratorSpec("gaussian", 10, 6, 0.5, seed=4))

@@ -114,14 +114,19 @@ def random_cosine(m, n, seed):
                               rng.standard_normal(m))
 
 
+def sparse_vector(n, support, negative_zeros, scale, rng):
+    v = np.full(n, -0.0 if negative_zeros else 0.0)
+    S = rng.choice(n, size=min(support, n), replace=False)
+    v[S] = scale * rng.standard_normal(S.size)
+    return v
+
+
 def check_dense_reference(sys, dense, support, negative_zeros, scale, seed):
     """Every evaluation of sys against the full contraction of its dense
     tensor; gradient rows of a block bit-equal to single rows."""
     rng = np.random.default_rng(seed)
     m, n = sys.m, sys.n
-    x = np.full(n, -0.0 if negative_zeros else 0.0)
-    S = rng.choice(n, size=min(support, n), replace=False)
-    x[S] = scale * rng.standard_normal(S.size)
+    x = sparse_vector(n, support, negative_zeros, scale, rng)
     F, F_scale, J, J_scale = dense_reference(dense, x)
 
     assert np.all(abs(sys.eval_all(x) - F) <= RTOL * F_scale)
@@ -137,6 +142,30 @@ def check_dense_reference(sys, dense, support, negative_zeros, scale, seed):
         for row, i in zip(rows, idx):
             np.testing.assert_array_equal(row, sys.grad_component(i, x))
     assert np.all(abs(sys.jacobian(x) - J) <= RTOL * J_scale)
+
+
+def check_jvp(sys, dense, x, d):
+    """jvp against the full Jacobian of the dense tensor times d, within the
+    sum of absolute term values."""
+    J = dense.grad_block(np.arange(sys.m), x)
+    J_scale = dense_reference(dense, x)[3]
+    assert np.all(abs(sys.jvp(x, d) - J @ d) <= RTOL * (J_scale @ abs(d)))
+
+
+def check_jvp_cases(sys, dense, seed):
+    """x = 0 and d = 0 exactly, disjoint supports and a dense x against the
+    reference."""
+    rng = np.random.default_rng(seed)
+    n = sys.n
+    d = rng.standard_normal(n)
+    np.testing.assert_array_equal(sys.jvp(np.zeros(n), d), sys.b @ d)
+    np.testing.assert_array_equal(sys.jvp(rng.standard_normal(n), np.zeros(n)),
+                                  np.zeros(sys.m))
+    half = rng.permutation(n)[: n // 2]
+    x, d = np.zeros(n), rng.standard_normal(n)
+    x[half], d[half] = rng.standard_normal(half.size), 0.0
+    check_jvp(sys, dense, x, d)
+    check_jvp(sys, dense, rng.standard_normal(n), d)
 
 
 def check_zero_gives_offsets(sys):
@@ -178,6 +207,19 @@ class TestSupportKernel:
         sys = random_quadratic(m, n, seed)
         check_dense_reference(sys, sys, support, negative_zeros, scale, seed)
 
+    @given(**SIZES, **SUPPORTS, d_support=st.integers(0, 10))
+    def test_jvp_matches_dense_reference(self, m, n, seed, support,
+                                         negative_zeros, scale, d_support):
+        sys = random_quadratic(m, n, seed)
+        rng = np.random.default_rng(seed)
+        check_jvp(sys, sys, sparse_vector(n, support, negative_zeros, scale, rng),
+                  sparse_vector(n, d_support, negative_zeros, scale, rng))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_jvp_cases(self, seed):
+        sys = random_quadratic(7, 6, seed)
+        check_jvp_cases(sys, sys, seed)
+
     @given(**SIZES)
     def test_zero_gives_offsets_exactly(self, m, n, seed):
         check_zero_gives_offsets(random_quadratic(m, n, seed))
@@ -192,13 +234,19 @@ class TestSupportKernel:
         # one (m, n, n) tensor: no call caches a copy or allocates one
         m, n = 40, 30
         # numpy's one-time allocations happen here, not under the trace
-        random_quadratic(m, n, seed=1).jacobian(rng.standard_normal(n))
+        warm = random_quadratic(m, n, seed=1)
+        warm.jacobian(rng.standard_normal(n))
+        warm.jvp(rng.standard_normal(n), rng.standard_normal(n))
         sys = random_quadratic(m, n, seed=2)
         x = rng.standard_normal(n)
         x[::3] = 0.0
+        sparse = np.zeros(n)
+        sparse[[2, 11, 17]] = rng.standard_normal(3)
+        d = rng.standard_normal(n)
         peaks = peak_bytes([
             lambda: sys.eval_all(x), lambda: sys.grad_block([0, 7, 39], x),
-            lambda: sys.jacobian(x), lambda: sys.grad_component(5, x)])
+            lambda: sys.jacobian(x), lambda: sys.grad_component(5, x),
+            lambda: sys.jvp(sparse, d), lambda: sys.jvp(x, d)])
         assert max(peaks) < m * n * n * 8 / 4
         arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
         assert arrays == {"A", "b", "c"}
@@ -215,6 +263,20 @@ class TestMatrixFreeKernel:
         check_dense_reference(sys, sys.to_dense(), support, negative_zeros,
                               scale, seed)
 
+    @given(**SIZES, **SUPPORTS, d_support=st.integers(0, 10))
+    def test_jvp_matches_dense_reference(self, m, n, seed, support,
+                                         negative_zeros, scale, d_support):
+        sys = random_cosine(m, n, seed)
+        rng = np.random.default_rng(seed)
+        check_jvp(sys, sys.to_dense(),
+                  sparse_vector(n, support, negative_zeros, scale, rng),
+                  sparse_vector(n, d_support, negative_zeros, scale, rng))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_jvp_cases(self, seed):
+        sys = random_cosine(7, 6, seed)
+        check_jvp_cases(sys, sys.to_dense(), seed)
+
     @given(**SIZES)
     def test_zero_gives_offsets_exactly(self, m, n, seed):
         check_zero_gives_offsets(random_cosine(m, n, seed))
@@ -229,16 +291,20 @@ class TestMatrixFreeKernel:
         # no per-row n x n matrix and no cache: a call holds at most a few
         # (|B|, n, |S|) blocks of cosines
         m, n, support = 40, 30, 3
-        random_cosine(m, n, seed=1).jacobian(rng.standard_normal(n))
+        warm = random_cosine(m, n, seed=1)
+        warm.jacobian(rng.standard_normal(n))
+        warm.jvp(rng.standard_normal(n), rng.standard_normal(n))
         sys = random_cosine(m, n, seed=2)
         x = np.zeros(n)
         x[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
+        d = rng.standard_normal(n)
         block = [0, 7, 39]
         peaks = peak_bytes([lambda: sys.eval_all(x),
                             lambda: sys.grad_block(block, x),
                             lambda: sys.jacobian(x),
-                            lambda: sys.grad_component(5, x)])
-        for rows, peak in zip([m, len(block), m, 1], peaks):
+                            lambda: sys.grad_component(5, x),
+                            lambda: sys.jvp(x, d)])
+        for rows, peak in zip([m, len(block), m, 1, m], peaks):
             assert peak < 3 * rows * n * support * 8 + 16 * 1024
         arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
         assert arrays == {"xi", "b", "c"}
