@@ -7,7 +7,6 @@ from .selection import (Adaptive, Constant, GreedyBlock, MaxResidual,
                         ResidualProbability, UniformRandom)
 from .solver import RunRecord, SolverConfig, run, solution_error
 from .generators import (GeneratorSpec, ProblemInstance, generate,
-                         generate_dct, generate_gaussian,
                          generate_sparse_signal, load_instance, save_instance)
 
 __all__ = [
@@ -16,6 +15,6 @@ __all__ = [
     "UniformRandom", "ResidualProbability", "MaxResidual", "GreedyBlock",
     "Constant", "Adaptive",
     "SolverConfig", "RunRecord", "run", "solution_error",
-    "GeneratorSpec", "ProblemInstance", "generate", "generate_gaussian",
-    "generate_dct", "generate_sparse_signal", "save_instance", "load_instance",
+    "GeneratorSpec", "ProblemInstance", "generate", "generate_sparse_signal",
+    "save_instance", "load_instance",
 ]

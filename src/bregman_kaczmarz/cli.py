@@ -32,7 +32,10 @@ EXIT_VALIDATION = 4
 DEFAULT_LAMBDA = 2.0
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 1000
-SOLVER_NAMES = ["nbk", "mrnbk", "abnbk-c", "abnbk-a"]
+# the presets and the stepsize and block parameters each one reads
+PRESET_FLAGS = {"nbk": ("alpha",), "mrnbk": ("alpha",),
+                "abnbk-c": ("alpha", "theta"), "abnbk-a": ("delta", "theta")}
+SOLVER_NAMES = list(PRESET_FLAGS)
 # `bkz bench` refuses instances storing more than a dense (400, 200) one
 DESK_SCALE_BYTES = 400 * 200 ** 2 * 8
 
@@ -43,7 +46,15 @@ SIGNAL_HEADER = ["index", "recovered", "truth"]
 
 def preset_config(name, seed=0, alpha=None, delta=None, theta=None,
                   tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, **kwargs):
-    """SolverConfig for one of the four named methods, paper defaults."""
+    """SolverConfig for one of the four named methods, paper defaults.
+    Raises ValueError for a parameter the named method does not read."""
+    if name not in PRESET_FLAGS:
+        raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
+    given = {"alpha": alpha, "delta": delta, "theta": theta}
+    unused = [flag for flag, value in given.items()
+              if value is not None and flag not in PRESET_FLAGS[name]]
+    if unused:
+        raise ValueError(f"solver {name!r} does not use {', '.join(unused)}")
     if name == "nbk":
         selection = sel.ResidualProbability()
         stepsize = sel.Constant(alpha if alpha is not None else 1.0)
@@ -54,11 +65,9 @@ def preset_config(name, seed=0, alpha=None, delta=None, theta=None,
         selection = sel.GreedyBlock(theta if theta is not None else 0.1)
         stepsize = sel.Constant(alpha if alpha is not None else 1.9)
         kwargs.setdefault("block_norm", "spectral")
-    elif name == "abnbk-a":
+    else:
         selection = sel.GreedyBlock(theta if theta is not None else 0.1)
         stepsize = sel.Adaptive(delta if delta is not None else 1.3)
-    else:
-        raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
     return slv.SolverConfig(selection=selection, stepsize=stepsize, tol=tol,
                             max_iters=max_iters, seed=seed, **kwargs)
 
@@ -128,6 +137,13 @@ def cmd_bench(args):
               file=sys.stderr)
         return EXIT_VALIDATION
 
+    # a sweep over every preset hands each one only the flags it reads
+    flags = {"alpha": args.alpha, "delta": args.delta, "theta": args.theta}
+    configs = {name: preset_config(name, tol=args.tol, max_iters=args.max_iters,
+                                   **{flag: value for flag, value in flags.items()
+                                      if args.solver or flag in PRESET_FLAGS[name]})
+               for name in solvers}
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     prior = SparsePrior(args.lam)
@@ -138,11 +154,9 @@ def cmd_bench(args):
                                 matrix_free=args.matrix_free)
         x0_star = initial_dual(instance.system.n, x0_seed)
         for name in solvers:
-            config = preset_config(name, seed=solver_seed, alpha=args.alpha,
-                                   delta=args.delta, theta=args.theta,
-                                   tol=args.tol, max_iters=args.max_iters)
-            record = slv.run(instance.system, prior, config, x0_star,
-                             truth=instance.truth)
+            record = slv.run(instance.system, prior,
+                             replace(configs[name], seed=solver_seed),
+                             x0_star, truth=instance.truth)
             elapsed = int(record.column("elapsed_ns").sum())
             results[name].append((record.iterations, elapsed,
                                   record.status == slv.CONVERGED))
@@ -183,14 +197,14 @@ def cmd_diagnose(args):
     else:
         x0_star = initial_dual(instance.system.n, args.seed)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     grad_dev = diag.check_gradients(instance.system, trials=20, rng=rng)
     try:
         record, est, audit = diag.audit_run(instance, prior, config, x0_star)
     except diag.HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     record.to_csv(out / "history.csv")
     audit.to_csv(out / "contraction.csv")
     verdict = "PASS" if audit.all_satisfied else "FAIL"

@@ -6,13 +6,14 @@ consistency is enforced through the offsets
     c_i = -(0.5 <x_hat, A_i x_hat> + <b_i, x_hat>),
 
 so F(x_hat) = 0 by construction.  Generation uses numpy's PCG64 with one
-spawned stream per matrix index, so instances are identical across
-platforms and independent of any parallel generation order.
+spawned stream per matrix index (then one for b and one for x_hat), so
+instances are identical across platforms and drawn row by row in place.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -62,52 +63,6 @@ def generate_sparse_signal(n, sp, rng):
     return x
 
 
-def _streams(spec):
-    # one child stream per matrix index, then one each for b and the truth
-    children = np.random.SeedSequence(spec.seed).spawn(spec.m + 2)
-    per_matrix = [np.random.default_rng(s) for s in children[:spec.m]]
-    rng_b = np.random.default_rng(children[spec.m])
-    rng_truth = np.random.default_rng(children[spec.m + 1])
-    return per_matrix, rng_b, rng_truth
-
-
-def generate_gaussian(spec):
-    """Dense standard-normal quadratics (Example-1 family)."""
-    if spec.kind != GAUSSIAN:
-        raise ValueError(f"spec.kind must be '{GAUSSIAN}', got {spec.kind!r}")
-    per_matrix, rng_b, rng_truth = _streams(spec)
-    A = np.stack([rng.standard_normal((spec.n, spec.n)) for rng in per_matrix])
-    b = rng_b.standard_normal((spec.m, spec.n))
-    truth = generate_sparse_signal(spec.n, spec.sp, rng_truth)
-    zero_c = QuadraticSystem(A, b, np.zeros(spec.m))
-    c = -zero_c.eval_all(truth)
-    return ProblemInstance(QuadraticSystem(A, b, c), truth, spec)
-
-
-def generate_dct(spec, matrix_free=False):
-    """Partial-cosine quadratics (Example-2 family).
-
-    Each A_i has columns cos(2*pi*j*xi_i) with xi_i drawn i.i.d. uniform
-    on [0, 1]; xi_i has length n so the columns type-check.  Dense storage
-    by default; matrix_free keeps only the frequency vectors.
-    """
-    if spec.kind != DCT:
-        raise ValueError(f"spec.kind must be '{DCT}', got {spec.kind!r}")
-    per_matrix, rng_b, rng_truth = _streams(spec)
-    xi = np.stack([rng.random(spec.n) for rng in per_matrix])
-    b = rng_b.standard_normal((spec.m, spec.n))
-    truth = generate_sparse_signal(spec.n, spec.sp, rng_truth)
-    zero_c = DCTQuadraticSystem(xi, b, np.zeros(spec.m))
-    if not matrix_free:
-        zero_c = zero_c.to_dense()
-    c = -zero_c.eval_all(truth)
-    if matrix_free:
-        system = DCTQuadraticSystem(xi, b, c)
-    else:
-        system = QuadraticSystem(zero_c.A, b, c)
-    return ProblemInstance(system, truth, spec)
-
-
 def stored_bytes(spec, matrix_free=False):
     """Bytes of the stored coefficients of a `spec` instance: the m*n^2
     doubles of the tensor A when dense, the 2*m*n + m doubles of xi, b and
@@ -120,10 +75,31 @@ def stored_bytes(spec, matrix_free=False):
 
 
 def generate(spec, matrix_free=False):
-    stored_bytes(spec, matrix_free)     # rejects a storage the family lacks
-    if spec.kind == GAUSSIAN:
-        return generate_gaussian(spec)
-    return generate_dct(spec, matrix_free=matrix_free)
+    """Gaussian quadratics (Example 1) or partial cosines (Example 2: A_i
+    has columns cos(2*pi*j*xi_i), xi_i uniform on [0, 1]^n), dense unless
+    `matrix_free`, which stores only xi.  Raises ValueError for a storage
+    the family lacks or coefficients beyond the physical memory."""
+    size = stored_bytes(spec, matrix_free)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        raise ValueError(f"{size} stored bytes exceed the {memory} bytes "
+                         "of physical memory")
+    m, n, gaussian = spec.m, spec.n, spec.kind == GAUSSIAN
+    coef = np.empty((m, n, n) if gaussian else (m, n))
+    draw = np.random.Generator.standard_normal if gaussian else np.random.Generator.random
+    children = np.random.SeedSequence(spec.seed).spawn(m + 2)
+    for child, row in zip(children, coef):     # A_i or xi_i, in place
+        draw(np.random.default_rng(child), out=row)
+    b = np.random.default_rng(children[m]).standard_normal((m, n))
+    truth = generate_sparse_signal(n, spec.sp,
+                                   np.random.default_rng(children[m + 1]))
+    system = (QuadraticSystem if gaussian else DCTQuadraticSystem)(
+        coef, b, np.zeros(m))
+    if not (gaussian or matrix_free):
+        system = system.to_dense()
+    # the offsets that make truth a root, set before the system is shared
+    system.c = -system.eval_all(truth)
+    return ProblemInstance(system, truth, spec)
 
 
 def save_instance(path, instance):
@@ -150,7 +126,8 @@ def _require(container, names, where):
 
 def load_instance(path):
     """Read an instance container; raises ValueError on an unknown format
-    or storage, a missing array or meta key, or non-finite stored values."""
+    or storage, a missing array or meta key, non-finite stored values, or
+    arrays whose shapes disagree with each other or with the meta m, n."""
     with np.load(path) as data:
         _require(data, ["meta"], path)
         meta = json.loads(bytes(data["meta"]).decode())
@@ -170,4 +147,9 @@ def load_instance(path):
             raise ValueError(f"{path}: non-finite values in {name!r}")
     system_type = DCTQuadraticSystem if tensor == "xi" else QuadraticSystem
     system = system_type(arrays[tensor], arrays["b"], arrays["c"])
+    if ((system.m, system.n) != (spec.m, spec.n)
+            or arrays["truth"].shape != (spec.n,)):
+        raise ValueError(f"{path}: meta m={spec.m}, n={spec.n} disagree with "
+                         f"{tensor!r} {arrays[tensor].shape} or 'truth' "
+                         f"{arrays['truth'].shape}")
     return ProblemInstance(system, arrays["truth"], spec)

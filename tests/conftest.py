@@ -32,11 +32,11 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def set_storage(path, storage):
-    """Rewrite the storage named in the meta of an instance file."""
+def set_meta(path, **fields):
+    """Rewrite the given meta fields of an instance file."""
     with np.load(path) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays["meta"]).decode())
-    meta["storage"] = storage
+    meta.update(fields)
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)

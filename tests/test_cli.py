@@ -3,9 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import set_storage
+from conftest import set_meta
 
 from bregman_kaczmarz import cli
+from bregman_kaczmarz import generators
 from bregman_kaczmarz import selection as sel
 from bregman_kaczmarz import solver as slv
 from bregman_kaczmarz.generators import GeneratorSpec, load_instance, stored_bytes
@@ -60,6 +61,20 @@ class TestPresets:
         with pytest.raises(ValueError):
             cli.preset_config("sgd")
 
+    def test_alpha_rejected_for_adaptive(self):
+        with pytest.raises(ValueError, match="'abnbk-a' does not use alpha"):
+            cli.preset_config("abnbk-a", alpha=1.5)
+
+    @pytest.mark.parametrize("name", ["nbk", "mrnbk", "abnbk-c"])
+    def test_delta_rejected_for_constant(self, name):
+        with pytest.raises(ValueError, match="does not use delta"):
+            cli.preset_config(name, delta=1.5)
+
+    @pytest.mark.parametrize("name", ["nbk", "mrnbk"])
+    def test_theta_rejected_for_single_row(self, name):
+        with pytest.raises(ValueError, match="does not use theta"):
+            cli.preset_config(name, theta=0.2)
+
 
 class TestSeeds:
     def test_derived_seeds_deterministic(self):
@@ -90,6 +105,15 @@ class TestGenerate:
         out = tmp_path / "x.npz"
         rc = cli.main(["generate", "--kind", "gaussian", "--m", "10", "--n",
                        "5", "--sp", "0.2", "--matrix-free", "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_beyond_physical_memory_exit(self, tmp_path, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}    # 1 MiB
+        monkeypatch.setattr(generators.os, "sysconf", pages.__getitem__)
+        out = tmp_path / "x.npz"
+        rc = cli.main(["generate", "--kind", "gaussian", "--m", "40", "--n",
+                       "100", "--sp", "0.1", "--out", str(out)])
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
@@ -137,7 +161,7 @@ class TestRun:
         assert not out.exists()
 
     def test_unknown_storage_rejected(self, instance_path, tmp_path):
-        set_storage(instance_path, "bogus")
+        set_meta(instance_path, storage="bogus")
         out = tmp_path / "out"
         rc = cli.main(["run", str(instance_path), "--out", str(out)])
         assert rc == cli.EXIT_VALIDATION
@@ -151,6 +175,29 @@ class TestRun:
         np.savez(instance_path, **arrays)
         out = tmp_path / "out"
         rc = cli.main([command, str(instance_path), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    @pytest.mark.parametrize("corruption", ["meta m", "short truth"])
+    def test_meta_shape_disagreement_rejected(self, instance_path, tmp_path,
+                                              command, corruption):
+        if corruption == "meta m":
+            set_meta(instance_path, m=7)        # the arrays hold 40 rows
+        else:
+            with np.load(instance_path) as data:
+                arrays = dict(data)
+            arrays["truth"] = arrays["truth"][:17]      # n is 20
+            np.savez(instance_path, **arrays)
+        out = tmp_path / "out"
+        rc = cli.main([command, str(instance_path), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_unused_flag_rejected(self, instance_path, tmp_path):
+        out = tmp_path / "out"
+        rc = cli.main(["run", str(instance_path), "--solver", "abnbk-a",
+                       "--alpha", "1.5", "--out", str(out)])
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
@@ -193,6 +240,23 @@ class TestBench:
         for name in cli.SOLVER_NAMES:
             assert (out / f"curve_{name}_rep0.csv").exists()
             assert (out / f"curve_{name}_rep1.csv").exists()
+
+    def test_sweep_passes_each_preset_its_flags(self, tmp_path):
+        out = tmp_path / "bench"
+        rc = cli.main(["bench", "--kind", "gaussian", "--m", "30", "--n", "15",
+                       "--sp", "0.2", "--reps", "1", "--alpha", "1.2",
+                       "--delta", "1.2", "--theta", "0.2", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        table = read_csv(out / "table.csv")
+        assert [row[3] for row in table[1:]] == cli.SOLVER_NAMES
+
+    def test_unused_flag_rejected(self, tmp_path):
+        out = tmp_path / "b"
+        rc = cli.main(["bench", "--kind", "gaussian", "--m", "20", "--n", "10",
+                       "--sp", "0.2", "--reps", "1", "--solver", "nbk",
+                       "--theta", "0.2", "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
 
     def test_desk_scale_guard(self, tmp_path):
         rc = cli.main(["bench", "--kind", "gaussian", "--m", "2000", "--n",
@@ -282,6 +346,8 @@ class TestDiagnose:
 
     def test_far_start_violates_hypothesis(self, instance_path, tmp_path):
         # from a random start the cone-condition estimate explodes
+        out = tmp_path / "d"
         rc = cli.main(["diagnose", str(instance_path), "--solver", "mrnbk",
-                       "--seed", "0", "--out", str(tmp_path / "d")])
+                       "--seed", "0", "--out", str(out)])
         assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()

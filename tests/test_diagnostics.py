@@ -6,8 +6,7 @@ from conftest import affine_system, random_quadratic
 from bregman_kaczmarz import diagnostics as diag
 from bregman_kaczmarz import selection as sel
 from bregman_kaczmarz import solver as slv
-from bregman_kaczmarz.generators import (GeneratorSpec, generate_dct,
-                                         generate_gaussian)
+from bregman_kaczmarz.generators import GeneratorSpec, generate
 from bregman_kaczmarz.priors import SparsePrior
 from bregman_kaczmarz.systems import QuadraticSystem
 
@@ -60,11 +59,9 @@ def count_calls(system, names):
 def recorded_trajectory(matrix_free, rng, local=False):
     """An 8-step run on a (12, 8) instance from a far or a local start, its
     eta pairs and the instance."""
-    if matrix_free:
-        inst = generate_dct(GeneratorSpec("dct", 12, 8, 0.25, seed=3),
-                            matrix_free=True)
-    else:
-        inst = generate_gaussian(GeneratorSpec("gaussian", 12, 8, 0.25, seed=3))
+    kind = "dct" if matrix_free else "gaussian"
+    inst = generate(GeneratorSpec(kind, 12, 8, 0.25, seed=3),
+                    matrix_free=matrix_free)
     prior = SparsePrior(0.5)
     x0 = rng.standard_normal(8)
     if local:
@@ -142,7 +139,7 @@ class TestEtaEstimate:
         assert counts["eval_all"] == 2 * (len(record.duals) + 1)
 
     def test_trajectory_pairs_requires_iterates(self, rng):
-        inst = generate_gaussian(GeneratorSpec("gaussian", 10, 6, 0.5, seed=4))
+        inst = generate(GeneratorSpec("gaussian", 10, 6, 0.5, seed=4))
         record = slv.run(inst.system, SparsePrior(2.0),
                          slv.SolverConfig(max_iters=5),
                          rng.standard_normal(6))
@@ -150,7 +147,7 @@ class TestEtaEstimate:
             diag.trajectory_pairs(record, SparsePrior(2.0))
 
     def test_trajectory_pairs_count(self, rng):
-        inst = generate_gaussian(GeneratorSpec("gaussian", 10, 6, 0.5, seed=4))
+        inst = generate(GeneratorSpec("gaussian", 10, 6, 0.5, seed=4))
         record = slv.run(inst.system, SparsePrior(2.0),
                          slv.SolverConfig(max_iters=5, keep_iterates=True),
                          rng.standard_normal(6))
@@ -246,7 +243,7 @@ class TestContractionAudit:
 
 class TestAuditRun:
     def test_local_start_monotone(self):
-        inst = generate_gaussian(GeneratorSpec("gaussian", 60, 30, 0.1, seed=1))
+        inst = generate(GeneratorSpec("gaussian", 60, 30, 0.1, seed=1))
         prior = SparsePrior(2.0)
         x0 = (inst.truth + 2.0 * np.sign(inst.truth)
               + 1e-3 * np.random.default_rng(0).standard_normal(30))
@@ -258,7 +255,7 @@ class TestAuditRun:
         assert audit.all_satisfied
 
     def test_forces_frobenius(self):
-        inst = generate_gaussian(GeneratorSpec("gaussian", 60, 30, 0.1, seed=1))
+        inst = generate(GeneratorSpec("gaussian", 60, 30, 0.1, seed=1))
         prior = SparsePrior(2.0)
         x0 = (inst.truth + 2.0 * np.sign(inst.truth)
               + 1e-3 * np.random.default_rng(0).standard_normal(30))

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bregman_kaczmarz import generators
 from bregman_kaczmarz.generators import (DCT, GAUSSIAN, GeneratorSpec,
-                                         generate, generate_dct,
-                                         generate_gaussian,
-                                         generate_sparse_signal)
+                                         generate, generate_sparse_signal)
+from bregman_kaczmarz.systems import DCTQuadraticSystem, QuadraticSystem
 
 
 class TestSpecValidation:
@@ -46,53 +48,49 @@ class TestSparseSignal:
 
 class TestGaussian:
     def test_truth_annihilated(self):
-        inst = generate_gaussian(GeneratorSpec(GAUSSIAN, 30, 20, 0.1, seed=3))
+        inst = generate(GeneratorSpec(GAUSSIAN, 30, 20, 0.1, seed=3))
         resid = inst.system.eval_all(inst.truth)
         tol = 1e-12 * (1.0 + np.abs(inst.system.c).max())
         assert np.abs(resid).max() <= tol
 
     def test_seeded_determinism(self):
         spec = GeneratorSpec(GAUSSIAN, 10, 8, 0.25, seed=42)
-        a = generate_gaussian(spec)
-        b = generate_gaussian(spec)
+        a = generate(spec)
+        b = generate(spec)
         np.testing.assert_array_equal(a.system.A, b.system.A)
         np.testing.assert_array_equal(a.system.b, b.system.b)
         np.testing.assert_array_equal(a.system.c, b.system.c)
         np.testing.assert_array_equal(a.truth, b.truth)
 
     def test_different_seeds_differ(self):
-        a = generate_gaussian(GeneratorSpec(GAUSSIAN, 10, 8, 0.25, seed=1))
-        b = generate_gaussian(GeneratorSpec(GAUSSIAN, 10, 8, 0.25, seed=2))
+        a = generate(GeneratorSpec(GAUSSIAN, 10, 8, 0.25, seed=1))
+        b = generate(GeneratorSpec(GAUSSIAN, 10, 8, 0.25, seed=2))
         assert not np.array_equal(a.system.A, b.system.A)
 
     def test_sparsity_count(self):
-        inst = generate_gaussian(GeneratorSpec(GAUSSIAN, 10, 40, 0.1, seed=0))
+        inst = generate(GeneratorSpec(GAUSSIAN, 10, 40, 0.1, seed=0))
         assert np.count_nonzero(inst.truth) == 4
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            generate_gaussian(GeneratorSpec(DCT, 10, 8, 0.25, seed=1))
 
 
 class TestDCT:
     def test_truth_annihilated(self):
-        inst = generate_dct(GeneratorSpec(DCT, 30, 20, 0.1, seed=3))
+        inst = generate(GeneratorSpec(DCT, 30, 20, 0.1, seed=3))
         resid = inst.system.eval_all(inst.truth)
         tol = 1e-12 * (1.0 + np.abs(inst.system.c).max())
         assert np.abs(resid).max() <= tol
 
     def test_entries_bounded(self):
-        inst = generate_dct(GeneratorSpec(DCT, 6, 8, 0.25, seed=5))
+        inst = generate(GeneratorSpec(DCT, 6, 8, 0.25, seed=5))
         assert np.all(np.abs(inst.system.A) <= 1.0)
 
     def test_first_column_ones(self):
-        inst = generate_dct(GeneratorSpec(DCT, 6, 8, 0.25, seed=5))
+        inst = generate(GeneratorSpec(DCT, 6, 8, 0.25, seed=5))
         np.testing.assert_allclose(inst.system.A[:, :, 0], 1.0)
 
     def test_matrix_free_matches_dense(self):
         spec = GeneratorSpec(DCT, 6, 8, 0.25, seed=5)
-        dense = generate_dct(spec)
-        free = generate_dct(spec, matrix_free=True)
+        dense = generate(spec)
+        free = generate(spec, matrix_free=True)
         np.testing.assert_array_equal(free.system.to_dense().A, dense.system.A)
         # offsets go through different accumulation orders
         np.testing.assert_allclose(free.system.c, dense.system.c, rtol=1e-13)
@@ -131,3 +129,61 @@ class TestGeneratedRoots:
             np.testing.assert_allclose(free.system.eval_all(point),
                                        free.system.to_dense().eval_all(point),
                                        rtol=1e-12, atol=1e-12)
+
+
+def reference_instance(spec, matrix_free):
+    """The instance of `spec` drawn one stream at a time: coefficient row i
+    (A_i or xi_i) from stream i of the spawned seed, b from stream m and the
+    truth from stream m + 1, then the offsets -F_0(truth) of the system
+    with zero offsets."""
+    m, n = spec.m, spec.n
+    streams = [np.random.default_rng(child) for child in
+               np.random.SeedSequence(spec.seed).spawn(m + 2)]
+    if spec.kind == GAUSSIAN:
+        rows = [rng.standard_normal((n, n)) for rng in streams[:m]]
+    else:
+        rows = [rng.random(n) for rng in streams[:m]]
+    b = streams[m].standard_normal((m, n))
+    truth = generate_sparse_signal(n, spec.sp, streams[m + 1])
+    if spec.kind == GAUSSIAN:
+        zero_c = QuadraticSystem(np.array(rows), b, np.zeros(m))
+    else:
+        zero_c = DCTQuadraticSystem(np.array(rows), b, np.zeros(m))
+        if not matrix_free:
+            zero_c = zero_c.to_dense()
+    return zero_c, truth, -zero_c.eval_all(truth)
+
+
+def assert_bits_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestStreamLayout:
+    @given(spec=st.one_of(small_specs(GAUSSIAN), small_specs(DCT)),
+           matrix_free=st.booleans())
+    def test_rows_b_truth_and_offsets(self, spec, matrix_free):
+        matrix_free = matrix_free and spec.kind == DCT
+        inst = generate(spec, matrix_free=matrix_free)
+        zero_c, truth, c = reference_instance(spec, matrix_free)
+        tensor = "xi" if matrix_free else "A"
+        for row, expected in zip(getattr(inst.system, tensor),
+                                 getattr(zero_c, tensor)):
+            assert_bits_equal(row, expected)
+        assert_bits_equal(inst.system.b, zero_c.b)
+        assert_bits_equal(inst.truth, truth)
+        assert_bits_equal(inst.system.c, c)
+
+
+class TestMemoryGuard:
+    def test_beyond_physical_memory_rejected(self, monkeypatch):
+        spec = GeneratorSpec(GAUSSIAN, 40, 100, 0.1, seed=0)    # 3.2 MB dense
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}    # 1 MiB
+        monkeypatch.setattr(generators.os, "sysconf", pages.__getitem__)
+        with pytest.raises(ValueError, match="physical memory"):
+            generate(spec)
+        with pytest.raises(ValueError, match="physical memory"):
+            generate(replace(spec, kind=DCT))
+        # the 64 KB of matrix-free cosine storage fit
+        inst = generate(replace(spec, kind=DCT), matrix_free=True)
+        assert inst.system.xi.shape == (40, 100)

@@ -8,13 +8,13 @@ from conftest import affine_system, random_quadratic
 from bregman_kaczmarz import cli
 from bregman_kaczmarz import selection as sel
 from bregman_kaczmarz import solver as slv
-from bregman_kaczmarz.generators import GeneratorSpec, generate, generate_gaussian
+from bregman_kaczmarz.generators import GeneratorSpec, generate
 from bregman_kaczmarz.priors import SparsePrior
 from bregman_kaczmarz.systems import NonlinearSystem
 
 
 def small_instance(seed=5, m=20, n=10, sp=0.2):
-    return generate_gaussian(GeneratorSpec("gaussian", m, n, sp, seed=seed))
+    return generate(GeneratorSpec("gaussian", m, n, sp, seed=seed))
 
 
 class Exploding(NonlinearSystem):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import affine_system, random_quadratic, set_storage
+from conftest import affine_system, random_quadratic, set_meta
 
 from bregman_kaczmarz.generators import (DCT, GAUSSIAN, GeneratorSpec,
-                                         generate_dct, generate_gaussian,
-                                         load_instance, save_instance)
+                                         generate, load_instance,
+                                         save_instance)
 from bregman_kaczmarz.systems import DCTQuadraticSystem, QuadraticSystem
 
 
@@ -366,7 +366,7 @@ class TestDCTSystem:
 
 class TestSerialization:
     def test_gaussian_round_trip(self, tmp_path):
-        inst = generate_gaussian(GeneratorSpec(GAUSSIAN, 5, 4, 0.5, seed=11))
+        inst = generate(GeneratorSpec(GAUSSIAN, 5, 4, 0.5, seed=11))
         path = tmp_path / "inst.npz"
         save_instance(path, inst)
         loaded = load_instance(path)
@@ -377,8 +377,8 @@ class TestSerialization:
         assert loaded.spec == inst.spec
 
     def test_dct_matrix_free_round_trip(self, tmp_path):
-        inst = generate_dct(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
-                            matrix_free=True)
+        inst = generate(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                        matrix_free=True)
         path = tmp_path / "inst.npz"
         save_instance(path, inst)
         loaded = load_instance(path)
@@ -391,8 +391,8 @@ class TestSerialization:
         (False, "meta"), (True, "xi"), (True, "b"), (True, "c"),
         (True, "truth"), (True, "meta")])
     def test_missing_array_rejected(self, tmp_path, matrix_free, name):
-        inst = generate_dct(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
-                            matrix_free=matrix_free)
+        inst = generate(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                        matrix_free=matrix_free)
         path = tmp_path / "inst.npz"
         save_instance(path, inst)
         with np.load(path) as data:
@@ -406,8 +406,8 @@ class TestSerialization:
     @pytest.mark.parametrize("key", ["format_version", "storage", "kind", "m",
                                      "n", "sp", "seed"])
     def test_missing_meta_key_rejected(self, tmp_path, matrix_free, key):
-        inst = generate_dct(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
-                            matrix_free=matrix_free)
+        inst = generate(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                        matrix_free=matrix_free)
         path = tmp_path / "inst.npz"
         save_instance(path, inst)
         with np.load(path) as data:
@@ -424,8 +424,8 @@ class TestSerialization:
         (True, "xi"), (True, "b"), (True, "c"), (True, "truth")])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, tmp_path, matrix_free, name, bad):
-        inst = generate_dct(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
-                            matrix_free=matrix_free)
+        inst = generate(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                        matrix_free=matrix_free)
         path = tmp_path / "inst.npz"
         save_instance(path, inst)
         with np.load(path) as data:
@@ -437,12 +437,37 @@ class TestSerialization:
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     def test_unknown_storage_rejected(self, tmp_path, matrix_free):
-        inst = generate_dct(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
-                            matrix_free=matrix_free)
+        inst = generate(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                        matrix_free=matrix_free)
         path = tmp_path / "inst.npz"
         save_instance(path, inst)
-        set_storage(path, "bogus")
+        set_meta(path, storage="bogus")
         with pytest.raises(ValueError, match="unknown storage 'bogus'"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    @pytest.mark.parametrize("field", ["m", "n"])
+    def test_meta_disagreeing_with_arrays_rejected(self, tmp_path,
+                                                   matrix_free, field):
+        inst = generate(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                        matrix_free=matrix_free)
+        path = tmp_path / "inst.npz"
+        save_instance(path, inst)
+        set_meta(path, **{field: 3})
+        with pytest.raises(ValueError, match="disagree"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_truth_of_wrong_length_rejected(self, tmp_path, matrix_free):
+        inst = generate(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                        matrix_free=matrix_free)
+        path = tmp_path / "inst.npz"
+        save_instance(path, inst)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["truth"] = arrays["truth"][:3]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="'truth'"):
             load_instance(path)
 
 
