@@ -197,12 +197,13 @@ def cmd_diagnose(args):
     else:
         x0_star = initial_dual(instance.system.n, args.seed)
 
-    grad_dev = diag.check_gradients(instance.system, trials=20, rng=rng)
     try:
         record, est, audit = diag.audit_run(instance, prior, config, x0_star)
     except diag.HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    # audit_run draws nothing from rng, so the check sees the same draws
+    grad_dev = diag.check_gradients(instance.system, trials=20, rng=rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     record.to_csv(out / "history.csv")

@@ -32,20 +32,22 @@ class EtaEstimate:
     sample_count: int
 
 
-def estimate_eta(system, pairs):
+def estimate_eta(system, pairs, known=()):
     """Max over sampled pairs and rows of
 
         |F_i(x1) - F_i(x2) - <grad F_i(x1), x1 - x2>| / |F_i(x1) - F_i(x2)|.
 
     Rows with zero denominator are skipped; raises NoValidPairs if none
-    survive.  F is evaluated once per distinct point of the call (a point
-    recurs in the pairs of `trajectory_pairs`), and the linear term is
-    `system.jvp(x1, x1 - x2)`, so no Jacobian is formed.
+    survive.  `known` holds (x, F(x)) pairs computed already, such as the
+    residuals a run recorded.  F is evaluated once per other distinct
+    point of the call (a point recurs in the pairs of `trajectory_pairs`),
+    and the linear term is `system.jvp(x1, x1 - x2)`, so no Jacobian is
+    formed.
     """
-    residuals = {}
+    # keyed on the contents: a temporary from np.asarray can reuse an id
+    residuals = {np.asarray(x, dtype=float).tobytes(): f for x, f in known}
 
     def residual(x):
-        # keyed on the contents: a temporary from np.asarray can reuse an id
         key = x.tobytes()
         if key not in residuals:
             residuals[key] = system.eval_all(x)
@@ -128,14 +130,12 @@ class ContractionAudit:
 
 
 def block_jacobians(record, system, prior):
-    """Jacobian rows of the block used at each recorded step."""
+    """Jacobian rows of the block used at each recorded step, built one
+    step at a time as the caller iterates."""
     if record.duals is None or record.blocks is None:
         raise ValueError("run was recorded without keep_iterates")
-    jacs = []
-    for dual, block in zip(record.duals[:-1], record.blocks):
-        x = prior.conj_grad(dual)
-        jacs.append(system.grad_block(block, x))
-    return jacs
+    return (system.grad_block(block, prior.conj_grad(dual))
+            for dual, block in zip(record.duals[:-1], record.blocks))
 
 
 def contraction_audit(record, eta, config, per_block_jacobians):
@@ -188,14 +188,21 @@ def contraction_audit(record, eta, config, per_block_jacobians):
 
 
 def audit_run(instance, prior, config, x0_star):
-    """Run, estimate eta along the trajectory and audit the contraction."""
+    """Run, estimate eta along the trajectory and audit the contraction.
+
+    F is evaluated again only at the truth: the iterates reuse the
+    residuals of the run.  Block Jacobians are built only once the
+    hypotheses hold."""
     # the decrease bounds cover the Frobenius-normalized update only
     config = replace(config, record_history=True, keep_iterates=True,
                      block_norm="frobenius")
     record = slv.run(instance.system, prior, config, x0_star,
                      truth=instance.truth)
     pairs = trajectory_pairs(record, prior, truth=instance.truth)
-    est = estimate_eta(instance.system, pairs)
+    # the (x_k, truth) pairs come last, one per recorded iterate
+    primals = [x for x, _ in pairs[-len(record.duals):]]
+    est = estimate_eta(instance.system, pairs,
+                       known=zip(primals, record.residuals))
     jacs = block_jacobians(record, instance.system, prior)
     audit = contraction_audit(record, est.eta, config, jacs)
     return record, est, audit

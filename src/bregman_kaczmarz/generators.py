@@ -126,8 +126,10 @@ def _require(container, names, where):
 
 def load_instance(path):
     """Read an instance container; raises ValueError on an unknown format
-    or storage, a missing array or meta key, non-finite stored values, or
-    arrays whose shapes disagree with each other or with the meta m, n."""
+    or storage, a missing array or meta key, non-finite stored values,
+    arrays whose shapes disagree with each other or with the meta m, n, a
+    matrix-free file whose meta kind is not cosine, or a truth whose
+    nonzero count is not round(sp * n)."""
     with np.load(path) as data:
         _require(data, ["meta"], path)
         meta = json.loads(bytes(data["meta"]).decode())
@@ -152,4 +154,12 @@ def load_instance(path):
         raise ValueError(f"{path}: meta m={spec.m}, n={spec.n} disagree with "
                          f"{tensor!r} {arrays[tensor].shape} or 'truth' "
                          f"{arrays['truth'].shape}")
+    if tensor == "xi" and spec.kind != DCT:
+        raise ValueError(f"{path}: matrix-free storage holds the '{DCT}' "
+                         f"family, but the meta kind is {spec.kind!r}")
+    expected = round(spec.sp * spec.n)
+    nonzeros = np.count_nonzero(arrays["truth"])
+    if expected != nonzeros:
+        raise ValueError(f"{path}: meta sp={spec.sp} means {expected} nonzeros, "
+                         f"but 'truth' has {nonzeros}")
     return ProblemInstance(system, arrays["truth"], spec)

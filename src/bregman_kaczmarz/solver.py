@@ -90,6 +90,7 @@ class RunRecord:
     message: str = ""
     duals: list | None = None   # dual iterates, when keep_iterates
     blocks: list | None = None  # index set of the step k -> k+1
+    residuals: list | None = None   # F at the mirror image of each dual
     final_dual: np.ndarray | None = None
     final_primal: np.ndarray | None = None
 
@@ -163,6 +164,7 @@ def run(system, prior, config, x0_star, truth=None):
     res0_sq = float(F @ F)
     duals = [dual] if config.keep_iterates else None
     blocks = [] if config.keep_iterates else None
+    residuals = [F] if config.keep_iterates else None
 
     def history_row(k, res_sq, block_size, alpha, elapsed_ns):
         # the truth columns are those of the current (dual, primal)
@@ -205,6 +207,7 @@ def run(system, prior, config, x0_star, truth=None):
         if config.keep_iterates:
             duals.append(dual)
             blocks.append(block)
+            residuals.append(F)
         if not config.record_history:
             rows.clear()        # keep only the row of the last recorded step
         rows.append(history_row(k, res_sq, len(block), alpha, elapsed))
@@ -213,4 +216,5 @@ def run(system, prior, config, x0_star, truth=None):
             break
 
     return RunRecord(status, k, rows, message=message, duals=duals,
-                     blocks=blocks, final_dual=dual, final_primal=primal)
+                     blocks=blocks, residuals=residuals, final_dual=dual,
+                     final_primal=primal)

@@ -6,6 +6,7 @@ import pytest
 from conftest import set_meta
 
 from bregman_kaczmarz import cli
+from bregman_kaczmarz import diagnostics as diag
 from bregman_kaczmarz import generators
 from bregman_kaczmarz import selection as sel
 from bregman_kaczmarz import solver as slv
@@ -194,6 +195,23 @@ class TestRun:
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    @pytest.mark.parametrize("meta", [{"kind": "gaussian"}, {"sp": 0.5}],
+                             ids=["kind", "sp"])
+    def test_meta_disagreeing_with_contents_rejected(self, tmp_path, command,
+                                                     meta):
+        # a matrix-free cosine file holds 2 nonzeros of 20 in its truth; a
+        # diagnose from its local start passes the audit when read as such
+        path = tmp_path / "inst.npz"
+        cli.main(["generate", "--kind", "dct", "--m", "40", "--n", "20",
+                  "--sp", "0.1", "--matrix-free", "--out", str(path)])
+        set_meta(path, **meta)
+        out = tmp_path / "out"
+        start = ["--local-start", "1e-3"] if command == "diagnose" else []
+        rc = cli.main([command, str(path), "--out", str(out)] + start)
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
     def test_unused_flag_rejected(self, instance_path, tmp_path):
         out = tmp_path / "out"
         rc = cli.main(["run", str(instance_path), "--solver", "abnbk-a",
@@ -343,6 +361,35 @@ class TestDiagnose:
         audit = read_csv(out / "contraction.csv")
         assert audit[0] == ["k", "d_k", "d_k1", "bound_factor", "satisfied"]
         assert all(row[4] == "True" for row in audit[1:])
+
+    def test_gradient_check_only_after_valid_audit(self, instance_path,
+                                                   tmp_path, monkeypatch):
+        calls = []
+        check = diag.check_gradients
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+        monkeypatch.setattr(diag, "check_gradients", counted)
+        rc = cli.main(["diagnose", str(instance_path), "--solver", "mrnbk",
+                       "--seed", "0", "--out", str(tmp_path / "d")])
+        assert rc == cli.EXIT_VALIDATION
+        assert calls == []
+
+    def test_gradient_check_draws_after_local_start(self, tmp_path, capsys):
+        # the check follows the audit but still draws right after the start
+        path = tmp_path / "inst.npz"
+        cli.main(["generate", "--kind", "gaussian", "--m", "60", "--n", "30",
+                  "--sp", "0.1", "--seed", "1", "--out", str(path)])
+        capsys.readouterr()
+        rc = cli.main(["diagnose", str(path), "--solver", "abnbk-a",
+                       "--seed", "5", "--local-start", "1e-3",
+                       "--out", str(tmp_path / "diag")])
+        assert rc == cli.EXIT_OK
+        rng = np.random.default_rng(5)
+        rng.standard_normal(30)
+        dev = diag.check_gradients(load_instance(path).system, trials=20, rng=rng)
+        assert f"grad_dev={dev:.3e}" in capsys.readouterr().out
 
     def test_far_start_violates_hypothesis(self, instance_path, tmp_path):
         # from a random start the cone-condition estimate explodes

@@ -242,6 +242,44 @@ class TestContractionAudit:
 
 
 class TestAuditRun:
+    def audit_inputs(self, local):
+        inst = generate(GeneratorSpec("gaussian", 60, 30, 0.1, seed=1))
+        start = np.random.default_rng(0).standard_normal(30)
+        if local:
+            start = inst.truth + 2.0 * np.sign(inst.truth) + 1e-3 * start
+        config = slv.SolverConfig(selection=sel.GreedyBlock(0.1),
+                                  stepsize=sel.Constant(1.0))
+        return inst, SparsePrior(2.0), config, start
+
+    def test_refused_audit_builds_no_block_jacobian(self):
+        # F again only at the truth, and no grad_block beyond the run's
+        inst, prior, config, x0 = self.audit_inputs(local=False)
+        steps = slv.run(inst.system, prior, config, x0).iterations
+        counts = count_calls(inst.system, ["eval_all", "grad_block"])
+        with pytest.raises(diag.HypothesisViolated):
+            diag.audit_run(inst, prior, config, x0)
+        assert counts == {"eval_all": steps + 2, "grad_block": steps}
+
+    def test_valid_audit_builds_each_block_jacobian_once(self):
+        inst, prior, config, x0 = self.audit_inputs(local=True)
+        counts = count_calls(inst.system, ["eval_all", "grad_block"])
+        record, est, audit = diag.audit_run(inst, prior, config, x0)
+        steps = record.iterations
+        assert counts == {"eval_all": steps + 2, "grad_block": 2 * steps}
+        # the run's residuals give the estimate F evaluated afresh gives
+        pairs = diag.trajectory_pairs(record, prior, inst.truth)
+        assert est == diag.estimate_eta(inst.system, pairs)
+        jacs = list(diag.block_jacobians(record, inst.system, prior))
+        assert len(jacs) == steps
+        assert audit == diag.contraction_audit(record, est.eta, config, jacs)
+
+    def test_block_jacobians_checks_iterates_when_called(self, rng):
+        inst = generate(GeneratorSpec("gaussian", 10, 6, 0.5, seed=4))
+        record = slv.run(inst.system, SparsePrior(2.0),
+                         slv.SolverConfig(max_iters=5), rng.standard_normal(6))
+        with pytest.raises(ValueError, match="keep_iterates"):
+            diag.block_jacobians(record, inst.system, SparsePrior(2.0))
+
     def test_local_start_monotone(self):
         inst = generate(GeneratorSpec("gaussian", 60, 30, 0.1, seed=1))
         prior = SparsePrior(2.0)

@@ -267,6 +267,19 @@ class TestRun:
         for k, dual in enumerate(kept.duals):
             assert prior.bregman_distance(dual, inst.truth) == breg[k]
 
+    @pytest.mark.parametrize("name", list(HISTORY_CASES))
+    def test_residuals_follow_the_duals(self, name):
+        # F at the mirror image of each kept dual, bit for bit, on every
+        # exit path: a step stopped for a non-finite F keeps neither
+        system, prior, config, x0, truth, _ = HISTORY_CASES[name]
+        kept = slv.run(system, prior,
+                       dataclasses.replace(config, keep_iterates=True), x0,
+                       truth=truth)
+        assert len(kept.residuals) == len(kept.duals)
+        for dual, F in zip(kept.duals, kept.residuals):
+            assert F.tobytes() == system.eval_all(prior.conj_grad(dual)).tobytes()
+        assert slv.run(system, prior, config, x0, truth=truth).residuals is None
+
     def test_degenerate_zero_gradient(self):
         # a constant nonzero row has zero gradient everywhere
         sys = affine_system(np.zeros((1, 2)), np.array([1.0]))

@@ -445,6 +445,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown storage 'bogus'"):
             load_instance(path)
 
+    def test_matrix_free_kind_mismatch_rejected(self, tmp_path):
+        inst = generate(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                        matrix_free=True)
+        path = tmp_path / "inst.npz"
+        save_instance(path, inst)
+        set_meta(path, kind=GAUSSIAN)
+        with pytest.raises(ValueError, match="meta kind is 'gaussian'"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    @pytest.mark.parametrize("sp", [0.25, 1.0])
+    def test_sparsity_disagreeing_with_truth_rejected(self, tmp_path,
+                                                      matrix_free, sp):
+        # the truth holds round(0.5 * 4) = 2 nonzeros
+        inst = generate(GeneratorSpec(DCT, 5, 4, 0.5, seed=11),
+                        matrix_free=matrix_free)
+        path = tmp_path / "inst.npz"
+        save_instance(path, inst)
+        set_meta(path, sp=sp)
+        with pytest.raises(ValueError, match=f"sp={sp} means"):
+            load_instance(path)
+
     @pytest.mark.parametrize("matrix_free", [False, True])
     @pytest.mark.parametrize("field", ["m", "n"])
     def test_meta_disagreeing_with_arrays_rejected(self, tmp_path,
