@@ -117,10 +117,10 @@ def diagnose_before(instance, prior, config, x0_star, rng, probe):
     with probe.phase("run"):
         record = slv.run(system, prior, config, x0_star, truth=truth)
     with probe.phase("estimate_eta"):
-        pairs = diag.trajectory_pairs(record, prior, truth=truth)
+        pairs = diag.trajectory_pairs(record, truth=truth)
         est = diag.estimate_eta(system, pairs)
     with probe.phase("block_jacobians"):
-        jacs = list(diag.block_jacobians(record, system, prior))
+        jacs = list(diag.block_jacobians(record, system))
     with probe.phase("contraction_audit"):
         audit = audited(record, est, config, jacs)
     return record, est, audit
@@ -133,12 +133,11 @@ def diagnose_after(instance, prior, config, x0_star, rng, probe):
     with probe.phase("run"):
         record = slv.run(system, prior, config, x0_star, truth=truth)
     with probe.phase("estimate_eta"):
-        pairs = diag.trajectory_pairs(record, prior, truth=truth)
-        primals = [x for x, _ in pairs[-len(record.duals):]]
+        pairs = diag.trajectory_pairs(record, truth=truth)
         est = diag.estimate_eta(system, pairs,
-                                known=zip(primals, record.residuals))
+                                known=zip(record.primals, record.residuals))
     with probe.phase("block_jacobians"):
-        jacs = diag.block_jacobians(record, system, prior)
+        jacs = diag.block_jacobians(record, system)
     with probe.phase("contraction_audit"):
         audit = audited(record, est, config, jacs)
     if audit is not None:
@@ -151,16 +150,11 @@ def local_start(instance, seed):
     """The start of `bkz diagnose --local-start` and the rng it leaves for
     the gradient check."""
     rng = np.random.default_rng(seed)
-    truth = instance.truth
-    x0_star = (truth + cli.DEFAULT_LAMBDA * np.sign(truth)
-               + LOCAL_START * rng.standard_normal(instance.system.n))
-    return x0_star, rng
+    return cli.local_dual(instance.truth, cli.DEFAULT_LAMBDA, LOCAL_START, rng), rng
 
 
 def measure(instance, prior, preset, solver_seed):
-    config = replace(cli.preset_config(preset, seed=solver_seed),
-                     record_history=True, keep_iterates=True,
-                     block_norm="frobenius")
+    config = replace(cli.preset_config(preset, seed=solver_seed), **diag.AUDITED)
     x0_star, _ = local_start(instance, solver_seed)
     try:
         _, reference, audit = diag.audit_run(instance, prior, config, x0_star)

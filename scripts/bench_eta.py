@@ -99,15 +99,12 @@ def ms_per_pair(product, pairs):
 def audited_pairs(instance, prior, preset, seed):
     """The solve `bkz diagnose --local-start` audits and its eta pairs."""
     _, _, solver_seed = cli.derived_seeds(seed, 0)
-    config = replace(cli.preset_config(preset, seed=solver_seed),
-                     record_history=True, keep_iterates=True,
-                     block_norm="frobenius")
-    rng = np.random.default_rng(solver_seed)
+    config = replace(cli.preset_config(preset, seed=solver_seed), **diag.AUDITED)
     truth = instance.truth
-    x0_star = (truth + cli.DEFAULT_LAMBDA * np.sign(truth)
-               + LOCAL_START * rng.standard_normal(instance.system.n))
+    x0_star = cli.local_dual(truth, cli.DEFAULT_LAMBDA, LOCAL_START,
+                             np.random.default_rng(solver_seed))
     record = slv.run(instance.system, prior, config, x0_star, truth=truth)
-    return record, diag.trajectory_pairs(record, prior, truth)
+    return record, diag.trajectory_pairs(record, truth)
 
 
 def measure(seed, kind, matrix_free):

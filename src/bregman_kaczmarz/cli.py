@@ -84,6 +84,13 @@ def initial_dual(n, seed):
     return np.random.default_rng(seed).standard_normal(n)
 
 
+def local_dual(truth, lam, scale, rng):
+    """Dual start whose mirror image under the prior of weight `lam` is the
+    truth up to noise of the given scale: the tangential cone condition is
+    local, so the contraction hypotheses only hold close to the root."""
+    return truth + lam * np.sign(truth) + scale * rng.standard_normal(truth.size)
+
+
 def _status_exit(status):
     return {slv.CONVERGED: EXIT_OK, slv.MAX_ITERS: EXIT_MAX_ITERS,
             slv.DEGENERATE: EXIT_DEGENERATE}[status]
@@ -144,9 +151,9 @@ def cmd_bench(args):
                                       if args.solver or flag in PRESET_FLAGS[name]})
                for name in solvers}
 
+    prior = SparsePrior(args.lam)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prior = SparsePrior(args.lam)
     results = {name: [] for name in solvers}
     for rep in range(args.reps):
         inst_seed, x0_seed, solver_seed = derived_seeds(args.seed, rep)
@@ -182,6 +189,8 @@ def cmd_bench(args):
 
 
 def cmd_diagnose(args):
+    if args.local_start is not None and not np.isfinite(args.local_start):
+        raise ValueError(f"--local-start must be finite, got {args.local_start}")
     instance = gen.load_instance(args.instance)
     prior = SparsePrior(args.lam)
     config = preset_config(args.solver, seed=args.seed, alpha=args.alpha,
@@ -189,11 +198,7 @@ def cmd_diagnose(args):
                            max_iters=args.max_iters)
     rng = np.random.default_rng(args.seed)
     if args.local_start is not None:
-        # start near the stored ground truth: the tangential cone condition
-        # is local, so the contraction hypotheses only hold close to the root
-        truth = instance.truth
-        x0_star = (truth + args.lam * np.sign(truth)
-                   + args.local_start * rng.standard_normal(instance.system.n))
+        x0_star = local_dual(instance.truth, args.lam, args.local_start, rng)
     else:
         x0_star = initial_dual(instance.system.n, args.seed)
 

@@ -18,12 +18,17 @@ from . import solver as slv
 from .priors import SparsePrior
 
 
-class NoValidPairs(Exception):
-    """Every sampled pair had a zero denominator."""
-
-
 class HypothesisViolated(Exception):
     """Audit preconditions (eta < 1/2, stepsize in the theorem range) failed."""
+
+
+class NoValidPairs(HypothesisViolated):
+    """Every sampled pair had a zero denominator, so eta is unknown."""
+
+
+# the settings `audit_run` imposes: every history row and iterate, and the
+# update the decrease bounds cover (the Frobenius-normalized one only)
+AUDITED = dict(record_history=True, keep_iterates=True, block_norm="frobenius")
 
 
 @dataclass
@@ -69,24 +74,24 @@ def estimate_eta(system, pairs, known=()):
         count += int(valid.sum())
         eta = np.maximum(eta, (num[valid] / den[valid]).max())
     if count == 0:
-        raise NoValidPairs("no sampled pair had a nonzero denominator")
+        raise NoValidPairs("eta could not be estimated: no sampled pair had "
+                           "a nonzero denominator")
     return EtaEstimate(eta=float(eta), sample_count=count)
 
 
-def trajectory_pairs(record, prior, truth=None):
-    """Sample pairs for eta estimation from a recorded run: consecutive
-    iterates plus every (x_k, truth) pair when a ground truth is known.
+def trajectory_pairs(record, truth=None):
+    """Sample pairs for eta estimation from the iterates a run kept:
+    consecutive ones plus every (x_k, truth) pair when a truth is known.
 
     The (x_k, truth) pairs are exactly the ones the per-step decrease
     bound relies on, so an estimate over them makes the audit
     self-consistent.
     """
-    if record.duals is None:
+    if record.primals is None:
         raise ValueError("run was recorded without keep_iterates")
-    primals = [prior.conj_grad(d) for d in record.duals]
-    pairs = list(zip(primals[:-1], primals[1:]))
+    pairs = list(zip(record.primals[:-1], record.primals[1:]))
     if truth is not None:
-        pairs += [(x, truth) for x in primals]
+        pairs += [(x, truth) for x in record.primals]
     return pairs
 
 
@@ -129,13 +134,13 @@ class ContractionAudit:
             w.writerows(self.rows)
 
 
-def block_jacobians(record, system, prior):
-    """Jacobian rows of the block used at each recorded step, built one
-    step at a time as the caller iterates."""
-    if record.duals is None or record.blocks is None:
+def block_jacobians(record, system):
+    """Jacobian rows of each recorded step's block at the kept iterate it
+    started from, built one step at a time as the caller iterates."""
+    if record.primals is None:
         raise ValueError("run was recorded without keep_iterates")
-    return (system.grad_block(block, prior.conj_grad(dual))
-            for dual, block in zip(record.duals[:-1], record.blocks))
+    return (system.grad_block(block, x)
+            for x, block in zip(record.primals, record.blocks))
 
 
 def contraction_audit(record, eta, config, per_block_jacobians):
@@ -188,21 +193,16 @@ def contraction_audit(record, eta, config, per_block_jacobians):
 
 
 def audit_run(instance, prior, config, x0_star):
-    """Run, estimate eta along the trajectory and audit the contraction.
-
-    F is evaluated again only at the truth: the iterates reuse the
-    residuals of the run.  Block Jacobians are built only once the
-    hypotheses hold."""
-    # the decrease bounds cover the Frobenius-normalized update only
-    config = replace(config, record_history=True, keep_iterates=True,
-                     block_norm="frobenius")
+    """Run with the AUDITED settings, estimate eta along the trajectory
+    and audit the contraction.  F is evaluated again only at the truth:
+    the audit reads the iterates and residuals the run kept.  Block
+    Jacobians are built only once the hypotheses hold."""
+    config = replace(config, **AUDITED)
     record = slv.run(instance.system, prior, config, x0_star,
                      truth=instance.truth)
-    pairs = trajectory_pairs(record, prior, truth=instance.truth)
-    # the (x_k, truth) pairs come last, one per recorded iterate
-    primals = [x for x, _ in pairs[-len(record.duals):]]
+    pairs = trajectory_pairs(record, truth=instance.truth)
     est = estimate_eta(instance.system, pairs,
-                       known=zip(primals, record.residuals))
-    jacs = block_jacobians(record, instance.system, prior)
+                       known=zip(record.primals, record.residuals))
+    jacs = block_jacobians(record, instance.system)
     audit = contraction_audit(record, est.eta, config, jacs)
     return record, est, audit

@@ -35,8 +35,8 @@ class SparsePrior:
     smooth_modulus = 1.0
 
     def __init__(self, lam):
-        if lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {lam}")
+        if not 0 <= lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
         self.lam = float(lam)
 
     def __repr__(self):

@@ -70,8 +70,8 @@ class SolverConfig:
                 f"block_norm must be 'frobenius' or 'spectral', got {self.block_norm!r}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if isinstance(self.stepsize, sel.Constant) and self.stepsize.alpha < 1.0:
             warnings.warn(
                 f"constant stepsize {self.stepsize.alpha} is below the "
@@ -90,7 +90,8 @@ class RunRecord:
     message: str = ""
     duals: list | None = None   # dual iterates, when keep_iterates
     blocks: list | None = None  # index set of the step k -> k+1
-    residuals: list | None = None   # F at the mirror image of each dual
+    primals: list | None = None     # the mirror image of each dual
+    residuals: list | None = None   # F at each primal
     final_dual: np.ndarray | None = None
     final_primal: np.ndarray | None = None
 
@@ -164,6 +165,7 @@ def run(system, prior, config, x0_star, truth=None):
     res0_sq = float(F @ F)
     duals = [dual] if config.keep_iterates else None
     blocks = [] if config.keep_iterates else None
+    primals = [primal] if config.keep_iterates else None
     residuals = [F] if config.keep_iterates else None
 
     def history_row(k, res_sq, block_size, alpha, elapsed_ns):
@@ -207,6 +209,7 @@ def run(system, prior, config, x0_star, truth=None):
         if config.keep_iterates:
             duals.append(dual)
             blocks.append(block)
+            primals.append(primal)
             residuals.append(F)
         if not config.record_history:
             rows.clear()        # keep only the row of the last recorded step
@@ -216,5 +219,5 @@ def run(system, prior, config, x0_star, truth=None):
             break
 
     return RunRecord(status, k, rows, message=message, duals=duals,
-                     blocks=blocks, residuals=residuals, final_dual=dual,
-                     final_primal=primal)
+                     blocks=blocks, primals=primals, residuals=residuals,
+                     final_dual=dual, final_primal=primal)

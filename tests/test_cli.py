@@ -90,6 +90,17 @@ class TestSeeds:
         np.testing.assert_array_equal(a, cli.initial_dual(8, 5))
         assert a.shape == (8,)
 
+    def test_local_dual(self):
+        # the start of `bkz diagnose --local-start`, in the operation order
+        # its audits were recorded with, drawing n normals from rng
+        truth = np.random.default_rng(0).standard_normal(60)
+        truth[::3] = 0.0
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        x0 = cli.local_dual(truth, 2.0, 1e-3, rng)
+        expected = truth + 2.0 * np.sign(truth) + 1e-3 * ref.standard_normal(60)
+        assert x0.tobytes() == expected.tobytes()
+        assert rng.random() == ref.random()
+
 
 class TestGenerate:
     def test_round_trip(self, instance_path):
@@ -212,6 +223,20 @@ class TestRun:
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    @pytest.mark.parametrize("flag", ["--lambda", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_solver_input_rejected(self, instance_path, tmp_path,
+                                              capsys, command, flag, value):
+        # refused as input, not by the audit a diagnose would reach
+        out = tmp_path / "out"
+        start = ["--local-start", "1e-3"] if command == "diagnose" else []
+        rc = cli.main([command, str(instance_path), flag, value,
+                       "--out", str(out)] + start)
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
     def test_unused_flag_rejected(self, instance_path, tmp_path):
         out = tmp_path / "out"
         rc = cli.main(["run", str(instance_path), "--solver", "abnbk-a",
@@ -302,7 +327,9 @@ class TestBench:
     @pytest.mark.parametrize("flags", [
         ["--kind", "gaussian", "--sp", "0.2", "--matrix-free"],
         ["--kind", "dct", "--sp", "0.01"],
-        ["--kind", "gaussian", "--sp", "0.2", "--m", "2000", "--n", "2000"]])
+        ["--kind", "gaussian", "--sp", "0.2", "--m", "2000", "--n", "2000"],
+        ["--kind", "gaussian", "--sp", "0.2", "--lambda", "nan"],
+        ["--kind", "gaussian", "--sp", "0.2", "--tol", "inf"]])
     def test_rejected_spec_leaves_no_directory(self, tmp_path, flags):
         out = tmp_path / "b"
         rc = cli.main(["bench", "--m", "20", "--n", "10", "--reps", "1",
@@ -390,6 +417,16 @@ class TestDiagnose:
         rng.standard_normal(30)
         dev = diag.check_gradients(load_instance(path).system, trials=20, rng=rng)
         assert f"grad_dev={dev:.3e}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+    def test_non_finite_local_start_rejected(self, instance_path, tmp_path,
+                                             capsys, scale):
+        out = tmp_path / "d"
+        rc = cli.main(["diagnose", str(instance_path), f"--local-start={scale}",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+        assert "--local-start must be finite" in capsys.readouterr().err
 
     def test_far_start_violates_hypothesis(self, instance_path, tmp_path):
         # from a random start the cone-condition estimate explodes

@@ -69,7 +69,7 @@ def recorded_trajectory(matrix_free, rng, local=False):
     record = slv.run(inst.system, prior,
                      slv.SolverConfig(max_iters=8, keep_iterates=True),
                      x0, truth=inst.truth)
-    return record, diag.trajectory_pairs(record, prior, inst.truth), inst
+    return record, diag.trajectory_pairs(record, inst.truth), inst
 
 
 class TestEtaEstimate:
@@ -144,7 +144,7 @@ class TestEtaEstimate:
                          slv.SolverConfig(max_iters=5),
                          rng.standard_normal(6))
         with pytest.raises(ValueError):
-            diag.trajectory_pairs(record, SparsePrior(2.0))
+            diag.trajectory_pairs(record)
 
     def test_trajectory_pairs_count(self, rng):
         inst = generate(GeneratorSpec("gaussian", 10, 6, 0.5, seed=4))
@@ -152,7 +152,7 @@ class TestEtaEstimate:
                          slv.SolverConfig(max_iters=5, keep_iterates=True),
                          rng.standard_normal(6))
         t = len(record.duals)
-        pairs = diag.trajectory_pairs(record, SparsePrior(2.0), inst.truth)
+        pairs = diag.trajectory_pairs(record, inst.truth)
         assert len(pairs) == (t - 1) + t
 
 
@@ -252,25 +252,34 @@ class TestAuditRun:
         return inst, SparsePrior(2.0), config, start
 
     def test_refused_audit_builds_no_block_jacobian(self):
-        # F again only at the truth, and no grad_block beyond the run's
+        # F again only at the truth, no grad_block beyond the run's, and
+        # only the run's mirror maps, one per iterate
         inst, prior, config, x0 = self.audit_inputs(local=False)
         steps = slv.run(inst.system, prior, config, x0).iterations
         counts = count_calls(inst.system, ["eval_all", "grad_block"])
+        maps = count_calls(prior, ["conj_grad"])
         with pytest.raises(diag.HypothesisViolated):
             diag.audit_run(inst, prior, config, x0)
         assert counts == {"eval_all": steps + 2, "grad_block": steps}
+        assert maps == {"conj_grad": steps + 1}
 
     def test_valid_audit_builds_each_block_jacobian_once(self):
         inst, prior, config, x0 = self.audit_inputs(local=True)
         counts = count_calls(inst.system, ["eval_all", "grad_block"])
+        maps = count_calls(prior, ["conj_grad"])
         record, est, audit = diag.audit_run(inst, prior, config, x0)
         steps = record.iterations
         assert counts == {"eval_all": steps + 2, "grad_block": 2 * steps}
+        assert maps == {"conj_grad": steps + 1}
         # the run's residuals give the estimate F evaluated afresh gives
-        pairs = diag.trajectory_pairs(record, prior, inst.truth)
+        pairs = diag.trajectory_pairs(record, inst.truth)
         assert est == diag.estimate_eta(inst.system, pairs)
-        jacs = list(diag.block_jacobians(record, inst.system, prior))
+        jacs = list(diag.block_jacobians(record, inst.system))
         assert len(jacs) == steps
+        # the rows of each step's block at the iterate the step started from
+        for jac, dual, block in zip(jacs, record.duals, record.blocks):
+            x = prior.conj_grad(dual)
+            assert jac.tobytes() == inst.system.grad_block(block, x).tobytes()
         assert audit == diag.contraction_audit(record, est.eta, config, jacs)
 
     def test_block_jacobians_checks_iterates_when_called(self, rng):
@@ -278,7 +287,15 @@ class TestAuditRun:
         record = slv.run(inst.system, SparsePrior(2.0),
                          slv.SolverConfig(max_iters=5), rng.standard_normal(6))
         with pytest.raises(ValueError, match="keep_iterates"):
-            diag.block_jacobians(record, inst.system, SparsePrior(2.0))
+            diag.block_jacobians(record, inst.system)
+
+    def test_no_valid_pair_refuses_the_audit(self):
+        # a non-finite start stops the run at k = 0, and the only pair,
+        # (x_0, truth), has no finite difference of F
+        inst, prior, config, _ = self.audit_inputs(local=False)
+        with pytest.raises(diag.HypothesisViolated,
+                           match="eta could not be estimated"):
+            diag.audit_run(inst, prior, config, np.full(30, np.nan))
 
     def test_local_start_monotone(self):
         inst = generate(GeneratorSpec("gaussian", 60, 30, 0.1, seed=1))

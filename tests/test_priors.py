@@ -24,6 +24,14 @@ class TestSoftShrink:
         assert soft_shrink(np.array([0.0]), 0.0) == pytest.approx([0.0])
 
 
+class TestSparsePrior:
+    @pytest.mark.parametrize("lam", [-0.1, np.nan, np.inf])
+    def test_lambda_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="lambda"):
+            SparsePrior(lam)
+        assert SparsePrior(0.0).lam == 0.0
+
+
 class TestValues:
     def test_phi_at_zero(self):
         assert SparsePrior(2.0).value(np.zeros(2)) == 0.0

@@ -90,8 +90,9 @@ class TestConfigValidation:
             slv.SolverConfig(max_iters=0)
 
     def test_tol(self):
-        with pytest.raises(ValueError):
-            slv.SolverConfig(tol=0.0)
+        for tol in (0.0, -1e-6, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol"):
+                slv.SolverConfig(tol=tol)
 
     def test_block_norm(self):
         with pytest.raises(ValueError):
@@ -269,16 +270,18 @@ class TestRun:
 
     @pytest.mark.parametrize("name", list(HISTORY_CASES))
     def test_residuals_follow_the_duals(self, name):
-        # F at the mirror image of each kept dual, bit for bit, on every
-        # exit path: a step stopped for a non-finite F keeps neither
+        # the mirror image of each kept dual and F there, bit for bit, on
+        # every exit path: a step stopped for a non-finite F keeps none
         system, prior, config, x0, truth, _ = HISTORY_CASES[name]
         kept = slv.run(system, prior,
                        dataclasses.replace(config, keep_iterates=True), x0,
                        truth=truth)
-        assert len(kept.residuals) == len(kept.duals)
-        for dual, F in zip(kept.duals, kept.residuals):
-            assert F.tobytes() == system.eval_all(prior.conj_grad(dual)).tobytes()
-        assert slv.run(system, prior, config, x0, truth=truth).residuals is None
+        assert len(kept.primals) == len(kept.residuals) == len(kept.duals)
+        for dual, x, F in zip(kept.duals, kept.primals, kept.residuals):
+            assert x.tobytes() == prior.conj_grad(dual).tobytes()
+            assert F.tobytes() == system.eval_all(x).tobytes()
+        plain = slv.run(system, prior, config, x0, truth=truth)
+        assert plain.primals is None and plain.residuals is None
 
     def test_degenerate_zero_gradient(self):
         # a constant nonzero row has zero gradient everywhere
