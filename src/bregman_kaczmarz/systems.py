@@ -5,8 +5,10 @@ quadratic measurement model F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i is
 the workhorse of the experiments (one dense tensor, residuals in m*|S|*n
 on the support S of x); a matrix-free variant backs the partial-cosine
 family and computes only the cosines that meet the support.  Both give the
-Jacobian-vector product J(x) d without forming J(x).
-All systems are read-only after construction.
+Jacobian-vector product J(x) d without forming J(x).  `eval_points` (F_i
+at many points) and `grad_block` (many gradient rows at one point) loop
+`eval_component` and `grad_component` unless a system overrides them, as
+both built-in ones do.  All systems are read-only after construction.
 """
 
 from __future__ import annotations
@@ -25,17 +27,24 @@ class NonlinearSystem:
         raise NotImplementedError
 
     def grad_component(self, i, x):
-        """The gradient row of F_i at x, length n."""
-        raise NotImplementedError
+        """Gradient row of F_i at x, length n; implement this or grad_block."""
+        return self.grad_block([i], x)[0]
 
     def eval_all(self, x):
         x = np.asarray(x, dtype=float)
         return np.array([self.eval_component(i, x) for i in range(self.m)])
 
+    def eval_points(self, i, X):
+        """F_i at each row of X, length len(X)."""
+        return np.array([self.eval_component(i, x)
+                         for x in np.asarray(X, dtype=float)])
+
     def grad_block(self, idx, x):
         """Rows of the Jacobian for the given indices, shape (|idx|, n)."""
+        idx = self._rows(idx)
         x = np.asarray(x, dtype=float)
-        return np.array([self.grad_component(i, x) for i in idx])
+        rows = np.array([self.grad_component(i, x) for i in idx.tolist()])
+        return rows.reshape(idx.size, self.n)
 
     def jacobian(self, x):
         return self.grad_block(np.arange(self.m), x)
@@ -47,6 +56,20 @@ class NonlinearSystem:
     def _check_index(self, i):
         if not 0 <= i < self.m:
             raise IndexError(f"component index {i} out of range [0, {self.m})")
+
+    def _rows(self, idx):
+        """idx as an int array, every entry checked against [0, m)."""
+        idx = np.asarray(idx, dtype=int)
+        if idx.size:
+            self._check_index(idx.min())
+            self._check_index(idx.max())
+        return idx
+
+
+def _quadratic_points(A, b, c, X):
+    """0.5 <x, A x> + <b, x> + c at each row x of X, by one product X A^T."""
+    X = np.asarray(X, dtype=float)
+    return 0.5 * ((X @ A.T) * X).sum(axis=1) + X @ b + c
 
 
 class QuadraticSystem(NonlinearSystem):
@@ -75,14 +98,18 @@ class QuadraticSystem(NonlinearSystem):
         self.n = n
 
     def eval_component(self, i, x):
-        self._check_index(i)
-        x = np.asarray(x, dtype=float)
-        return 0.5 * float(x @ (self.A[i] @ x)) + float(self.b[i] @ x) + float(self.c[i])
+        return float(self.eval_points(i, [x])[0])
 
-    def grad_component(self, i, x):
+    def eval_points(self, i, X):
         self._check_index(i)
+        return _quadratic_points(self.A[i], self.b[i], self.c[i], X)
+
+    def grad_block(self, idx, x):
+        # slab by slab: gathering A[idx] copies |idx| n x n matrices first
+        idx = self._rows(idx)
         x = np.asarray(x, dtype=float)
-        return 0.5 * (self.A[i] @ x + x @ self.A[i]) + self.b[i]
+        rows = np.array([self.A[i] @ x + x @ self.A[i] for i in idx.tolist()])
+        return 0.5 * rows.reshape(idx.size, self.n) + self.b[idx]
 
     def eval_all(self, x):
         x = np.asarray(x, dtype=float)
@@ -172,14 +199,6 @@ class DCTQuadraticSystem(NonlinearSystem):
         self._check_index(i)
         return self._cosines(self.xi[i], np.arange(self.n))
 
-    def _rows(self, idx):
-        """idx as an int array, every entry checked against [0, m)."""
-        idx = np.asarray(idx, dtype=int)
-        if idx.size:
-            self._check_index(idx.min())
-            self._check_index(idx.max())
-        return idx
-
     def eval_component(self, i, x):
         """F_i(x); for an index array i, the array of F_i(x) over its
         entries in one vectorized call (eval_all passes every row)."""
@@ -189,9 +208,9 @@ class DCTQuadraticSystem(NonlinearSystem):
             return float(self._values([i], x)[0])
         return self._values(self._rows(i), x)
 
-    def grad_component(self, i, x):
-        self._check_index(i)
-        return self._gradients([i], np.asarray(x, dtype=float))[0]
+    def eval_points(self, i, X):
+        """F_i at each row of X from A_i, built once (n^2 cosines)."""
+        return _quadratic_points(self.matrix(i), self.b[i], self.c[i], X)
 
     def eval_all(self, x):
         return self.eval_component(np.arange(self.m), x)

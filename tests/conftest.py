@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from bregman_kaczmarz.systems import QuadraticSystem
+from bregman_kaczmarz.systems import NonlinearSystem, QuadraticSystem
 
 # every property test replays the same examples on every run
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -25,6 +25,20 @@ def affine_system(B, y):
     y = np.asarray(y, dtype=float)
     m, n = B.shape
     return QuadraticSystem(np.zeros((m, n, n)), B, -y)
+
+
+class RowByRow(NonlinearSystem):
+    """Only `eval_component` and `grad_component` of another system, so
+    every other method is the base class's loop."""
+
+    def __init__(self, inner):
+        self.inner, self.m, self.n = inner, inner.m, inner.n
+
+    def eval_component(self, i, x):
+        return self.inner.eval_component(i, x)
+
+    def grad_component(self, i, x):
+        return self.inner.grad_component(i, x)
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import affine_system, random_quadratic
+from conftest import RowByRow, affine_system, random_quadratic
 
 from bregman_kaczmarz import diagnostics as diag
 from bregman_kaczmarz import selection as sel
@@ -171,6 +171,62 @@ class TestGradientCheck:
         sys = QuadraticSystem(np.zeros((2, 3, 3)), np.zeros((2, 3)), np.zeros(2))
         dev = diag.check_gradients(sys, 10, np.random.default_rng(0))
         assert dev == 0.0
+
+    def test_same_check_as_the_point_loop(self):
+        # with F_i taken one point at a time (the base eval_points), the
+        # batched check is the loop of 2n scalar evaluations, bit for bit
+        sys = RowByRow(random_quadratic(6, 5, seed=7))
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(30):
+            i = int(rng.integers(sys.m))
+            x = rng.standard_normal(sys.n)
+            g = sys.grad_component(i, x)
+            h = 1e-6 * (1.0 + np.linalg.norm(x))
+            fd = np.empty(sys.n)
+            for j in range(sys.n):
+                e = np.zeros(sys.n)
+                e[j] = h
+                fd[j] = (sys.eval_component(i, x + e)
+                         - sys.eval_component(i, x - e)) / (2.0 * h)
+            worst = max(worst, np.linalg.norm(g - fd) / (1.0 + np.linalg.norm(fd)))
+        assert diag.check_gradients(sys, 30, np.random.default_rng(0)) == worst
+
+    def test_one_evaluation_per_trial(self, monkeypatch):
+        sys = random_quadratic(6, 5, seed=7)
+        calls = []
+        evaluate = sys.eval_points
+        monkeypatch.setattr(sys, "eval_points",
+                            lambda i, X: calls.append(len(X)) or evaluate(i, X))
+        monkeypatch.setattr(sys, "eval_component", None)
+        diag.check_gradients(sys, 4, np.random.default_rng(0))
+        assert calls == [2 * sys.n] * 4
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        sys = random_quadratic(6, 5, seed=7)
+        with pytest.raises(ValueError, match="trials"):
+            diag.check_gradients(sys, trials, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mutation", ["nan entry", "doubled", "b sign"])
+    def test_wrong_gradient_caught(self, mutation):
+        # a NaN deviation is returned, not dropped in favour of 0.0
+        class Wrong(QuadraticSystem):
+            def grad_block(self, idx, x):
+                rows = super().grad_block(idx, x)
+                if mutation == "nan entry":
+                    rows[:, 2] = np.nan
+                elif mutation == "doubled":
+                    rows = 2.0 * rows
+                else:
+                    rows = rows - 2.0 * self.b[idx]
+                return rows
+
+        base = random_quadratic(6, 5, seed=7)
+        sys = Wrong(base.A, base.b, base.c)
+        dev = diag.check_gradients(sys, 5, np.random.default_rng(0))
+        assert not dev <= 1e-5
+        assert np.isnan(dev) == (mutation == "nan entry")
 
 
 class TestContractionAudit:

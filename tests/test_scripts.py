@@ -21,13 +21,14 @@ def scripts(monkeypatch):
     monkeypatch.setattr(os, "environ", os.environ.copy())
     monkeypatch.syspath_prepend(str(SCRIPTS))
     return (importlib.import_module("bench_eta"),
-            importlib.import_module("bench_diagnose"))
+            importlib.import_module("bench_diagnose"),
+            importlib.import_module("bench_gradcheck"))
 
 
 @pytest.mark.parametrize("kind, matrix_free", [(gen.GAUSSIAN, False),
                                                (gen.DCT, True)])
 def test_bench_eta_measure(scripts, monkeypatch, kind, matrix_free):
-    bench_eta, _ = scripts
+    bench_eta, _, _ = scripts
     monkeypatch.setattr(bench_eta, "M", 40)
     monkeypatch.setattr(bench_eta, "N", 20)
     monkeypatch.setattr(bench_eta, "REPEATS", 1)
@@ -48,7 +49,7 @@ def test_bench_eta_measure(scripts, monkeypatch, kind, matrix_free):
 def test_bench_diagnose_measure(scripts, monkeypatch):
     # measure raises unless both versions give the audit of audit_run; at
     # seed 1 the (40, 20) instance has valid and refused audits
-    _, bench_diagnose = scripts
+    _, bench_diagnose, _ = scripts
     monkeypatch.setattr(bench_diagnose, "REPEATS", 2)
     inst_seed, _, solver_seed = cli.derived_seeds(1, 0)
     instance = gen.generate(gen.GeneratorSpec(gen.GAUSSIAN, 40, 20, 0.1,
@@ -66,3 +67,27 @@ def test_bench_diagnose_measure(scripts, monkeypatch):
                                                          else 0)
     summary = bench_diagnose.summarize([dict(rep=0, **row) for row in rows])
     assert summary["valid"] == sum(row["valid"] for row in rows)
+
+
+@pytest.mark.parametrize("kind, matrix_free", [(gen.GAUSSIAN, False),
+                                               (gen.DCT, True)])
+def test_bench_gradcheck_measure_check(scripts, monkeypatch, kind, matrix_free):
+    _, _, bench_gradcheck = scripts
+    monkeypatch.setattr(bench_gradcheck, "M", 40)
+    monkeypatch.setattr(bench_gradcheck, "N", 20)
+    monkeypatch.setattr(bench_gradcheck, "TRIALS", 3)
+    monkeypatch.setattr(bench_gradcheck, "REPEATS", 1)
+    result = bench_gradcheck.measure_check(1, kind, matrix_free)
+    assert result["storage"] == ("matrix-free" if matrix_free else "dense")
+    # both checks pass, and differ only by the rounding of F_i
+    assert 0.0 < result["grad_dev_before"] <= 1e-5
+    assert 0.0 < result["grad_dev_after"] <= 1e-5
+    assert result["ms_per_trial_before"] > 0 and result["ms_per_trial_after"] > 0
+
+
+def test_bench_gradcheck_measure_block(scripts, monkeypatch):
+    _, _, bench_gradcheck = scripts
+    monkeypatch.setattr(bench_gradcheck, "REPEATS", 1)
+    result = bench_gradcheck.measure_block(30, 12, 0.4, 7)
+    assert result["rows"] == 7
+    assert result["bit_equal"] is True

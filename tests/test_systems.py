@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import affine_system, random_quadratic, set_meta
+from conftest import RowByRow, affine_system, random_quadratic, set_meta
 
 from bregman_kaczmarz.generators import (DCT, GAUSSIAN, GeneratorSpec,
                                          generate, load_instance,
@@ -325,15 +325,107 @@ class TestMatrixFreeKernel:
                 sys.eval_component(bad, x)
 
 
+class Reads:
+    """An array that records the keys it is indexed with."""
+
+    def __init__(self, array):
+        self.array, self.keys = array, []
+
+    def __getitem__(self, key):
+        self.keys.append(key)
+        return self.array[key]
+
+
+def watched(kind, m, n, seed):
+    """A system of the given kind and a recorder of every read of its row
+    storage (the A_i slabs, the frequencies xi_i)."""
+    if kind == "matrix-free":
+        sys = random_cosine(m, n, seed)
+        sys.xi = reads = Reads(sys.xi)
+        return sys, reads
+    sys = random_quadratic(m, n, seed)
+    sys.A = reads = Reads(sys.A)
+    return (RowByRow(sys) if kind == "base" else sys), reads
+
+
+KINDS = ["dense", "matrix-free", "base"]
+
+
 @pytest.mark.parametrize("matrix_free", [False, True])
 @pytest.mark.parametrize("method", ["eval_component", "grad_component",
-                                    "grad_block"])
+                                    "grad_block", "eval_points"])
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_index_out_of_range_rejected(matrix_free, method, bad):
-    sys = (random_cosine if matrix_free else random_quadratic)(4, 3, 0)
-    i = [0, bad] if method == "grad_block" else bad
+    sys, reads = watched("matrix-free" if matrix_free else "dense", 4, 3, 0)
+    x = np.ones(3)
+    if method == "grad_block":
+        # the bad row is found before any row is read, wherever it stands
+        for block in ([0, bad], [bad, 0], [1, bad, 2]):
+            with pytest.raises(IndexError):
+                sys.grad_block(block, x)
+        assert reads.keys == []
+        return
+    args = (bad, x[None]) if method == "eval_points" else (bad, x)
     with pytest.raises(IndexError):
-        getattr(sys, method)(i, np.ones(3))
+        getattr(sys, method)(*args)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_rows_checked_in_one_place(kind):
+    # every system, the base loop too, rejects a bad row before reading
+    # one, and an empty block has shape (0, n)
+    sys, reads = watched(kind, 4, 3, 0)
+    x = np.ones(3)
+    for block in ([0, -1], [4, 0], [-5]):
+        with pytest.raises(IndexError):
+            sys.grad_block(block, x)
+    assert reads.keys == []
+    for empty in ([], np.array([], dtype=int)):
+        assert sys.grad_block(empty, x).shape == (0, 3)
+
+
+def eval_points_cases():
+    """(system, its dense tensor) for each storage and the base loop."""
+    rng = np.random.default_rng(4)
+    dense = random_quadratic(9, 6, seed=1)
+    cosine = random_cosine(9, 6, seed=2)
+    affine = affine_system(rng.standard_normal((9, 6)), rng.standard_normal(9))
+    return {"dense": (dense, dense), "matrix-free": (cosine, cosine.to_dense()),
+            "affine": (affine, affine),
+            "base": (RowByRow(dense), dense)}
+
+
+@pytest.mark.parametrize("case", ["dense", "matrix-free", "affine", "base"])
+def test_eval_points_matches_eval_all(case, rng):
+    # within 1e-12 of the sum of absolute term values, on dense, sparse
+    # and zero points
+    sys, dense = eval_points_cases()[case]
+    X = rng.standard_normal((5, sys.n))
+    X[1, ::2] = 0.0
+    X[2] = 0.0
+    refs = [dense_reference(dense, x) for x in X]
+    for i in range(sys.m):
+        values = sys.eval_points(i, X)
+        assert values.shape == (len(X),)
+        for x, value, (F, F_scale, _, _) in zip(X, values, refs):
+            assert abs(value - sys.eval_all(x)[i]) <= RTOL * F_scale[i]
+            assert abs(value - sys.eval_component(i, x)) <= RTOL * F_scale[i]
+            assert abs(value - F[i]) <= RTOL * F_scale[i]
+
+
+@pytest.mark.parametrize("m, n, rows", [(300, 150, 113), (200, 100, 20)])
+def test_dense_grad_block_bit_equal_to_row_formula(m, n, rows):
+    # the block-dense and diagnose block shapes, at a dense and a sparse x:
+    # the rows the former per-row loop computed, bit for bit
+    sys = random_quadratic(m, n, seed=m)
+    rng = np.random.default_rng(n)
+    idx = rng.choice(m, size=rows, replace=False)
+    sparse = np.zeros(n)
+    sparse[rng.choice(n, size=n // 20, replace=False)] = rng.standard_normal(n // 20)
+    for x in (rng.standard_normal(n), sparse):
+        expected = np.array([0.5 * (sys.A[i] @ x + x @ sys.A[i]) + sys.b[i]
+                             for i in idx])
+        np.testing.assert_array_equal(sys.grad_block(idx, x), expected)
 
 
 class TestDCTSystem:
