@@ -213,10 +213,13 @@ def cmd_diagnose(args):
     out.mkdir(parents=True, exist_ok=True)
     record.to_csv(out / "history.csv")
     audit.to_csv(out / "contraction.csv")
-    verdict = "PASS" if audit.all_satisfied else "FAIL"
-    print(f"{verdict}: eta={est.eta:.4g} grad_dev={grad_dev:.3e} "
+    grads_ok = grad_dev <= diag.GRADIENT_TOL      # False for a NaN deviation
+    passed = audit.all_satisfied and grads_ok
+    grad_note = "" if grads_ok else f" > {diag.GRADIENT_TOL:g}"
+    print(f"{'PASS' if passed else 'FAIL'}: eta={est.eta:.4g} "
+          f"grad_dev={grad_dev:.3e}{grad_note} "
           f"contraction_satisfied={audit.fraction_satisfied:.3f}")
-    return EXIT_OK if audit.all_satisfied else EXIT_DEGENERATE
+    return EXIT_OK if passed else EXIT_DEGENERATE
 
 
 def _add_solver_flags(p):

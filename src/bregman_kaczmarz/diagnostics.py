@@ -29,6 +29,8 @@ class NoValidPairs(HypothesisViolated):
 # the settings `audit_run` imposes: every history row and iterate, and the
 # update the decrease bounds cover (the Frobenius-normalized one only)
 AUDITED = dict(record_history=True, keep_iterates=True, block_norm="frobenius")
+# the largest finite-difference deviation `check_gradients` may report
+GRADIENT_TOL = 1e-5
 
 
 @dataclass

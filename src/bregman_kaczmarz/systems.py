@@ -58,12 +58,15 @@ class NonlinearSystem:
             raise IndexError(f"component index {i} out of range [0, {self.m})")
 
     def _rows(self, idx):
-        """idx as an int array, every entry checked against [0, m)."""
-        idx = np.asarray(idx, dtype=int)
+        """idx as an int array, every entry checked against [0, m); a float
+        or boolean block is refused, not truncated or read as a mask."""
+        idx = np.asarray(idx)
         if idx.size:
+            if idx.dtype.kind not in "iu":
+                raise IndexError(f"block indices must be integers, not {idx.dtype}")
             self._check_index(idx.min())
             self._check_index(idx.max())
-        return idx
+        return idx.astype(int, copy=False)
 
 
 def _quadratic_points(A, b, c, X):

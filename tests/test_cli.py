@@ -11,6 +11,7 @@ from bregman_kaczmarz import generators
 from bregman_kaczmarz import selection as sel
 from bregman_kaczmarz import solver as slv
 from bregman_kaczmarz.generators import GeneratorSpec, load_instance, stored_bytes
+from bregman_kaczmarz.systems import QuadraticSystem
 
 
 @pytest.fixture
@@ -417,6 +418,28 @@ class TestDiagnose:
         rng.standard_normal(30)
         dev = diag.check_gradients(load_instance(path).system, trials=20, rng=rng)
         assert f"grad_dev={dev:.3e}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scale, rc, verdict", [
+        (1.0, cli.EXIT_OK, "PASS"), (1.5, cli.EXIT_DEGENERATE, "FAIL"),
+        (np.nan, cli.EXIT_DEGENERATE, "FAIL")])
+    def test_wrong_gradient_fails(self, tmp_path, capsys, monkeypatch,
+                                  scale, rc, verdict):
+        # F_i scaled at the check's points only: the audit still passes,
+        # the gradients no longer match their finite differences
+        path = tmp_path / "inst.npz"
+        cli.main(["generate", "--kind", "gaussian", "--m", "60", "--n", "30",
+                  "--sp", "0.1", "--seed", "1", "--out", str(path)])
+        capsys.readouterr()
+        eval_points = QuadraticSystem.eval_points
+        monkeypatch.setattr(QuadraticSystem, "eval_points",
+                            lambda self, i, X: scale * eval_points(self, i, X))
+        assert cli.main(["diagnose", str(path), "--solver", "abnbk-a",
+                         "--seed", "5", "--local-start", "1e-3",
+                         "--out", str(tmp_path / "diag")]) == rc
+        out = capsys.readouterr().out
+        assert out.startswith(f"{verdict}: ")
+        assert "contraction_satisfied=1.000" in out
+        assert (" > 1e-05 " in out) == (verdict == "FAIL")
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
     def test_non_finite_local_start_rejected(self, instance_path, tmp_path,

@@ -373,10 +373,12 @@ def test_index_out_of_range_rejected(matrix_free, method, bad):
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_rows_checked_in_one_place(kind):
     # every system, the base loop too, rejects a bad row before reading
-    # one, and an empty block has shape (0, n)
+    # one, and an empty block has shape (0, n); a non-integer block is
+    # refused, not truncated ([1.7] -> row 1) or cast ([True, ...] -> 1, 0, 1)
     sys, reads = watched(kind, 4, 3, 0)
     x = np.ones(3)
-    for block in ([0, -1], [4, 0], [-5]):
+    for block in ([0, -1], [4, 0], [-5], [1.7], np.array([0.0, 2.0]),
+                  [True, False, True], np.array([1], dtype=object)):
         with pytest.raises(IndexError):
             sys.grad_block(block, x)
     assert reads.keys == []
