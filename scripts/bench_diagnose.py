@@ -28,27 +28,27 @@ BLAS runs on one thread unless the caller sets those variables.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+# perfbench/run.py loads no numpy on import, so BLAS still reads these
+from run import BLAS_THREAD_VARS, environment
+
 for var in BLAS_THREAD_VARS:
     os.environ.setdefault(var, "1")
 
 import argparse
 import json
-import platform
 import statistics
-import sys
 import tempfile
 from collections import defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
-from pathlib import Path
 
 import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
 from tracing import Tracer, aggregate
 
 from bregman_kaczmarz import cli, diagnostics, solver
@@ -136,21 +136,6 @@ def block_ms(m, n, sp, rows):
     return {"m": m, "n": n, "sp": sp, "rows": rows,
             "ms": statistics.median((s.end - s.start) / 1e6
                                     for s in tracer.spans)}
-
-
-def environment():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    cpu = platform.machine()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next(line.split(":", 1)[1].strip() for line in fh
-                       if line.startswith("model name"))
-    except (OSError, StopIteration):
-        pass
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": {"name": blas["name"], "version": blas["version"]},
-            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
-            "nproc": os.cpu_count(), "cpu": cpu}
 
 
 def main(argv=None):

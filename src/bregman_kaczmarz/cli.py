@@ -91,6 +91,21 @@ def local_dual(truth, lam, scale, rng):
     return truth + lam * np.sign(truth) + scale * rng.standard_normal(truth.size)
 
 
+def sweep(spec, configs, reps, prior, matrix_free=False):
+    """The runs of `bkz bench`: per repetition rep, one instance, start and
+    solver seed from `derived_seeds(spec.seed, rep)` and a run of every
+    config (preset name -> SolverConfig) on them.  Yields (rep, preset, record)."""
+    for rep in range(reps):
+        inst_seed, x0_seed, solver_seed = derived_seeds(spec.seed, rep)
+        instance = gen.generate(replace(spec, seed=inst_seed),
+                                matrix_free=matrix_free)
+        x0_star = initial_dual(instance.system.n, x0_seed)
+        for name, config in configs.items():
+            yield rep, name, slv.run(instance.system, prior,
+                                     replace(config, seed=solver_seed),
+                                     x0_star, truth=instance.truth)
+
+
 def _status_exit(status):
     return {slv.CONVERGED: EXIT_OK, slv.MAX_ITERS: EXIT_MAX_ITERS,
             slv.DEGENERATE: EXIT_DEGENERATE}[status]
@@ -155,20 +170,13 @@ def cmd_bench(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = {name: [] for name in solvers}
-    for rep in range(args.reps):
-        inst_seed, x0_seed, solver_seed = derived_seeds(args.seed, rep)
-        instance = gen.generate(replace(spec, seed=inst_seed),
-                                matrix_free=args.matrix_free)
-        x0_star = initial_dual(instance.system.n, x0_seed)
-        for name in solvers:
-            record = slv.run(instance.system, prior,
-                             replace(configs[name], seed=solver_seed),
-                             x0_star, truth=instance.truth)
-            elapsed = int(record.column("elapsed_ns").sum())
-            results[name].append((record.iterations, elapsed,
-                                  record.status == slv.CONVERGED))
-            if args.curves:
-                record.to_csv(out / f"curve_{name}_rep{rep}.csv")
+    for rep, name, record in sweep(spec, configs, args.reps, prior,
+                                   args.matrix_free):
+        elapsed = int(record.column("elapsed_ns").sum())
+        results[name].append((record.iterations, elapsed,
+                              record.status == slv.CONVERGED))
+        if args.curves:
+            record.to_csv(out / f"curve_{name}_rep{rep}.csv")
 
     with open(out / "table.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -208,7 +216,7 @@ def cmd_diagnose(args):
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     # audit_run draws nothing from rng, so the check sees the same draws
-    grad_dev = diag.check_gradients(instance.system, trials=20, rng=rng)
+    grad_dev = diag.check_gradients(instance.system, diag.GRADIENT_TRIALS, rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     record.to_csv(out / "history.csv")

@@ -31,6 +31,7 @@ class NoValidPairs(HypothesisViolated):
 AUDITED = dict(record_history=True, keep_iterates=True, block_norm="frobenius")
 # the largest finite-difference deviation `check_gradients` may report
 GRADIENT_TOL = 1e-5
+GRADIENT_TRIALS = 20        # the `check_gradients` trials of `bkz diagnose`
 
 
 @dataclass

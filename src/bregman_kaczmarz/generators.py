@@ -13,7 +13,9 @@ instances are identical across platforms and drawn row by row in place.
 from __future__ import annotations
 
 import json
+import numbers
 import os
+import zipfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -35,8 +37,14 @@ class GeneratorSpec:
     seed: int
 
     def __post_init__(self):
-        if self.kind not in (GAUSSIAN, DCT):
+        if not (isinstance(self.kind, str) and self.kind in (GAUSSIAN, DCT)):
             raise ValueError(f"kind must be '{GAUSSIAN}' or '{DCT}', got {self.kind!r}")
+        for name in ("m", "n", "sp", "seed"):      # a bool is no count or ratio
+            value = getattr(self, name)
+            number = numbers.Real if name == "sp" else numbers.Integral
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ValueError(f"{name} must be {number.__name__.lower()}, "
+                                 f"got {value!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"m, n must be positive, got ({self.m}, {self.n})")
         if not 0.0 < self.sp <= 1.0:
@@ -103,7 +111,8 @@ def generate(spec, matrix_free=False):
 
 
 def save_instance(path, instance):
-    """Write an instance container (.npz); round-trips bit-exactly."""
+    """Write an instance container (.npz format) to exactly `path`, whatever
+    its suffix; round-trips bit-exactly."""
     meta = dict(asdict(instance.spec), format_version=FORMAT_VERSION)
     arrays = {"truth": instance.truth,
               "b": instance.system.b,
@@ -115,7 +124,8 @@ def save_instance(path, instance):
         meta["storage"] = "dense"
         arrays["A"] = instance.system.A
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    with open(path, "wb") as fh:       # np.savez would append .npz to a name
+        np.savez(fh, **arrays)
 
 
 def _require(container, names, where):
@@ -126,24 +136,33 @@ def _require(container, names, where):
 
 def load_instance(path):
     """Read an instance container; raises ValueError on an unknown format
-    or storage, a missing array or meta key, non-finite stored values,
+    or storage, meta that is no JSON object, a missing array or meta key, non-finite stored values,
     arrays whose shapes disagree with each other or with the meta m, n, a
-    matrix-free file whose meta kind is not cosine, or a truth whose
-    nonzero count is not round(sp * n)."""
-    with np.load(path) as data:
-        _require(data, ["meta"], path)
-        meta = json.loads(bytes(data["meta"]).decode())
-        _require(meta, ["format_version", "storage", "kind", "m", "n", "sp",
-                        "seed"], f"{path}: meta")
-        if meta["format_version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported instance format {meta['format_version']}")
-        spec = GeneratorSpec(kind=meta["kind"], m=meta["m"], n=meta["n"],
-                             sp=meta["sp"], seed=meta["seed"])
-        tensor = {"dct_seed": "xi", "dense": "A"}.get(meta["storage"])
-        if tensor is None:
-            raise ValueError(f"{path}: unknown storage {meta['storage']!r}")
-        _require(data, [tensor, "b", "c", "truth"], path)
-        arrays = {name: data[name] for name in (tensor, "b", "c", "truth")}
+    matrix-free file whose meta kind is not cosine, a truth whose nonzero
+    count is not round(sp * n), or a file that is no zip archive (empty,
+    truncated, a directory) or a damaged one; FileNotFoundError for a
+    missing path."""
+    if os.path.exists(path) and not zipfile.is_zipfile(path):
+        raise ValueError(f"{path}: not an instance archive (.npz format)")
+    try:
+        with np.load(path) as data:
+            _require(data, ["meta"], path)
+            meta = json.loads(bytes(data["meta"]).decode())
+            if not isinstance(meta, dict):
+                raise ValueError(f"{path}: meta is no JSON object")
+            _require(meta, ["format_version", "storage", "kind", "m", "n", "sp",
+                            "seed"], f"{path}: meta")
+            if meta["format_version"] != FORMAT_VERSION:
+                raise ValueError(f"unsupported instance format {meta['format_version']}")
+            spec = GeneratorSpec(kind=meta["kind"], m=meta["m"], n=meta["n"],
+                                 sp=meta["sp"], seed=meta["seed"])
+            tensor = {"dct_seed": "xi", "dense": "A"}.get(meta["storage"])
+            if tensor is None:
+                raise ValueError(f"{path}: unknown storage {meta['storage']!r}")
+            _require(data, [tensor, "b", "c", "truth"], path)
+            arrays = {name: data[name] for name in (tensor, "b", "c", "truth")}
+    except zipfile.BadZipFile as exc:      # a member fails its CRC check
+        raise ValueError(f"{path}: damaged instance archive ({exc})") from None
     for name, values in arrays.items():
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: non-finite values in {name!r}")

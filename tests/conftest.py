@@ -46,11 +46,40 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def write_meta(path, text):
+    """Replace the meta of an instance file by the JSON `text`."""
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["meta"] = np.frombuffer(text.encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
 def set_meta(path, **fields):
     """Rewrite the given meta fields of an instance file."""
     with np.load(path) as data:
-        arrays = dict(data)
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    meta.update(fields)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+        meta = json.loads(bytes(data["meta"]).decode())
+    write_meta(path, json.dumps({**meta, **fields}))
+
+
+def flip_first_value(archive):
+    """The bytes of an .npz archive with one bit of the first value of its
+    first array flipped, which the member's CRC check then refuses."""
+    data = bytearray(archive)
+    data[archive.index(b"\x93NUMPY") + 128] ^= 1      # past the 128-byte header
+    return bytes(data)
+
+
+# ways to spoil an instance file, each with a phrase of the ValueError
+# `load_instance` raises for it
+CORRUPTIONS = {
+    "empty": (lambda path: path.write_bytes(b""), "not an instance archive"),
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[:300]),
+                  "not an instance archive"),
+    "directory": (lambda path: (path.unlink(), path.mkdir()),
+                  "not an instance archive"),
+    "damaged": (lambda path: path.write_bytes(flip_first_value(path.read_bytes())),
+                "damaged instance archive"),
+    "meta number": (lambda path: write_meta(path, "5"), "meta is no JSON object"),
+    "m string": (lambda path: set_meta(path, m="10"), "m must be integral"),
+    "sp null": (lambda path: set_meta(path, sp=None), "sp must be real"),
+}

@@ -7,7 +7,6 @@ checklist when run with `pytest -s tests/test_acceptance.py`.
 import statistics
 
 import numpy as np
-import pytest
 
 from bregman_kaczmarz import cli
 from bregman_kaczmarz import diagnostics as diag
@@ -22,30 +21,24 @@ def report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def sweep(kind, m, n, sp, base_seed, reps, solvers, lam=2.0):
-    """Median iteration counts and convergence fractions per solver."""
-    prior = SparsePrior(lam)
-    iters = {name: [] for name in solvers}
-    conv = {name: [] for name in solvers}
-    for rep in range(reps):
-        inst_seed, x0_seed, solver_seed = cli.derived_seeds(base_seed, rep)
-        inst = generate(GeneratorSpec(kind, m, n, sp, seed=inst_seed))
-        x0_star = cli.initial_dual(n, x0_seed)
-        for name in solvers:
-            config = cli.preset_config(name, seed=solver_seed,
-                                       record_history=False)
-            record = slv.run(inst.system, prior, config, x0_star,
-                             truth=inst.truth)
-            iters[name].append(record.iterations)
-            conv[name].append(record.status == slv.CONVERGED)
-    med = {name: statistics.median(iters[name]) for name in solvers}
-    frac = {name: sum(conv[name]) / reps for name in solvers}
+def sweep(kind, m, n, sp, reps, solvers):
+    """Median iteration counts and convergence fractions per solver over
+    the runs of `bkz bench --seed 42` without history."""
+    configs = {name: cli.preset_config(name, record_history=False)
+               for name in solvers}
+    runs = {name: [] for name in solvers}
+    for _, name, record in cli.sweep(GeneratorSpec(kind, m, n, sp, seed=42),
+                                     configs, reps, SparsePrior(2.0)):
+        runs[name].append(record)
+    med = {name: statistics.median(r.iterations for r in runs[name])
+           for name in solvers}
+    frac = {name: sum(r.status == slv.CONVERGED for r in runs[name]) / reps
+            for name in solvers}
     return med, frac
 
 
 def test_criterion_1_gaussian_method_ordering():
-    med, _ = sweep("gaussian", 200, 100, 0.05, base_seed=42, reps=20,
-                   solvers=cli.SOLVER_NAMES)
+    med, _ = sweep("gaussian", 200, 100, 0.05, reps=20, solvers=cli.SOLVER_NAMES)
     ok = (med["abnbk-a"] <= med["abnbk-c"] < med["mrnbk"] < med["nbk"]
           and med["abnbk-a"] <= 60)
     report("gaussian (200,100) sp=0.05 median ordering", ok,
@@ -54,7 +47,7 @@ def test_criterion_1_gaussian_method_ordering():
 
 
 def test_criterion_2_gaussian_large_gap():
-    med, frac = sweep("gaussian", 300, 150, 0.1, base_seed=42, reps=10,
+    med, frac = sweep("gaussian", 300, 150, 0.1, reps=10,
                       solvers=["nbk", "abnbk-c", "abnbk-a"])
     ok = (frac["abnbk-c"] >= 0.8 and frac["abnbk-a"] >= 0.8
           and (1.0 - frac["nbk"]) >= 0.8)
@@ -64,8 +57,7 @@ def test_criterion_2_gaussian_large_gap():
 
 
 def test_criterion_3_dct_family():
-    med, _ = sweep("dct", 200, 100, 0.05, base_seed=42, reps=10,
-                   solvers=["mrnbk", "abnbk-a"])
+    med, _ = sweep("dct", 200, 100, 0.05, reps=10, solvers=["mrnbk", "abnbk-a"])
     ok = med["abnbk-a"] < med["mrnbk"]
     report("dct (200,100) sp=0.05 adaptive beats max-residual", ok,
            f"abnbk-a={med['abnbk-a']} < mrnbk={med['mrnbk']}")

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import set_meta
+from conftest import CORRUPTIONS, set_meta
 
 from bregman_kaczmarz import cli
 from bregman_kaczmarz import diagnostics as diag
@@ -130,6 +130,14 @@ class TestGenerate:
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
+    def test_out_written_as_given(self, tmp_path):
+        path = tmp_path / "x.dat"
+        assert cli.main(["generate", "--kind", "gaussian", "--m", "20", "--n",
+                         "10", "--sp", "0.2", "--out", str(path)]) == cli.EXIT_OK
+        assert cli.main(["run", str(path), "--out",
+                         str(tmp_path / "o")]) == cli.EXIT_OK
+        assert not (tmp_path / "x.dat.npz").exists()
+
     def test_missing_instance(self, tmp_path):
         rc = cli.main(["run", str(tmp_path / "absent.npz"),
                        "--out", str(tmp_path / "out")])
@@ -190,6 +198,17 @@ class TestRun:
         rc = cli.main([command, str(instance_path), "--out", str(out)])
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    @pytest.mark.parametrize("case", list(CORRUPTIONS))
+    def test_unreadable_file_rejected(self, instance_path, tmp_path, capsys,
+                                      command, case):
+        CORRUPTIONS[case][0](instance_path)
+        out = tmp_path / "out"
+        rc = cli.main([command, str(instance_path), "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("command", ["run", "diagnose"])
     @pytest.mark.parametrize("corruption", ["meta m", "short truth"])
@@ -416,7 +435,8 @@ class TestDiagnose:
         assert rc == cli.EXIT_OK
         rng = np.random.default_rng(5)
         rng.standard_normal(30)
-        dev = diag.check_gradients(load_instance(path).system, trials=20, rng=rng)
+        dev = diag.check_gradients(load_instance(path).system,
+                                   trials=diag.GRADIENT_TRIALS, rng=rng)
         assert f"grad_dev={dev:.3e}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("scale, rc, verdict", [

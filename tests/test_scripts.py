@@ -39,6 +39,7 @@ def test_bench_diagnose_main(bench, tmp_path):
         (storage, seed) for storage, _, _ in bench.STORAGES
         for seed in bench.SEEDS]
     audits = [a for r in report["results"] for a in r["audits"]]
+    trials = diagnostics.GRADIENT_TRIALS
     assert len(audits) == 8 * len(cli.SOLVER_NAMES)
     assert {a["valid"] for a in audits} == {True, False}
     for a in audits:
@@ -49,9 +50,9 @@ def test_bench_diagnose_main(bench, tmp_path):
         assert calls["jvp"] == 2 * steps + 1
         if a["valid"]:
             assert a["exit_code"] in (cli.EXIT_OK, cli.EXIT_DEGENERATE)
-            assert calls["grad_block"] == 2 * steps + 20
+            assert calls["grad_block"] == 2 * steps + trials
             assert calls["check_gradients"] == 1
-            assert calls["eval_points"] == 20
+            assert calls["eval_points"] == trials
             assert a["grad_dev"] <= diagnostics.GRADIENT_TOL
         else:
             assert a["exit_code"] == cli.EXIT_VALIDATION

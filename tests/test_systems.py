@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import RowByRow, affine_system, random_quadratic, set_meta
+from conftest import (CORRUPTIONS, RowByRow, affine_system, random_quadratic,
+                      set_meta)
 
 from bregman_kaczmarz.generators import (DCT, GAUSSIAN, GeneratorSpec,
                                          generate, load_instance,
@@ -572,6 +573,17 @@ class TestSerialization:
         set_meta(path, **{field: 3})
         with pytest.raises(ValueError, match="disagree"):
             load_instance(path)
+
+    @pytest.mark.parametrize("case", list(CORRUPTIONS))
+    def test_unreadable_file_rejected(self, tmp_path, case):
+        path = tmp_path / "inst.npz"
+        save_instance(path, generate(GeneratorSpec(DCT, 5, 4, 0.5, seed=11)))
+        corrupt, phrase = CORRUPTIONS[case]
+        corrupt(path)
+        with pytest.raises(ValueError, match=phrase) as exc:
+            load_instance(path)
+        if "archive" in phrase:         # a file that is no archive is named
+            assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     def test_truth_of_wrong_length_rejected(self, tmp_path, matrix_free):
