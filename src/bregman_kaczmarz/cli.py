@@ -214,6 +214,11 @@ def cmd_diagnose(args):
         record, est, audit = diag.audit_run(instance, prior, config, x0_star)
     except diag.HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
+        est = exc.estimate
+        if est is not None:
+            print(f"eta = {est.eta:.4g} at the pair "
+                  f"{diag.pair_label(exc.record, est.pair)}, row {est.row}",
+                  file=sys.stderr)
         return EXIT_VALIDATION
     # audit_run draws nothing from rng, so the check sees the same draws
     grad_dev = diag.check_gradients(instance.system, diag.GRADIENT_TRIALS, rng)

@@ -19,11 +19,22 @@ from .priors import SparsePrior
 
 
 class HypothesisViolated(Exception):
-    """Audit preconditions (eta < 1/2, stepsize in the theorem range) failed."""
+    """Audit preconditions (eta < 1/2, stepsize in the theorem range) failed.
+
+    Raised by `audit_run`, it carries the audited run's `record` and the
+    `estimate` of eta when one was made; `estimate_eta` attaches the
+    estimate at a non-finite ratio."""
+
+    record = None
+    estimate = None
 
 
 class NoValidPairs(HypothesisViolated):
     """Every sampled pair had a zero denominator, so eta is unknown."""
+
+
+_NO_VALID_PAIRS = ("eta could not be estimated: no sampled pair had a nonzero "
+                  "denominator")
 
 
 # the settings `audit_run` imposes: every history row and iterate, and the
@@ -36,8 +47,13 @@ GRADIENT_TRIALS = 20        # the `check_gradients` trials of `bkz diagnose`
 
 @dataclass
 class EtaEstimate:
+    """eta, the number of valid (pair, row) samples, and the first sample
+    attaining eta: an index into the sampled pairs and a row of F."""
+
     eta: float
     sample_count: int
+    pair: int
+    row: int
 
 
 def estimate_eta(system, pairs, known=()):
@@ -45,12 +61,13 @@ def estimate_eta(system, pairs, known=()):
 
         |F_i(x1) - F_i(x2) - <grad F_i(x1), x1 - x2>| / |F_i(x1) - F_i(x2)|.
 
-    Rows with zero denominator are skipped; raises NoValidPairs if none
-    survive.  `known` holds (x, F(x)) pairs computed already, such as the
+    Rows with zero (or NaN) denominator are skipped; raises NoValidPairs
+    if none survive, and HypothesisViolated if a surviving ratio is NaN or
+    infinite.  `known` holds (x, F(x)) pairs computed already, such as the
     residuals a run recorded.  F is evaluated once per other distinct
     point of the call (a point recurs in the pairs of `trajectory_pairs`),
-    and the linear term is `system.jvp(x1, x1 - x2)`, so no Jacobian is
-    formed.
+    and the linear terms are one stacked `system.jvp(X1, X1 - X2)` over
+    all pairs, so no Jacobian is formed.
     """
     # keyed on the contents: a temporary from np.asarray can reuse an id
     residuals = {np.asarray(x, dtype=float).tobytes(): f for x, f in known}
@@ -61,25 +78,32 @@ def estimate_eta(system, pairs, known=()):
             residuals[key] = system.eval_all(x)
         return residuals[key]
 
-    eta = 0.0
-    count = 0
-    for x1, x2 in pairs:
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        f1 = residual(x1)
-        f2 = residual(x2)
-        lin = system.jvp(x1, x1 - x2)
-        num = np.abs(f1 - f2 - lin)
-        den = np.abs(f1 - f2)
-        valid = den > 0.0
-        if not np.any(valid):
-            continue
-        count += int(valid.sum())
-        eta = np.maximum(eta, (num[valid] / den[valid]).max())
+    if not len(pairs):
+        raise NoValidPairs(_NO_VALID_PAIRS)
+    X1 = np.array([x1 for x1, _ in pairs], dtype=float)
+    X2 = np.array([x2 for _, x2 in pairs], dtype=float)
+    diff = np.array([residual(x) for x in X1])
+    diff -= np.array([residual(x) for x in X2])
+    num = system.jvp(X1, X1 - X2)
+    num -= diff                     # in place: each array is (P, m)
+    np.abs(num, out=num)
+    den = np.abs(diff, out=diff)
+    valid = den > 0.0
+    count = int(valid.sum())
     if count == 0:
-        raise NoValidPairs("eta could not be estimated: no sampled pair had "
-                           "a nonzero denominator")
-    return EtaEstimate(eta=float(eta), sample_count=count)
+        raise NoValidPairs(_NO_VALID_PAIRS)
+    ratios = np.divide(num, den, out=num, where=valid)
+    ratios[~valid] = -np.inf
+    bad = np.argwhere(valid & ~np.isfinite(ratios))
+    if bad.size:
+        pair, row = (int(k) for k in bad[0])
+        exc = HypothesisViolated(f"eta is not finite: the ratio of pair {pair}, "
+                                 f"row {row} is {ratios[pair, row]}")
+        exc.estimate = EtaEstimate(float(ratios[pair, row]), count, pair, row)
+        raise exc
+    pair, row = (int(k) for k in np.unravel_index(ratios.argmax(), ratios.shape))
+    return EtaEstimate(eta=float(ratios[pair, row]), sample_count=count,
+                       pair=pair, row=row)
 
 
 def trajectory_pairs(record, truth=None):
@@ -96,6 +120,15 @@ def trajectory_pairs(record, truth=None):
     if truth is not None:
         pairs += [(x, truth) for x in record.primals]
     return pairs
+
+
+def pair_label(record, pair):
+    """The pair of `trajectory_pairs(record, truth)` at an index, as text:
+    (x_k, x_k+1) or (x_k, truth)."""
+    steps = len(record.primals) - 1
+    if pair < steps:
+        return f"(x_{pair}, x_{pair + 1})"
+    return f"(x_{pair - steps}, truth)"
 
 
 def check_gradients(system, trials, rng):
@@ -161,8 +194,8 @@ def contraction_audit(record, eta, config, per_block_jacobians):
     Winkler, 2023).  A step passes with an absolute slack of 1e-12, so
     distances at rounding level near convergence are not flagged.
     """
-    if eta >= 0.5:
-        raise HypothesisViolated(f"eta = {eta:.4g} >= 1/2")
+    if not eta < 0.5:           # a NaN eta is refused too
+        raise HypothesisViolated(f"eta = {eta:.4g} is not below 1/2")
     if isinstance(config.stepsize, sel.Constant):
         step = config.stepsize.alpha
         if not 1.0 <= step < 2.0 * (1.0 - eta):
@@ -205,8 +238,15 @@ def audit_run(instance, prior, config, x0_star):
     record = slv.run(instance.system, prior, config, x0_star,
                      truth=instance.truth)
     pairs = trajectory_pairs(record, truth=instance.truth)
-    est = estimate_eta(instance.system, pairs,
-                       known=zip(record.primals, record.residuals))
-    jacs = block_jacobians(record, instance.system)
-    audit = contraction_audit(record, est.eta, config, jacs)
+    est = None
+    try:
+        est = estimate_eta(instance.system, pairs,
+                           known=zip(record.primals, record.residuals))
+        jacs = block_jacobians(record, instance.system)
+        audit = contraction_audit(record, est.eta, config, jacs)
+    except HypothesisViolated as exc:
+        exc.record = record
+        if est is not None:
+            exc.estimate = est
+        raise
     return record, est, audit

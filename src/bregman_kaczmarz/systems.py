@@ -8,12 +8,19 @@ family and computes only the cosines that meet the support.  Both give the
 Jacobian-vector product J(x) d without forming J(x).  `eval_points` (F_i
 at many points) and `grad_block` (many gradient rows at one point) loop
 `eval_component` and `grad_component` unless a system overrides them, as
-both built-in ones do.  All systems are read-only after construction.
+both built-in ones do.  `jvp` takes one pair (x, d) or stacks X, D of P
+pairs, shape (P, n), and gives J(X_p) D_p for all of them in one call;
+the built-in systems work through the pairs in chunks that share their
+support work, and the base class goes pair by pair.  All systems are
+read-only after construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# the temporaries one chunk of a dense stacked `jvp` may hold
+_JVP_BYTES = 1 << 18
 
 
 class NonlinearSystem:
@@ -50,8 +57,21 @@ class NonlinearSystem:
         return self.grad_block(np.arange(self.m), x)
 
     def jvp(self, x, d):
-        """The Jacobian-vector product J(x) d, length m."""
-        return self.jacobian(x) @ np.asarray(d, dtype=float)
+        """The Jacobian-vector product J(x) d, length m; for stacks X, D of
+        shape (P, n), the (P, m) array whose row p is J(X_p) D_p."""
+        X, D, single = self._stacks(x, d)
+        out = np.array([self.jacobian(xp) @ dp for xp, dp in zip(X, D)])
+        out = out.reshape(len(X), self.m)
+        return out[0] if single else out
+
+    def _stacks(self, x, d):
+        """x and d as (P, n) stacks, and whether they were single vectors."""
+        x = np.asarray(x, dtype=float)
+        d = np.asarray(d, dtype=float)
+        if x.shape != d.shape or x.ndim not in (1, 2) or x.shape[-1] != self.n:
+            raise ValueError(f"jvp needs x and d of one shape, (n,) or (P, n) "
+                             f"with n = {self.n}; got {x.shape} and {d.shape}")
+        return np.atleast_2d(x), np.atleast_2d(d), x.ndim == 1
 
     def _check_index(self, i):
         if not 0 <= i < self.m:
@@ -81,7 +101,8 @@ class QuadraticSystem(NonlinearSystem):
     A_i may be non-symmetric and is stored once, as given.  Gradient
     rows 0.5 (A_i + A_i^T) x + b_i come from the contiguous slab A_i;
     `eval_all` touches only the support S of x, at cost m*|S|*n, and
-    `jvp` only the union U of the supports of x and d, at cost 2m*|U|*n.
+    `jvp` only the union U of the supports of x and d, at cost 2m*|U|^2
+    per pair.
     """
 
     def __init__(self, A, b, c):
@@ -123,17 +144,35 @@ class QuadraticSystem(NonlinearSystem):
         return 0.5 * (u * x[S]).sum(axis=1) + self.b @ x + self.c
 
     def jvp(self, x, d):
-        """J(x) d: row i is 0.5 (<x, A_i d> + <d, A_i x>) + <b_i, d>, where
-        only the entries j of A_i d and A_i x with x_j or d_j nonzero count.
+        """J(x) d, or row p J(X_p) D_p for stacks: row i of J(x) d is
+        0.5 (<x, A_i d> + <d, A_i x>) + <b_i, d>, where only the entries j
+        of A_i d and A_i x with x_j or d_j nonzero count.
+
+        The pairs go in chunks of at most _JVP_BYTES of temporaries.  For
+        a chunk, U is the union of the supports of its rows, and each j in
+        U costs one product [D | X] A[:, j, U]^T over all its pairs.
         """
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(d, dtype=float)
-        U = np.flatnonzero((x != 0.0) | (d != 0.0))
-        dx = np.column_stack((d, x))
-        w = np.empty((self.m, U.size, 2))
-        for s, j in enumerate(U):
-            w[:, s] = self.A[:, j, :] @ dx   # (A_i d)_j, (A_i x)_j for every row i
-        return 0.5 * (w[:, :, 0] @ x[U] + w[:, :, 1] @ d[U]) + self.b @ d
+        X, D, single = self._stacks(x, d)
+        out = np.empty((len(X), self.m))
+        step = max(1, _JVP_BYTES // (8 * (3 * self.m + 4 * self.n)))
+        for s in range(0, len(X), step):
+            self._jvp_chunk(X[s:s + step], D[s:s + step], out[s:s + step])
+        return out[0] if single else out
+
+    def _jvp_chunk(self, X, D, out):
+        """Write J(X_p) D_p into row p of out; the temporaries die here."""
+        p = len(X)
+        U = np.flatnonzero(((X != 0.0) | (D != 0.0)).any(axis=0))
+        DX = np.vstack((D[:, U], X[:, U]))
+        out[:] = 0.0
+        for j in U.tolist():
+            w = DX @ self.A[:, j, U].T       # (A_i d_p)_j, then (A_i x_p)_j
+            w[:p] *= X[:, j, None]
+            w[p:] *= D[:, j, None]
+            out += w[:p]
+            out += w[p:]
+        out *= 0.5
+        out += D @ self.b.T
 
 
 class DCTQuadraticSystem(NonlinearSystem):
@@ -143,7 +182,8 @@ class DCTQuadraticSystem(NonlinearSystem):
     the frequency vectors xi_i need to be stored.  Entries are computed on
     demand and only where they meet the support S of x: m*|S|^2 cosines
     per residual vector, 2*n*|S| - |S|^2 per gradient row and
-    2*|S|*|S(d)| per row of J(x) d, against n^2 per row for a materialized
+    2*|Ux|*|Ud| per row of J(x) d for a whole chunk of pairs (the union
+    supports of their x and d), against n^2 per row for a materialized
     A_i.  Nothing is cached between calls.
     """
 
@@ -222,15 +262,55 @@ class DCTQuadraticSystem(NonlinearSystem):
         return self._gradients(self._rows(idx), np.asarray(x, dtype=float))
 
     def jvp(self, x, d):
-        """J(x) d from the cosines A_i[S, S(d)] and A_i[S(d), S] alone,
-        one block of them alive at a time."""
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(d, dtype=float)
-        Sx, Sd = np.flatnonzero(x), np.flatnonzero(d)
-        xS, dS = x[Sx], d[Sd]
-        xAd = self._cosines(self.xi[:, Sx], Sd) @ dS @ xS   # <x, A_i d>
-        dAx = self._cosines(self.xi[:, Sd], Sx) @ xS @ dS   # <d, A_i x>
-        return 0.5 * (xAd + dAx) + self.b @ d
+        """J(x) d, or row p J(X_p) D_p for stacks, from the cosines
+        A_i[Ux, Ud] and A_i[Ud, Ux] alone, Ux and Ud being the unions of
+        the supports of the x and d rows of a chunk of pairs.  Each block
+        is computed once per chunk, contracted with every pair of it and
+        freed before the next."""
+        X, D, single = self._stacks(x, d)
+        NX, ND = X != 0.0, D != 0.0
+        out = np.empty((len(X), self.m))
+        s = 0
+        while s < len(X):
+            e = s + self._chunk(NX[s:], ND[s:])
+            out[s:e] = self._jvp_chunk(X[s:e], D[s:e], NX[s:e], ND[s:e]).T
+            s = e
+        return out[0] if single else out
+
+    def _jvp_chunk(self, X, D, NX, ND):
+        """J(X_p) D_p as column p, shape (m, P); the temporaries die here."""
+        Ux = np.flatnonzero(NX.any(axis=0))
+        Ud = np.flatnonzero(ND.any(axis=0))
+        XU, DU = X[:, Ux], D[:, Ud]
+        lin = self._bilinear(self.xi[:, Ux], Ud, DU, XU)    # <x, A_i d>
+        lin += self._bilinear(self.xi[:, Ud], Ux, XU, DU)   # <d, A_i x>
+        lin *= 0.5
+        lin += self.b @ D.T
+        return lin
+
+    def _chunk(self, NX, ND):
+        """How many leading pairs, at least one, go in a chunk: per row of
+        F, its block (|Ux| |Ud| cosines), the products with its p pairs and
+        the results, |Ux| |Ud| + p (|Ux| + |Ud| + 3) entries, stay within
+        2 n |S|, |S| >= 1 the largest x-support in the chunk."""
+        # p (|Ux| + 3) <= 2 n max(|S|, 1) <= 2 n max(|Ux|, 1) bounds p by 2n
+        NX, ND = NX[:2 * self.n], ND[:2 * self.n]
+        ux = np.logical_or.accumulate(NX, axis=0).sum(axis=1)
+        ud = np.logical_or.accumulate(ND, axis=0).sum(axis=1)
+        sx = np.maximum.accumulate(NX.sum(axis=1))
+        p = np.arange(1, len(NX) + 1)
+        fits = ux * ud + p * (ux + ud + 3) <= 2 * self.n * np.maximum(sx, 1)
+        return max(1, len(fits) if fits.all() else int(fits.argmin()))
+
+    def _bilinear(self, xi, cols, R, L):
+        """<L_p, A_i[rows, cols] R_p> for every row i and pair p, shape
+        (m, P), the rows of A_i being those whose frequencies xi holds."""
+        C = self._cosines(xi, cols)                    # (m, |rows|, |cols|)
+        m, k, _ = C.shape
+        T = (C.reshape(m * k, len(cols)) @ R.T).reshape(m, k, len(R))
+        del C
+        T *= L.T
+        return T.sum(axis=1)
 
     def to_dense(self):
         A = self._cosines(self.xi, np.arange(self.n))

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bregman_kaczmarz import generators
 from bregman_kaczmarz import selection as sel
 from bregman_kaczmarz import solver as slv
 from bregman_kaczmarz.generators import GeneratorSpec, load_instance, stored_bytes
+from bregman_kaczmarz.priors import SparsePrior
 from bregman_kaczmarz.systems import QuadraticSystem
 
 
@@ -478,3 +480,41 @@ class TestDiagnose:
                        "--seed", "0", "--out", str(out)])
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
+
+    @pytest.mark.parametrize("solver", ["mrnbk", "abnbk-a"])
+    def test_refusal_names_the_pair_that_set_eta(self, instance_path, tmp_path,
+                                                 capsys, solver):
+        # the ratio at the printed pair and row, recomputed from eval_all
+        # and jvp along the audited run, is the printed eta; from this
+        # start mrnbk's is an (x_k, truth) pair, abnbk-a's a consecutive one
+        rc = cli.main(["diagnose", str(instance_path), "--solver", solver,
+                       "--seed", "0", "--out", str(tmp_path / "d")])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("hypothesis violated: eta = ")
+        found = re.fullmatch(r"eta = (\S+) at the pair \(x_(\d+), "
+                             r"(x_(\d+)|truth)\), row (\d+)", err[1])
+        assert found
+        k, row = int(found[2]), int(found[5])
+        inst = load_instance(instance_path)
+        config = cli.preset_config(solver, seed=0)
+        with pytest.raises(diag.HypothesisViolated) as info:
+            diag.audit_run(inst, SparsePrior(cli.DEFAULT_LAMBDA), config,
+                           cli.initial_dual(inst.system.n, 0))
+        record, est = info.value.record, info.value.estimate
+        assert found[1] == f"{est.eta:.4g}" and row == est.row
+        assert (found[3] == "truth") == (solver == "mrnbk")
+        x1 = record.primals[k]
+        if found[3] == "truth":
+            x2 = inst.truth
+            assert est.pair == record.iterations + k
+        else:
+            x2 = record.primals[int(found[4])]
+            assert int(found[4]) == k + 1 and est.pair == k
+        sys = inst.system
+        f1, f2 = sys.eval_all(x1)[row], sys.eval_all(x2)[row]
+        d = x1 - x2
+        ratio = abs(f1 - f2 - sys.jvp(x1, d)[row]) / abs(f1 - f2)
+        g = sys.grad_component(row, x1)
+        bound = 1e-12 * (abs(f1) + abs(f2) + abs(g * d).sum()) / abs(f1 - f2)
+        assert abs(ratio - est.eta) <= bound

@@ -116,6 +116,36 @@ class TestEtaEstimate:
         assert_matches_row_loop(inst.system, pairs)
 
     @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_pair_and_row_attain_eta(self, rng, matrix_free):
+        # the ratio at the reported (pair, row), from eval_all and a 1-D
+        # jvp, is eta within the rounding bound of assert_matches_row_loop
+        _, pairs, inst = recorded_trajectory(matrix_free, rng)
+        sys = inst.system
+        est = diag.estimate_eta(sys, pairs)
+        x1, x2 = pairs[est.pair]
+        i, d = est.row, x1 - x2
+        f1, f2 = sys.eval_all(x1)[i], sys.eval_all(x2)[i]
+        g = sys.grad_component(i, x1)
+        r = abs(f1 - f2 - sys.jvp(x1, d)[i]) / abs(f1 - f2)
+        e = 1e-12 * (abs(f1) + abs(f2) + float(abs(g * d).sum())) / abs(f1 - f2)
+        assert abs(r - est.eta) <= e
+
+    def test_non_finite_ratio_refused(self):
+        # x with one entry 1e200 makes F(x) and the linear term infinite,
+        # so the ratio of the valid pair (x, truth) is NaN, not an eta
+        inst = generate(GeneratorSpec("gaussian", 20, 10, 0.2, seed=1))
+        x = inst.truth.copy()
+        x[3] = 1e200
+        with pytest.raises(diag.HypothesisViolated,
+                           match="eta is not finite: the ratio of pair 0") as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            diag.estimate_eta(inst.system, [(x, inst.truth)])
+        assert not isinstance(info.value, diag.NoValidPairs)
+        est = info.value.estimate
+        assert est.pair == 0 and np.isnan(est.eta)
+        assert f"row {est.row} is nan" in str(info.value)
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
     def test_one_evaluation_per_point_and_no_jacobian(self, rng, matrix_free):
         record, pairs, inst = recorded_trajectory(matrix_free, rng)
         steps = len(record.duals) - 1
@@ -265,6 +295,15 @@ class TestContractionAudit:
         with pytest.raises(diag.HypothesisViolated):
             diag.contraction_audit(record, 0.6, config, jacs)
 
+    def test_nan_eta_refused_as_eta(self, rng):
+        # not read as an eta below 1/2 whose stepsize range is (0, nan)
+        record, config, jacs = self.audited_affine(rng)
+        for policy in (config.stepsize, sel.Adaptive(1.3)):
+            with pytest.raises(diag.HypothesisViolated,
+                               match="eta = nan is not below 1/2"):
+                diag.contraction_audit(record, np.nan,
+                                       slv.SolverConfig(stepsize=policy), jacs)
+
     def test_stepsize_out_of_theorem_range(self, rng):
         record, _, jacs = self.audited_affine(rng)
         # alpha = 1.5 exceeds 2(1 - 0.3) = 1.4
@@ -308,24 +347,36 @@ class TestAuditRun:
         return inst, SparsePrior(2.0), config, start
 
     def test_refused_audit_builds_no_block_jacobian(self):
-        # F again only at the truth, no grad_block beyond the run's, and
-        # only the run's mirror maps, one per iterate
+        # F again only at the truth, no grad_block beyond the run's, one
+        # stacked jvp, and only the run's mirror maps, one per iterate
         inst, prior, config, x0 = self.audit_inputs(local=False)
         steps = slv.run(inst.system, prior, config, x0).iterations
-        counts = count_calls(inst.system, ["eval_all", "grad_block"])
+        counts = count_calls(inst.system, ["eval_all", "grad_block", "jvp"])
         maps = count_calls(prior, ["conj_grad"])
         with pytest.raises(diag.HypothesisViolated):
             diag.audit_run(inst, prior, config, x0)
-        assert counts == {"eval_all": steps + 2, "grad_block": steps}
+        assert counts == {"eval_all": steps + 2, "grad_block": steps, "jvp": 1}
         assert maps == {"conj_grad": steps + 1}
+
+    def test_refusal_carries_record_and_estimate(self):
+        inst, prior, config, x0 = self.audit_inputs(local=False)
+        with pytest.raises(diag.HypothesisViolated) as info:
+            diag.audit_run(inst, prior, config, x0)
+        record, est = info.value.record, info.value.estimate
+        assert record.iterations == slv.run(inst.system, prior, config,
+                                            x0).iterations
+        pairs = diag.trajectory_pairs(record, inst.truth)
+        assert est == diag.estimate_eta(inst.system, pairs)
+        assert not est.eta < 0.5
 
     def test_valid_audit_builds_each_block_jacobian_once(self):
         inst, prior, config, x0 = self.audit_inputs(local=True)
-        counts = count_calls(inst.system, ["eval_all", "grad_block"])
+        counts = count_calls(inst.system, ["eval_all", "grad_block", "jvp"])
         maps = count_calls(prior, ["conj_grad"])
         record, est, audit = diag.audit_run(inst, prior, config, x0)
         steps = record.iterations
-        assert counts == {"eval_all": steps + 2, "grad_block": 2 * steps}
+        assert counts == {"eval_all": steps + 2, "grad_block": 2 * steps,
+                          "jvp": 1}
         assert maps == {"conj_grad": steps + 1}
         # the run's residuals give the estimate F evaluated afresh gives
         pairs = diag.trajectory_pairs(record, inst.truth)
@@ -350,8 +401,10 @@ class TestAuditRun:
         # (x_0, truth), has no finite difference of F
         inst, prior, config, _ = self.audit_inputs(local=False)
         with pytest.raises(diag.HypothesisViolated,
-                           match="eta could not be estimated"):
+                           match="eta could not be estimated") as info:
             diag.audit_run(inst, prior, config, np.full(30, np.nan))
+        assert info.value.estimate is None
+        assert info.value.record.iterations == 0
 
     def test_local_start_monotone(self):
         inst = generate(GeneratorSpec("gaussian", 60, 30, 0.1, seed=1))

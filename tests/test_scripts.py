@@ -47,7 +47,7 @@ def test_bench_diagnose_main(bench, tmp_path):
         calls = {name: span["calls"] for name, span in a["spans"].items()}
         assert calls["diagnose"] == calls["run"] == calls["estimate_eta"] == 1
         assert calls["eval_all"] == steps + 2
-        assert calls["jvp"] == 2 * steps + 1
+        assert calls["jvp"] == 1
         if a["valid"]:
             assert a["exit_code"] in (cli.EXIT_OK, cli.EXIT_DEGENERATE)
             assert calls["grad_block"] == 2 * steps + trials

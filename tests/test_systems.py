@@ -416,6 +416,71 @@ def test_eval_points_matches_eval_all(case, rng):
             assert abs(value - F[i]) <= RTOL * F_scale[i]
 
 
+def stacked_pairs(n, count, rng):
+    """`count` pairs (x, d) with supports of every size, the zeros of x
+    -0.0; among the first three, x = 0, d = 0 and disjoint supports."""
+    X = np.array([sparse_vector(n, rng.integers(n + 1), True, 1.0, rng)
+                  for _ in range(count)]).reshape(count, n)
+    D = np.array([sparse_vector(n, rng.integers(n + 1), False, 1.0, rng)
+                  for _ in range(count)]).reshape(count, n)
+    if count >= 3:
+        X[0], D[1] = 0.0, 0.0
+        half = rng.permutation(n)[: n // 2]
+        X[2], D[2] = -0.0, rng.standard_normal(n)
+        X[2, half], D[2, half] = rng.standard_normal(half.size), 0.0
+    return X, D
+
+
+@pytest.mark.parametrize("case", ["dense", "matrix-free", "affine", "base"])
+@pytest.mark.parametrize("count", [0, 1, 17, 1000])
+def test_stacked_jvp_rows_match_single_pairs(case, count, rng):
+    # row p of a stacked call is J(X_p) D_p: against the 1-D call and the
+    # dense reference, over one chunk and several (1000 pairs of a dense
+    # (9, 6) system are two)
+    sys, dense = eval_points_cases()[case]
+    X, D = stacked_pairs(sys.n, count, rng)
+    out = sys.jvp(X, D)
+    assert out.shape == (count, sys.m)
+    for x, d, row in zip(X, D, out):
+        one = sys.jvp(x, d)
+        assert one.shape == (sys.m,)
+        J = dense.grad_block(np.arange(sys.m), x)
+        tol = RTOL * (dense_reference(dense, x)[3] @ abs(d))
+        assert np.all(abs(row - one) <= tol)
+        assert np.all(abs(row - J @ d) <= tol)
+
+
+@pytest.mark.parametrize("case", ["dense", "matrix-free", "base"])
+def test_jvp_shapes_checked(case):
+    sys = eval_points_cases()[case][0]
+    x = np.ones(sys.n)
+    for bad in ((x, np.ones((1, sys.n))), (x[:-1], x[:-1]),
+                (np.ones((2, 1, sys.n)), np.ones((2, 1, sys.n)))):
+        with pytest.raises(ValueError, match="jvp needs"):
+            sys.jvp(*bad)
+
+
+@pytest.mark.parametrize("make", [random_quadratic, random_cosine])
+def test_stacked_jvp_memory_does_not_grow_with_pairs(make, rng):
+    # beyond its (P, m) result a stacked call holds one chunk's
+    # temporaries: as much for 400 pairs as for 200, less than the
+    # dense tensor, and for the cosines within the bound a single pair
+    # may reach, 3 m n |S| 8 bytes
+    m, n, support, count = 40, 30, 3, 400
+    X = np.zeros((count, n))
+    for x in X:
+        x[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
+    D = np.where(rng.random((count, n)) < 0.2, rng.standard_normal((count, n)), 0.0)
+    make(m, n, seed=1).jvp(X, D)
+    sys = make(m, n, seed=2)
+    peaks = peak_bytes([lambda: sys.jvp(X[:200], D[:200]), lambda: sys.jvp(X, D)])
+    held = [peak - P * m * 8 for P, peak in zip((200, count), peaks)]
+    assert held[1] <= held[0] + 16 * 1024
+    assert held[0] < m * n * n * 8
+    if make is random_cosine:
+        assert held[0] < 3 * m * n * support * 8 + 16 * 1024
+
+
 @pytest.mark.parametrize("m, n, rows", [(300, 150, 113), (200, 100, 20)])
 def test_dense_grad_block_bit_equal_to_row_formula(m, n, rows):
     # the block-dense and diagnose block shapes, at a dense and a sparse x:
