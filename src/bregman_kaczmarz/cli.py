@@ -298,7 +298,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    # an --out that is a file where a directory goes, or the reverse, is
+    # refused like bad input; other OS errors (a full disk) are not
+    except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

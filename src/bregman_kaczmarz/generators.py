@@ -47,6 +47,8 @@ class GeneratorSpec:
                                  f"got {value!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"m, n must be positive, got ({self.m}, {self.n})")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.sp <= 1.0:
             raise ValueError(f"sp must be in (0, 1], got {self.sp}")
         if round(self.sp * self.n) < 1:

@@ -72,6 +72,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if isinstance(self.stepsize, sel.Constant) and self.stepsize.alpha < 1.0:
             warnings.warn(
                 f"constant stepsize {self.stepsize.alpha} is below the "

@@ -82,4 +82,5 @@ CORRUPTIONS = {
     "meta number": (lambda path: write_meta(path, "5"), "meta is no JSON object"),
     "m string": (lambda path: set_meta(path, m="10"), "m must be integral"),
     "sp null": (lambda path: set_meta(path, sp=None), "sp must be real"),
+    "seed -1": (lambda path: set_meta(path, seed=-1), "seed must be non-negative"),
 }

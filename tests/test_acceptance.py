@@ -80,8 +80,8 @@ def test_criterion_4_monotone_bregman_decrease():
     for rep in range(10):
         inst_seed, x0_seed, _ = cli.derived_seeds(7, rep)
         inst = generate(GeneratorSpec("gaussian", 60, 30, 0.1, seed=inst_seed))
-        noise = np.random.default_rng(x0_seed).standard_normal(30)
-        x0_star = inst.truth + 2.0 * np.sign(inst.truth) + 1e-3 * noise
+        x0_star = cli.local_dual(inst.truth, 2.0, 1e-3,
+                                 np.random.default_rng(x0_seed))
         for config in configs:
             try:
                 _, est, audit = diag.audit_run(inst, prior, config, x0_star)

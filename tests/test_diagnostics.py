@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import RowByRow, affine_system, random_quadratic
 
+from bregman_kaczmarz import cli
 from bregman_kaczmarz import diagnostics as diag
 from bregman_kaczmarz import selection as sel
 from bregman_kaczmarz import solver as slv
@@ -63,9 +66,8 @@ def recorded_trajectory(matrix_free, rng, local=False):
     inst = generate(GeneratorSpec(kind, 12, 8, 0.25, seed=3),
                     matrix_free=matrix_free)
     prior = SparsePrior(0.5)
-    x0 = rng.standard_normal(8)
-    if local:
-        x0 = inst.truth + 0.5 * np.sign(inst.truth) + 1e-2 * x0
+    x0 = (cli.local_dual(inst.truth, 0.5, 1e-2, rng) if local
+          else rng.standard_normal(8))
     record = slv.run(inst.system, prior,
                      slv.SolverConfig(max_iters=8, keep_iterates=True),
                      x0, truth=inst.truth)
@@ -339,9 +341,9 @@ class TestContractionAudit:
 class TestAuditRun:
     def audit_inputs(self, local):
         inst = generate(GeneratorSpec("gaussian", 60, 30, 0.1, seed=1))
-        start = np.random.default_rng(0).standard_normal(30)
-        if local:
-            start = inst.truth + 2.0 * np.sign(inst.truth) + 1e-3 * start
+        rng = np.random.default_rng(0)
+        start = (cli.local_dual(inst.truth, 2.0, 1e-3, rng) if local
+                 else rng.standard_normal(30))
         config = slv.SolverConfig(selection=sel.GreedyBlock(0.1),
                                   stepsize=sel.Constant(1.0))
         return inst, SparsePrior(2.0), config, start
@@ -407,26 +409,16 @@ class TestAuditRun:
         assert info.value.record.iterations == 0
 
     def test_local_start_monotone(self):
-        inst = generate(GeneratorSpec("gaussian", 60, 30, 0.1, seed=1))
-        prior = SparsePrior(2.0)
-        x0 = (inst.truth + 2.0 * np.sign(inst.truth)
-              + 1e-3 * np.random.default_rng(0).standard_normal(30))
-        config = slv.SolverConfig(selection=sel.GreedyBlock(0.1),
-                                  stepsize=sel.Constant(1.0))
+        inst, prior, config, x0 = self.audit_inputs(local=True)
         record, est, audit = diag.audit_run(inst, prior, config, x0)
         assert record.status == slv.CONVERGED
         assert est.eta < 0.5
         assert audit.all_satisfied
 
     def test_forces_frobenius(self):
-        inst = generate(GeneratorSpec("gaussian", 60, 30, 0.1, seed=1))
-        prior = SparsePrior(2.0)
-        x0 = (inst.truth + 2.0 * np.sign(inst.truth)
-              + 1e-3 * np.random.default_rng(0).standard_normal(30))
-        config = slv.SolverConfig(selection=sel.GreedyBlock(0.1),
-                                  stepsize=sel.Constant(1.0),
-                                  block_norm="spectral",
-                                  record_history=False)
+        inst, prior, config, x0 = self.audit_inputs(local=True)
+        config = dataclasses.replace(config, block_norm="spectral",
+                                     record_history=False)
         record, est, audit = diag.audit_run(inst, prior, config, x0)
         # the audited run is re-recorded with the literal averaged update
         assert len(record.rows) == record.iterations + 1

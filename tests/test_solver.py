@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import affine_system, random_quadratic
+from conftest import affine_system
 
 from bregman_kaczmarz import cli
 from bregman_kaczmarz import selection as sel
@@ -245,8 +245,7 @@ class TestMonotoneBregman:
         # decreases every iteration
         inst = small_instance(seed=21, m=40, n=20, sp=0.2)
         prior = SparsePrior(2.0)
-        x0 = (inst.truth + 2.0 * np.sign(inst.truth)
-              + 1e-3 * np.random.default_rng(0).standard_normal(20))
+        x0 = cli.local_dual(inst.truth, 2.0, 1e-3, np.random.default_rng(0))
         config = slv.SolverConfig(selection=sel.GreedyBlock(0.1),
                                   stepsize=sel.Constant(1.0), max_iters=500)
         record = slv.run(inst.system, prior, config, x0, truth=inst.truth)

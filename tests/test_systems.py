@@ -38,20 +38,6 @@ class TestEvaluation:
         x = np.array([1.0, 1.0])
         np.testing.assert_allclose(sys.eval_all(x), [1.0, 0.0])
 
-    def test_eval_all_consistent_componentwise(self, rng):
-        sys = random_quadratic(6, 4, seed=0)
-        x = rng.standard_normal(4)
-        full = sys.eval_all(x)
-        for i in range(6):
-            assert full[i] == pytest.approx(sys.eval_component(i, x), rel=1e-12)
-
-    def test_index_out_of_range(self):
-        sys = identity_and_affine()
-        with pytest.raises(IndexError):
-            sys.eval_component(2, np.zeros(2))
-        with pytest.raises(IndexError):
-            sys.grad_component(-1, np.zeros(2))
-
 
 class TestGradients:
     def test_symmetric_gradient(self):
@@ -63,29 +49,6 @@ class TestGradients:
         sys = identity_and_affine()
         np.testing.assert_allclose(
             sys.grad_component(1, rng.standard_normal(2)), [1.0, 2.0])
-
-    def test_finite_differences_nonsymmetric(self, rng):
-        sys = random_quadratic(5, 4, seed=3)
-        for i in range(5):
-            for _ in range(20):
-                x = rng.standard_normal(4)
-                g = sys.grad_component(i, x)
-                h = 1e-6 * (1.0 + np.linalg.norm(x))
-                fd = np.empty(4)
-                for j in range(4):
-                    e = np.zeros(4)
-                    e[j] = h
-                    fd[j] = (sys.eval_component(i, x + e)
-                             - sys.eval_component(i, x - e)) / (2.0 * h)
-                assert np.linalg.norm(g - fd) <= 1e-5 * (1.0 + np.linalg.norm(fd))
-
-    def test_grad_block_matches_rows(self, rng):
-        sys = random_quadratic(6, 4, seed=1)
-        x = rng.standard_normal(4)
-        idx = np.array([0, 3, 5])
-        block = sys.grad_block(idx, x)
-        for row, i in zip(block, idx):
-            np.testing.assert_allclose(row, sys.grad_component(i, x))
 
 
 def dense_reference(sys, x):
@@ -122,66 +85,12 @@ def sparse_vector(n, support, negative_zeros, scale, rng):
     return v
 
 
-def check_dense_reference(sys, dense, support, negative_zeros, scale, seed):
-    """Every evaluation of sys against the full contraction of its dense
-    tensor; gradient rows of a block bit-equal to single rows."""
-    rng = np.random.default_rng(seed)
-    m, n = sys.m, sys.n
-    x = sparse_vector(n, support, negative_zeros, scale, rng)
-    F, F_scale, J, J_scale = dense_reference(dense, x)
-
-    assert np.all(abs(sys.eval_all(x) - F) <= RTOL * F_scale)
-    for i in range(m):
-        assert abs(sys.eval_component(i, x) - F[i]) <= RTOL * F_scale[i]
-        assert np.all(abs(sys.grad_component(i, x) - J[i]) <= RTOL * J_scale[i])
-    blocks = [rng.integers(m, size=1),
-              rng.choice(m, size=rng.integers(1, m + 1), replace=False),
-              np.arange(m)]
-    for idx in blocks:
-        rows = sys.grad_block(idx, x)
-        assert np.all(abs(rows - J[idx]) <= RTOL * J_scale[idx])
-        for row, i in zip(rows, idx):
-            np.testing.assert_array_equal(row, sys.grad_component(i, x))
-    assert np.all(abs(sys.jacobian(x) - J) <= RTOL * J_scale)
-
-
 def check_jvp(sys, dense, x, d):
     """jvp against the full Jacobian of the dense tensor times d, within the
     sum of absolute term values."""
     J = dense.grad_block(np.arange(sys.m), x)
     J_scale = dense_reference(dense, x)[3]
     assert np.all(abs(sys.jvp(x, d) - J @ d) <= RTOL * (J_scale @ abs(d)))
-
-
-def check_jvp_cases(sys, dense, seed):
-    """x = 0 and d = 0 exactly, disjoint supports and a dense x against the
-    reference."""
-    rng = np.random.default_rng(seed)
-    n = sys.n
-    d = rng.standard_normal(n)
-    np.testing.assert_array_equal(sys.jvp(np.zeros(n), d), sys.b @ d)
-    np.testing.assert_array_equal(sys.jvp(rng.standard_normal(n), np.zeros(n)),
-                                  np.zeros(sys.m))
-    half = rng.permutation(n)[: n // 2]
-    x, d = np.zeros(n), rng.standard_normal(n)
-    x[half], d[half] = rng.standard_normal(half.size), 0.0
-    check_jvp(sys, dense, x, d)
-    check_jvp(sys, dense, rng.standard_normal(n), d)
-
-
-def check_zero_gives_offsets(sys):
-    np.testing.assert_array_equal(sys.eval_all(np.zeros(sys.n)), sys.c)
-    np.testing.assert_array_equal(sys.eval_all(np.full(sys.n, -0.0)), sys.c)
-
-
-def check_non_finite(sys, dense, bad, dense_support, seed):
-    rng = np.random.default_rng(seed)
-    n = sys.n
-    x = rng.standard_normal(n) if dense_support else np.zeros(n)
-    x[rng.integers(n)] = bad
-    with np.errstate(invalid="ignore"):
-        assert not np.isfinite(dense_reference(dense, x)[0]).any()
-        assert not np.isfinite(sys.eval_all(x)).any()
 
 
 def peak_bytes(calls):
@@ -198,39 +107,93 @@ def peak_bytes(calls):
     return peaks
 
 
-class TestSupportKernel:
-    """The support-restricted kernel against the dense contraction, for
-    non-symmetric A_i."""
+# each storage and the dense system its kernel is checked against
+STORAGES = pytest.mark.parametrize(
+    "make, dense", [(random_quadratic, lambda sys: sys),
+                    (random_cosine, DCTQuadraticSystem.to_dense)],
+    ids=["dense", "matrix-free"])
 
+
+class TestKernel:
+    """The support-restricted kernel of each storage against the full
+    contraction of its dense tensor, for non-symmetric A_i."""
+
+    @STORAGES
     @given(**SIZES, **SUPPORTS)
-    def test_matches_dense_reference(self, m, n, seed, support,
+    def test_matches_dense_reference(self, make, dense, m, n, seed, support,
                                      negative_zeros, scale):
-        sys = random_quadratic(m, n, seed)
-        check_dense_reference(sys, sys, support, negative_zeros, scale, seed)
-
-    @given(**SIZES, **SUPPORTS, d_support=st.integers(0, 10))
-    def test_jvp_matches_dense_reference(self, m, n, seed, support,
-                                         negative_zeros, scale, d_support):
-        sys = random_quadratic(m, n, seed)
+        # every evaluation within RTOL; gradient rows of a block bit-equal
+        # to single rows
+        sys = make(m, n, seed)
         rng = np.random.default_rng(seed)
-        check_jvp(sys, sys, sparse_vector(n, support, negative_zeros, scale, rng),
+        x = sparse_vector(n, support, negative_zeros, scale, rng)
+        F, F_scale, J, J_scale = dense_reference(dense(sys), x)
+        assert np.all(abs(sys.eval_all(x) - F) <= RTOL * F_scale)
+        for i in range(m):
+            assert abs(sys.eval_component(i, x) - F[i]) <= RTOL * F_scale[i]
+            assert np.all(abs(sys.grad_component(i, x) - J[i])
+                          <= RTOL * J_scale[i])
+        blocks = [rng.integers(m, size=1),
+                  rng.choice(m, size=rng.integers(1, m + 1), replace=False),
+                  np.arange(m)]
+        for idx in blocks:
+            rows = sys.grad_block(idx, x)
+            assert np.all(abs(rows - J[idx]) <= RTOL * J_scale[idx])
+            for row, i in zip(rows, idx):
+                np.testing.assert_array_equal(row, sys.grad_component(i, x))
+        assert np.all(abs(sys.jacobian(x) - J) <= RTOL * J_scale)
+
+    @STORAGES
+    @given(**SIZES, **SUPPORTS, d_support=st.integers(0, 10))
+    def test_jvp_matches_dense_reference(self, make, dense, m, n, seed,
+                                         support, negative_zeros, scale,
+                                         d_support):
+        sys = make(m, n, seed)
+        rng = np.random.default_rng(seed)
+        check_jvp(sys, dense(sys),
+                  sparse_vector(n, support, negative_zeros, scale, rng),
                   sparse_vector(n, d_support, negative_zeros, scale, rng))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_jvp_cases(self, seed):
-        sys = random_quadratic(7, 6, seed)
-        check_jvp_cases(sys, sys, seed)
+    @STORAGES
+    def test_jvp_cases(self, make, dense, seed):
+        # x = 0 and d = 0 exactly, disjoint supports and a dense x against
+        # the reference
+        sys = make(7, 6, seed)
+        ref, n = dense(sys), sys.n
+        rng = np.random.default_rng(seed)
+        d = rng.standard_normal(n)
+        np.testing.assert_array_equal(sys.jvp(np.zeros(n), d), sys.b @ d)
+        np.testing.assert_array_equal(
+            sys.jvp(rng.standard_normal(n), np.zeros(n)), np.zeros(sys.m))
+        half = rng.permutation(n)[: n // 2]
+        x, d = np.zeros(n), rng.standard_normal(n)
+        x[half], d[half] = rng.standard_normal(half.size), 0.0
+        check_jvp(sys, ref, x, d)
+        check_jvp(sys, ref, rng.standard_normal(n), d)
 
+    @STORAGES
     @given(**SIZES)
-    def test_zero_gives_offsets_exactly(self, m, n, seed):
-        check_zero_gives_offsets(random_quadratic(m, n, seed))
+    def test_zero_gives_offsets_exactly(self, make, dense, m, n, seed):
+        sys = make(m, n, seed)
+        np.testing.assert_array_equal(sys.eval_all(np.zeros(n)), sys.c)
+        np.testing.assert_array_equal(sys.eval_all(np.full(n, -0.0)), sys.c)
 
+    @STORAGES
     @given(**SIZES, **NON_FINITE)
-    def test_non_finite_x_gives_non_finite_residuals(self, m, n, seed, bad,
-                                                     dense_support):
-        sys = random_quadratic(m, n, seed)
-        check_non_finite(sys, sys, bad, dense_support, seed)
+    def test_non_finite_x_gives_non_finite_residuals(self, make, dense, m, n,
+                                                     seed, bad, dense_support):
+        sys = make(m, n, seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) if dense_support else np.zeros(n)
+        x[rng.integers(n)] = bad
+        with np.errstate(invalid="ignore"):
+            F = dense_reference(dense(sys), x)[0]
+            assert not np.isfinite(F).any()
+            assert not np.isfinite(sys.eval_all(x)).any()
 
+
+class TestSupportKernel:
     def test_no_tensor_beyond_storage(self, rng):
         # one (m, n, n) tensor: no call caches a copy or allocates one
         m, n = 40, 30
@@ -254,40 +217,6 @@ class TestSupportKernel:
 
 
 class TestMatrixFreeKernel:
-    """The support-restricted cosine kernel against its materialized
-    tensor."""
-
-    @given(**SIZES, **SUPPORTS)
-    def test_matches_dense_reference(self, m, n, seed, support,
-                                     negative_zeros, scale):
-        sys = random_cosine(m, n, seed)
-        check_dense_reference(sys, sys.to_dense(), support, negative_zeros,
-                              scale, seed)
-
-    @given(**SIZES, **SUPPORTS, d_support=st.integers(0, 10))
-    def test_jvp_matches_dense_reference(self, m, n, seed, support,
-                                         negative_zeros, scale, d_support):
-        sys = random_cosine(m, n, seed)
-        rng = np.random.default_rng(seed)
-        check_jvp(sys, sys.to_dense(),
-                  sparse_vector(n, support, negative_zeros, scale, rng),
-                  sparse_vector(n, d_support, negative_zeros, scale, rng))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_jvp_cases(self, seed):
-        sys = random_cosine(7, 6, seed)
-        check_jvp_cases(sys, sys.to_dense(), seed)
-
-    @given(**SIZES)
-    def test_zero_gives_offsets_exactly(self, m, n, seed):
-        check_zero_gives_offsets(random_cosine(m, n, seed))
-
-    @given(**SIZES, **NON_FINITE)
-    def test_non_finite_x_gives_non_finite_residuals(self, m, n, seed, bad,
-                                                     dense_support):
-        sys = random_cosine(m, n, seed)
-        check_non_finite(sys, sys.to_dense(), bad, dense_support, seed)
-
     def test_no_tensor_beyond_storage(self, rng):
         # no per-row n x n matrix and no cache: a call holds at most a few
         # (|B|, n, |S|) blocks of cosines
