@@ -107,93 +107,93 @@ def peak_bytes(calls):
     return peaks
 
 
-# each storage and the dense system its kernel is checked against
-STORAGES = pytest.mark.parametrize(
-    "make, dense", [(random_quadratic, lambda sys: sys),
-                    (random_cosine, DCTQuadraticSystem.to_dense)],
-    ids=["dense", "matrix-free"])
+def kernel_checks(make, dense):
+    """The checks of the support-restricted kernel of one storage against
+    the full contraction of its dense tensor, for non-symmetric A_i.
+
+    `make(m, n, seed)` builds a system and `dense(sys)` the dense system
+    it is checked against.  Each storage's test class derives from its own
+    copy, so Hypothesis sees one executor per test function.
+    """
+
+    class KernelChecks:
+        @given(**SIZES, **SUPPORTS)
+        def test_matches_dense_reference(self, m, n, seed, support,
+                                         negative_zeros, scale):
+            # every evaluation within RTOL; gradient rows of a block
+            # bit-equal to single rows
+            sys = make(m, n, seed)
+            rng = np.random.default_rng(seed)
+            x = sparse_vector(n, support, negative_zeros, scale, rng)
+            F, F_scale, J, J_scale = dense_reference(dense(sys), x)
+            assert np.all(abs(sys.eval_all(x) - F) <= RTOL * F_scale)
+            for i in range(m):
+                assert (abs(sys.eval_component(i, x) - F[i])
+                        <= RTOL * F_scale[i])
+                assert np.all(abs(sys.grad_component(i, x) - J[i])
+                              <= RTOL * J_scale[i])
+            blocks = [rng.integers(m, size=1),
+                      rng.choice(m, size=rng.integers(1, m + 1),
+                                 replace=False),
+                      np.arange(m)]
+            for idx in blocks:
+                rows = sys.grad_block(idx, x)
+                assert np.all(abs(rows - J[idx]) <= RTOL * J_scale[idx])
+                for row, i in zip(rows, idx):
+                    np.testing.assert_array_equal(row,
+                                                  sys.grad_component(i, x))
+            assert np.all(abs(sys.jacobian(x) - J) <= RTOL * J_scale)
+
+        @given(**SIZES, **SUPPORTS, d_support=st.integers(0, 10))
+        def test_jvp_matches_dense_reference(self, m, n, seed, support,
+                                             negative_zeros, scale, d_support):
+            sys = make(m, n, seed)
+            rng = np.random.default_rng(seed)
+            check_jvp(sys, dense(sys),
+                      sparse_vector(n, support, negative_zeros, scale, rng),
+                      sparse_vector(n, d_support, negative_zeros, scale, rng))
+
+        @pytest.mark.parametrize("seed", range(3))
+        def test_jvp_cases(self, seed):
+            # x = 0 and d = 0 exactly, disjoint supports and a dense x
+            # against the reference
+            sys = make(7, 6, seed)
+            ref, n = dense(sys), sys.n
+            rng = np.random.default_rng(seed)
+            d = rng.standard_normal(n)
+            np.testing.assert_array_equal(sys.jvp(np.zeros(n), d),
+                                          sys.b @ d)
+            np.testing.assert_array_equal(
+                sys.jvp(rng.standard_normal(n), np.zeros(n)), np.zeros(sys.m))
+            half = rng.permutation(n)[: n // 2]
+            x, d = np.zeros(n), rng.standard_normal(n)
+            x[half], d[half] = rng.standard_normal(half.size), 0.0
+            check_jvp(sys, ref, x, d)
+            check_jvp(sys, ref, rng.standard_normal(n), d)
+
+        @given(**SIZES)
+        def test_zero_gives_offsets_exactly(self, m, n, seed):
+            sys = make(m, n, seed)
+            np.testing.assert_array_equal(sys.eval_all(np.zeros(n)), sys.c)
+            np.testing.assert_array_equal(sys.eval_all(np.full(n, -0.0)),
+                                          sys.c)
+
+        @given(**SIZES, **NON_FINITE)
+        def test_non_finite_x_gives_non_finite_residuals(self, m, n, seed, bad,
+                                                         dense_support):
+            sys = make(m, n, seed)
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal(n) if dense_support else np.zeros(n)
+            x[rng.integers(n)] = bad
+            with np.errstate(invalid="ignore"):
+                F = dense_reference(dense(sys), x)[0]
+                assert not np.isfinite(F).any()
+                assert not np.isfinite(sys.eval_all(x)).any()
+
+    return KernelChecks
 
 
-class TestKernel:
-    """The support-restricted kernel of each storage against the full
-    contraction of its dense tensor, for non-symmetric A_i."""
-
-    @STORAGES
-    @given(**SIZES, **SUPPORTS)
-    def test_matches_dense_reference(self, make, dense, m, n, seed, support,
-                                     negative_zeros, scale):
-        # every evaluation within RTOL; gradient rows of a block bit-equal
-        # to single rows
-        sys = make(m, n, seed)
-        rng = np.random.default_rng(seed)
-        x = sparse_vector(n, support, negative_zeros, scale, rng)
-        F, F_scale, J, J_scale = dense_reference(dense(sys), x)
-        assert np.all(abs(sys.eval_all(x) - F) <= RTOL * F_scale)
-        for i in range(m):
-            assert abs(sys.eval_component(i, x) - F[i]) <= RTOL * F_scale[i]
-            assert np.all(abs(sys.grad_component(i, x) - J[i])
-                          <= RTOL * J_scale[i])
-        blocks = [rng.integers(m, size=1),
-                  rng.choice(m, size=rng.integers(1, m + 1), replace=False),
-                  np.arange(m)]
-        for idx in blocks:
-            rows = sys.grad_block(idx, x)
-            assert np.all(abs(rows - J[idx]) <= RTOL * J_scale[idx])
-            for row, i in zip(rows, idx):
-                np.testing.assert_array_equal(row, sys.grad_component(i, x))
-        assert np.all(abs(sys.jacobian(x) - J) <= RTOL * J_scale)
-
-    @STORAGES
-    @given(**SIZES, **SUPPORTS, d_support=st.integers(0, 10))
-    def test_jvp_matches_dense_reference(self, make, dense, m, n, seed,
-                                         support, negative_zeros, scale,
-                                         d_support):
-        sys = make(m, n, seed)
-        rng = np.random.default_rng(seed)
-        check_jvp(sys, dense(sys),
-                  sparse_vector(n, support, negative_zeros, scale, rng),
-                  sparse_vector(n, d_support, negative_zeros, scale, rng))
-
-    @pytest.mark.parametrize("seed", range(3))
-    @STORAGES
-    def test_jvp_cases(self, make, dense, seed):
-        # x = 0 and d = 0 exactly, disjoint supports and a dense x against
-        # the reference
-        sys = make(7, 6, seed)
-        ref, n = dense(sys), sys.n
-        rng = np.random.default_rng(seed)
-        d = rng.standard_normal(n)
-        np.testing.assert_array_equal(sys.jvp(np.zeros(n), d), sys.b @ d)
-        np.testing.assert_array_equal(
-            sys.jvp(rng.standard_normal(n), np.zeros(n)), np.zeros(sys.m))
-        half = rng.permutation(n)[: n // 2]
-        x, d = np.zeros(n), rng.standard_normal(n)
-        x[half], d[half] = rng.standard_normal(half.size), 0.0
-        check_jvp(sys, ref, x, d)
-        check_jvp(sys, ref, rng.standard_normal(n), d)
-
-    @STORAGES
-    @given(**SIZES)
-    def test_zero_gives_offsets_exactly(self, make, dense, m, n, seed):
-        sys = make(m, n, seed)
-        np.testing.assert_array_equal(sys.eval_all(np.zeros(n)), sys.c)
-        np.testing.assert_array_equal(sys.eval_all(np.full(n, -0.0)), sys.c)
-
-    @STORAGES
-    @given(**SIZES, **NON_FINITE)
-    def test_non_finite_x_gives_non_finite_residuals(self, make, dense, m, n,
-                                                     seed, bad, dense_support):
-        sys = make(m, n, seed)
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n) if dense_support else np.zeros(n)
-        x[rng.integers(n)] = bad
-        with np.errstate(invalid="ignore"):
-            F = dense_reference(dense(sys), x)[0]
-            assert not np.isfinite(F).any()
-            assert not np.isfinite(sys.eval_all(x)).any()
-
-
-class TestSupportKernel:
+class TestSupportKernel(kernel_checks(random_quadratic, lambda sys: sys)):
     def test_no_tensor_beyond_storage(self, rng):
         # one (m, n, n) tensor: no call caches a copy or allocates one
         m, n = 40, 30
@@ -216,7 +216,8 @@ class TestSupportKernel:
         assert arrays == {"A", "b", "c"}
 
 
-class TestMatrixFreeKernel:
+class TestMatrixFreeKernel(kernel_checks(random_cosine,
+                                          DCTQuadraticSystem.to_dense)):
     def test_no_tensor_beyond_storage(self, rng):
         # no per-row n x n matrix and no cache: a call holds at most a few
         # (|B|, n, |S|) blocks of cosines
