@@ -111,11 +111,23 @@ def _status_exit(status):
             slv.DEGENERATE: EXIT_DEGENERATE}[status]
 
 
+def _usable_out(path, directory):
+    """--out as a Path, refused before any work if a file lies above it, or
+    if it is a file where a directory goes or a directory where a file goes."""
+    out = Path(path)
+    if any(p.is_file() for p in out.parents):
+        raise NotADirectoryError(f"--out {out} lies below a file")
+    if out.exists() and out.is_dir() != directory:
+        raise (FileExistsError if directory else IsADirectoryError)(
+            f"--out {out} exists as a {'file' if directory else 'directory'}")
+    return out
+
+
 def cmd_generate(args):
+    out = _usable_out(args.out, directory=False)
     spec = gen.GeneratorSpec(kind=args.kind, m=args.m, n=args.n, sp=args.sp,
                              seed=args.seed)
     instance = gen.generate(spec, matrix_free=args.matrix_free)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     gen.save_instance(out, instance)
     print(f"wrote {out} ({spec.kind}, m={spec.m}, n={spec.n}, sp={spec.sp}, "
@@ -124,6 +136,7 @@ def cmd_generate(args):
 
 
 def cmd_run(args):
+    out = _usable_out(args.out, directory=True)
     instance = gen.load_instance(args.instance)
     prior = SparsePrior(args.lam)
     config = preset_config(args.solver, seed=args.seed, alpha=args.alpha,
@@ -133,7 +146,6 @@ def cmd_run(args):
     record = slv.run(instance.system, prior, config, x0_star,
                      truth=instance.truth)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     record.to_csv(out / "history.csv")
     with open(out / "signal.csv", "w", newline="") as fh:
@@ -199,6 +211,7 @@ def cmd_bench(args):
 def cmd_diagnose(args):
     if args.local_start is not None and not np.isfinite(args.local_start):
         raise ValueError(f"--local-start must be finite, got {args.local_start}")
+    out = _usable_out(args.out, directory=True)
     instance = gen.load_instance(args.instance)
     prior = SparsePrior(args.lam)
     config = preset_config(args.solver, seed=args.seed, alpha=args.alpha,
@@ -222,7 +235,6 @@ def cmd_diagnose(args):
         return EXIT_VALIDATION
     # audit_run draws nothing from rng, so the check sees the same draws
     grad_dev = diag.check_gradients(instance.system, diag.GRADIENT_TRIALS, rng)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     record.to_csv(out / "history.csv")
     audit.to_csv(out / "contraction.csv")

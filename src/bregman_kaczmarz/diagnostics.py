@@ -30,11 +30,7 @@ class HypothesisViolated(Exception):
 
 
 class NoValidPairs(HypothesisViolated):
-    """Every sampled pair had a zero denominator, so eta is unknown."""
-
-
-_NO_VALID_PAIRS = ("eta could not be estimated: no sampled pair had a nonzero "
-                  "denominator")
+    """Every sampled pair had a zero denominator, so eta has no estimate."""
 
 
 # the settings `audit_run` imposes: every history row and iterate, and the
@@ -56,42 +52,29 @@ class EtaEstimate:
     row: int
 
 
-def estimate_eta(system, pairs, known=()):
+def estimate_eta(system, pairs, X, F):
     """Max over sampled pairs and rows of
 
         |F_i(x1) - F_i(x2) - <grad F_i(x1), x1 - x2>| / |F_i(x1) - F_i(x2)|.
 
-    Rows with zero (or NaN) denominator are skipped; raises NoValidPairs
-    if none survive, and HypothesisViolated if a surviving ratio is NaN or
-    infinite.  `known` holds (x, F(x)) pairs computed already, such as the
-    residuals a run recorded.  F is evaluated once per other distinct
-    point of the call (a point recurs in the pairs of `trajectory_pairs`),
-    and the linear terms are one stacked `system.jvp(X1, X1 - X2)` over
-    all pairs, so no Jacobian is formed.
+    Each row (i1, i2) of the (P, 2) int array `pairs` indexes rows of the
+    point stack X, whose residuals are the rows of F.  Rows with zero (or NaN) denominator are skipped;
+    raises NoValidPairs if none survive, and HypothesisViolated if a
+    surviving ratio is NaN or infinite.  The linear terms are one stacked
+    `system.jvp(X1, X1 - X2)`, so neither F nor a Jacobian is evaluated.
     """
-    # keyed on the contents: a temporary from np.asarray can reuse an id
-    residuals = {np.asarray(x, dtype=float).tobytes(): f for x, f in known}
-
-    def residual(x):
-        key = x.tobytes()
-        if key not in residuals:
-            residuals[key] = system.eval_all(x)
-        return residuals[key]
-
-    if not len(pairs):
-        raise NoValidPairs(_NO_VALID_PAIRS)
-    X1 = np.array([x1 for x1, _ in pairs], dtype=float)
-    X2 = np.array([x2 for _, x2 in pairs], dtype=float)
-    diff = np.array([residual(x) for x in X1])
-    diff -= np.array([residual(x) for x in X2])
-    num = system.jvp(X1, X1 - X2)
+    i1, i2 = pairs.T
+    X1 = X[i1]
+    diff = F[i1] - F[i2]
+    num = system.jvp(X1, X1 - X[i2])
     num -= diff                     # in place: each array is (P, m)
     np.abs(num, out=num)
     den = np.abs(diff, out=diff)
     valid = den > 0.0
     count = int(valid.sum())
     if count == 0:
-        raise NoValidPairs(_NO_VALID_PAIRS)
+        raise NoValidPairs("eta could not be estimated: no sampled pair had "
+                           "a nonzero denominator")
     ratios = np.divide(num, den, out=num, where=valid)
     ratios[~valid] = -np.inf
     bad = np.argwhere(valid & ~np.isfinite(ratios))
@@ -107,8 +90,9 @@ def estimate_eta(system, pairs, known=()):
 
 
 def trajectory_pairs(record, truth=None):
-    """Sample pairs for eta estimation from the iterates a run kept:
-    consecutive ones plus every (x_k, truth) pair when a truth is known.
+    """Sample pairs for eta estimation from the iterates a run kept, as rows
+    (i1, i2) of the stack primals + [truth]: the consecutive (k, k+1),
+    then every (k, T+1), the truth, when a truth is given.
 
     The (x_k, truth) pairs are exactly the ones the per-step decrease
     bound relies on, so an estimate over them makes the audit
@@ -116,10 +100,11 @@ def trajectory_pairs(record, truth=None):
     """
     if record.primals is None:
         raise ValueError("run was recorded without keep_iterates")
-    pairs = list(zip(record.primals[:-1], record.primals[1:]))
+    k = np.arange(len(record.primals))
+    pairs = [np.column_stack((k[:-1], k[1:]))]
     if truth is not None:
-        pairs += [(x, truth) for x in record.primals]
-    return pairs
+        pairs.append(np.column_stack((k, np.full_like(k, len(k)))))
+    return np.concatenate(pairs)
 
 
 def pair_label(record, pair):
@@ -207,7 +192,7 @@ def contraction_audit(record, eta, config, per_block_jacobians):
             raise HypothesisViolated(
                 f"delta = {step} outside (0, {2 * (1 - eta):.4g})")
     else:
-        raise TypeError(f"unknown stepsize policy: {config.stepsize!r}")
+        raise TypeError(f"not a stepsize policy: {config.stepsize!r}")
 
     eta_term = (1.0 + eta) ** 2
     gain = (2.0 * (1.0 - eta) * step - step ** 2) * SparsePrior.sigma
@@ -238,10 +223,11 @@ def audit_run(instance, prior, config, x0_star):
     record = slv.run(instance.system, prior, config, x0_star,
                      truth=instance.truth)
     pairs = trajectory_pairs(record, truth=instance.truth)
+    X = np.vstack(record.primals + [instance.truth])
+    F = np.vstack(record.residuals + [instance.system.eval_all(instance.truth)])
     est = None
     try:
-        est = estimate_eta(instance.system, pairs,
-                           known=zip(record.primals, record.residuals))
+        est = estimate_eta(instance.system, pairs, X, F)
         jacs = block_jacobians(record, instance.system)
         audit = contraction_audit(record, est.eta, config, jacs)
     except HypothesisViolated as exc:

@@ -484,14 +484,22 @@ def test_negative_seed_rejected(instance_path, tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_unusable_out_rejected(instance_path, tmp_path, capsys, command):
+def test_unusable_out_rejected(instance_path, tmp_path, capsys, monkeypatch,
+                               command):
     # a file where the output directory goes, or for generate a directory
-    # where its file goes
+    # where its file goes, and a path below a file: refused before any
+    # instance is drawn or solved
+    def work(*args, **kwargs):
+        raise AssertionError("--out is checked only after the work")
+    monkeypatch.setattr(generators, "generate", work)
+    monkeypatch.setattr(slv, "run", work)
     out = tmp_path / "out"
     if command == "generate":
         out.mkdir()
     else:
         out.write_text("")
-    rc = cli.main(valid_call(command, instance_path) + ["--out", str(out)])
-    assert rc == cli.EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith("error: ")
+    (tmp_path / "file").write_text("")
+    for path in (out, tmp_path / "file" / "out"):
+        rc = cli.main(valid_call(command, instance_path) + ["--out", str(path)])
+        assert rc == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")

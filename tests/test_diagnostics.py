@@ -19,6 +19,14 @@ def sample_pairs(n, count, rng, scale=1.0):
             for _ in range(count)]
 
 
+def stacked(system, pairs):
+    """The index pairs, point stack and residuals `estimate_eta` takes for
+    a list of (x1, x2) pairs: every point is a row of the stack."""
+    X = np.array([x for pair in pairs for x in pair], dtype=float)
+    F = np.array([system.eval_all(x) for x in X])
+    return np.arange(len(X)).reshape(-1, 2), X, F
+
+
 def assert_matches_row_loop(system, pairs):
     """estimate_eta against the defining ratio, one pair and one row at a
     time.
@@ -40,7 +48,7 @@ def assert_matches_row_loop(system, pairs):
                 r = abs(diff - float(g @ d)) / abs(diff)
                 e = 1e-12 * (abs(f1) + abs(f2) + float(abs(g * d).sum())) / abs(diff)
                 low, high = max(low, r - e), max(high, r + e)
-    est = diag.estimate_eta(system, pairs)
+    est = diag.estimate_eta(system, *stacked(system, pairs))
     assert low > 0.0
     assert low <= est.eta <= high
     assert est.sample_count == count
@@ -60,8 +68,8 @@ def count_calls(system, names):
 
 
 def recorded_trajectory(matrix_free, rng, local=False):
-    """An 8-step run on a (12, 8) instance from a far or a local start, its
-    eta pairs and the instance."""
+    """An 8-step run on a (12, 8) instance from a far or a local start, the
+    points of its eta pairs and the instance."""
     kind = "dct" if matrix_free else "gaussian"
     inst = generate(GeneratorSpec(kind, 12, 8, 0.25, seed=3),
                     matrix_free=matrix_free)
@@ -71,13 +79,19 @@ def recorded_trajectory(matrix_free, rng, local=False):
     record = slv.run(inst.system, prior,
                      slv.SolverConfig(max_iters=8, keep_iterates=True),
                      x0, truth=inst.truth)
-    return record, diag.trajectory_pairs(record, inst.truth), inst
+    return record, trajectory_points(record, inst.truth), inst
+
+
+def trajectory_points(record, truth):
+    """The (x1, x2) points of each pair of `trajectory_pairs`."""
+    X = np.vstack(record.primals + [truth])
+    return [tuple(X[p]) for p in diag.trajectory_pairs(record, truth)]
 
 
 class TestEtaEstimate:
     def test_affine_is_zero(self, rng):
         sys = affine_system(rng.standard_normal((5, 3)), rng.standard_normal(5))
-        est = diag.estimate_eta(sys, sample_pairs(3, 30, rng))
+        est = diag.estimate_eta(sys, *stacked(sys, sample_pairs(3, 30, rng)))
         assert est.eta <= 1e-12
         assert est.sample_count > 0
 
@@ -91,21 +105,27 @@ class TestEtaEstimate:
             pairs = [(center + radius * rng.standard_normal(4),
                       center + radius * rng.standard_normal(4))
                      for _ in range(40)]
-            etas.append(diag.estimate_eta(sys, pairs).eta)
+            etas.append(diag.estimate_eta(sys, *stacked(sys, pairs)).eta)
         assert etas[0] > etas[1] > etas[2]
 
     def test_identical_pair_skipped(self, rng):
         sys = random_quadratic(4, 3, seed=1)
         x = rng.standard_normal(3)
         good = (rng.standard_normal(3), rng.standard_normal(3))
-        est = diag.estimate_eta(sys, [(x, x), good])
+        est = diag.estimate_eta(sys, *stacked(sys, [(x, x), good]))
         assert est.sample_count == 4      # only the non-degenerate pair counts
 
     def test_no_valid_pairs(self, rng):
         sys = random_quadratic(4, 3, seed=1)
         x = rng.standard_normal(3)
         with pytest.raises(diag.NoValidPairs):
-            diag.estimate_eta(sys, [(x, x)])
+            diag.estimate_eta(sys, *stacked(sys, [(x, x)]))
+        # no pair at all: a run that kept one iterate, without a truth
+        record = slv.RunRecord(slv.CONVERGED, 0, [], primals=[x])
+        pairs = diag.trajectory_pairs(record)
+        assert pairs.shape == (0, 2)
+        with pytest.raises(diag.NoValidPairs):
+            diag.estimate_eta(sys, pairs, x[None], sys.eval_all(x)[None])
 
     def test_matches_row_loop_generic_pairs(self, rng):
         assert_matches_row_loop(random_quadratic(6, 4, seed=2),
@@ -123,7 +143,7 @@ class TestEtaEstimate:
         # jvp, is eta within the rounding bound of assert_matches_row_loop
         _, pairs, inst = recorded_trajectory(matrix_free, rng)
         sys = inst.system
-        est = diag.estimate_eta(sys, pairs)
+        est = diag.estimate_eta(sys, *stacked(sys, pairs))
         x1, x2 = pairs[est.pair]
         i, d = est.row, x1 - x2
         f1, f2 = sys.eval_all(x1)[i], sys.eval_all(x2)[i]
@@ -134,41 +154,35 @@ class TestEtaEstimate:
 
     def test_non_finite_ratio_refused(self):
         # x with one entry 1e200 makes F(x) and the linear term infinite,
-        # so the ratio of the valid pair (x, truth) is NaN, not an eta
+        # so the ratio of the valid pair (x, truth) is NaN, not an eta; a
+        # zero-denominator pair (truth, truth) before it is skipped, and the
+        # NaN is neither skipped with it nor read as no valid pair
         inst = generate(GeneratorSpec("gaussian", 20, 10, 0.2, seed=1))
         x = inst.truth.copy()
         x[3] = 1e200
-        with pytest.raises(diag.HypothesisViolated,
-                           match="eta is not finite: the ratio of pair 0") as info, \
-                np.errstate(over="ignore", invalid="ignore"):
-            diag.estimate_eta(inst.system, [(x, inst.truth)])
-        assert not isinstance(info.value, diag.NoValidPairs)
-        est = info.value.estimate
-        assert est.pair == 0 and np.isnan(est.eta)
-        assert f"row {est.row} is nan" in str(info.value)
+        counts = []
+        for skipped in ([], [(inst.truth, inst.truth)]):
+            pairs = skipped + [(x, inst.truth)]
+            with pytest.raises(diag.HypothesisViolated,
+                               match=f"eta is not finite: the ratio of pair "
+                                     f"{len(skipped)},") as info, \
+                    np.errstate(over="ignore", invalid="ignore"):
+                diag.estimate_eta(inst.system, *stacked(inst.system, pairs))
+            assert not isinstance(info.value, diag.NoValidPairs)
+            est = info.value.estimate
+            assert est.pair == len(skipped) and np.isnan(est.eta)
+            assert f"row {est.row} is nan" in str(info.value)
+            counts.append(est.sample_count)
+        assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("matrix_free", [False, True])
-    def test_one_evaluation_per_point_and_no_jacobian(self, rng, matrix_free):
-        record, pairs, inst = recorded_trajectory(matrix_free, rng)
-        steps = len(record.duals) - 1
-        points = {x.tobytes() for pair in pairs for x in pair}
-        assert steps == 8 and len(points) == steps + 2
-        counts = count_calls(inst.system, ["eval_all", "jacobian"])
-        diag.estimate_eta(inst.system, pairs)
-        assert counts == {"eval_all": steps + 2, "jacobian": 0}
-
-    @pytest.mark.parametrize("matrix_free", [False, True])
-    def test_points_keyed_on_contents(self, rng, matrix_free):
-        # every pair holds fresh arrays, or lists that become temporaries
-        # whose ids can recur, and each point is still evaluated once
-        record, pairs, inst = recorded_trajectory(matrix_free, rng)
-        est = diag.estimate_eta(inst.system, pairs)
-        copies = [(x1.copy(), x2.copy()) for x1, x2 in pairs]
-        lists = [(list(x1), list(x2)) for x1, x2 in pairs]
-        counts = count_calls(inst.system, ["eval_all"])
-        assert diag.estimate_eta(inst.system, copies) == est
-        assert diag.estimate_eta(inst.system, lists) == est
-        assert counts["eval_all"] == 2 * (len(record.duals) + 1)
+    def test_no_evaluation_and_no_jacobian(self, rng, matrix_free):
+        # F comes with the stack; the linear terms are one stacked jvp
+        _, pairs, inst = recorded_trajectory(matrix_free, rng)
+        args = stacked(inst.system, pairs)
+        counts = count_calls(inst.system, ["eval_all", "jacobian", "jvp"])
+        diag.estimate_eta(inst.system, *args)
+        assert counts == {"eval_all": 0, "jacobian": 0, "jvp": 1}
 
     def test_trajectory_pairs_requires_iterates(self, rng):
         inst = generate(GeneratorSpec("gaussian", 10, 6, 0.5, seed=4))
@@ -185,7 +199,13 @@ class TestEtaEstimate:
                          rng.standard_normal(6))
         t = len(record.duals)
         pairs = diag.trajectory_pairs(record, inst.truth)
-        assert len(pairs) == (t - 1) + t
+        assert pairs.shape == ((t - 1) + t, 2)
+        # pair_label names the rows of the stack primals + [truth] that
+        # each pair holds: (x_i, x_i+1), or (x_k, truth) with the truth
+        # at row t
+        names = [f"x_{k}" for k in range(t)] + ["truth"]
+        for p, (i, j) in enumerate(pairs):
+            assert diag.pair_label(record, p) == f"({names[i]}, {names[j]})"
 
 
 class TestGradientCheck:
@@ -367,8 +387,8 @@ class TestAuditRun:
         record, est = info.value.record, info.value.estimate
         assert record.iterations == slv.run(inst.system, prior, config,
                                             x0).iterations
-        pairs = diag.trajectory_pairs(record, inst.truth)
-        assert est == diag.estimate_eta(inst.system, pairs)
+        pairs = trajectory_points(record, inst.truth)
+        assert est == diag.estimate_eta(inst.system, *stacked(inst.system, pairs))
         assert not est.eta < 0.5
 
     def test_valid_audit_builds_each_block_jacobian_once(self):
@@ -381,8 +401,8 @@ class TestAuditRun:
                           "jvp": 1}
         assert maps == {"conj_grad": steps + 1}
         # the run's residuals give the estimate F evaluated afresh gives
-        pairs = diag.trajectory_pairs(record, inst.truth)
-        assert est == diag.estimate_eta(inst.system, pairs)
+        pairs = trajectory_points(record, inst.truth)
+        assert est == diag.estimate_eta(inst.system, *stacked(inst.system, pairs))
         jacs = list(diag.block_jacobians(record, inst.system))
         assert len(jacs) == steps
         # the rows of each step's block at the iterate the step started from
