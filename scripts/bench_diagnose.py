@@ -16,9 +16,13 @@ times the call, `solver.run`, `diagnostics.estimate_eta`,
 `eval_all`, `grad_block`, `jvp` and `eval_points`, patched once
 `load_instance` returns.  Each audit keeps its exit code (0 or 3 valid,
 4 refused), iterations, eta and grad_dev, and per span the calls and the
-median ms over the repeats.  Dense `grad_block` is also timed at the
-block shapes of the benchmark: (300, 150) with 113 rows (`block-dense`)
-and (200, 100) with 20 rows (`diagnose`).
+median ms over the repeats.  The dense kernels are also timed alone,
+each as the median of KERNEL_REPEATS calls on a Gaussian instance:
+`grad_block` at the block shapes of the benchmark, (300, 150) with 113
+rows (`block-dense`) and (200, 100) with 20 rows (`diagnose`); `eval_all`
+at (300, 150) for supports |S| = 5, 42 and 73; and one stacked `jvp` of
+JVP_PAIRS pairs at the audited shape, each x the truth with noise of
+scale 1e-3 on its support and d = x - truth, as in a local-start audit.
 
 A before/after comparison is this script run at both commits.  The
 output holds the numpy version, BLAS name and BLAS thread variables;
@@ -59,8 +63,11 @@ REPS = (0, 1)
 SHAPE = (200, 100, 0.05)                                  # m, n, sp
 STORAGES = (("dense", gen.GAUSSIAN, False), ("matrix-free", gen.DCT, True))
 BLOCKS = ((300, 150, 0.4, 113), (200, 100, 0.05, 20))   # m, n, sp, rows
+EVALS = (300, 150, 0.4, (5, 42, 73))              # m, n, sp, supports |S|
+JVP_PAIRS = 256
 LOCAL_START = "1e-3"
 REPEATS = 5
+KERNEL_REPEATS = 50
 
 
 def keep(key, value):
@@ -121,21 +128,54 @@ def measure(path, preset, seed, workdir):
                 **tracer.counts, spans=spans)
 
 
-def block_ms(m, n, sp, rows):
-    """Median ms of dense `grad_block` for `rows` rows at a dense x."""
+def dense_instance(m, n, sp):
+    """The Gaussian instance of repetition 0 of the first seed."""
     inst_seed, _, _ = cli.derived_seeds(SEEDS[0], 0)
-    system = gen.generate(gen.GeneratorSpec(gen.GAUSSIAN, m, n, sp,
-                                            seed=inst_seed)).system
+    return gen.generate(gen.GeneratorSpec(gen.GAUSSIAN, m, n, sp,
+                                          seed=inst_seed))
+
+
+def median_ms(call, *args):
+    """Median ms of KERNEL_REPEATS calls call(*args)."""
+    tracer = Tracer()
+    timed = tracer.wrap("kernel", call)
+    for _ in range(KERNEL_REPEATS):
+        timed(*args)
+    return statistics.median((s.end - s.start) / 1e6 for s in tracer.spans)
+
+
+def block_ms(m, n, sp, rows):
+    """Dense `grad_block` for `rows` rows at a dense x."""
+    system = dense_instance(m, n, sp).system
     rng = np.random.default_rng(SEEDS[0])
     x = rng.standard_normal(n)
     idx = rng.choice(m, size=rows, replace=False)
-    tracer = Tracer()
-    grad_block = tracer.wrap("grad_block", system.grad_block)
-    for _ in range(REPEATS):
-        grad_block(idx, x)
     return {"m": m, "n": n, "sp": sp, "rows": rows,
-            "ms": statistics.median((s.end - s.start) / 1e6
-                                    for s in tracer.spans)}
+            "ms": median_ms(system.grad_block, idx, x)}
+
+
+def eval_ms(m, n, sp, supports):
+    """Dense `eval_all` at an x with each support size."""
+    system = dense_instance(m, n, sp).system
+    rng = np.random.default_rng(SEEDS[0])
+    results = []
+    for size in supports:
+        x = np.zeros(n)
+        x[rng.choice(n, size=size, replace=False)] = rng.standard_normal(size)
+        results.append({"m": m, "n": n, "sp": sp, "support": size,
+                        "ms": median_ms(system.eval_all, x)})
+    return results
+
+
+def jvp_ms(m, n, sp, pairs):
+    """One dense stacked `jvp` of `pairs` local-start pairs (x, x - truth)."""
+    instance = dense_instance(m, n, sp)
+    truth = instance.truth
+    rng = np.random.default_rng(SEEDS[0])
+    noise = float(LOCAL_START) * rng.standard_normal((pairs, n))
+    X = truth + noise * (truth != 0)
+    return {"m": m, "n": n, "sp": sp, "pairs": pairs,
+            "ms": median_ms(instance.system.jvp, X, X - truth)}
 
 
 def main(argv=None):
@@ -169,7 +209,9 @@ def main(argv=None):
               "m": m, "n": n, "sp": sp, "local_start": float(LOCAL_START),
               "repeats": REPEATS, "environment": environment(),
               "results": results,
-              "grad_block": [block_ms(*shape) for shape in BLOCKS]}
+              "grad_block": [block_ms(*shape) for shape in BLOCKS],
+              "eval_all": eval_ms(*EVALS),
+              "jvp": jvp_ms(*SHAPE, JVP_PAIRS)}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for r in results:
         print(f"{r['storage']:<11} seed {r['seed']}: {r['valid']}/"
@@ -177,6 +219,11 @@ def main(argv=None):
     for r in report["grad_block"]:
         print(f"grad_block ({r['m']}, {r['n']}) x {r['rows']} rows: "
               f"{r['ms']:.3f} ms")
+    for r in report["eval_all"]:
+        print(f"eval_all ({r['m']}, {r['n']}) at |S| = {r['support']}: "
+              f"{r['ms']:.3f} ms")
+    r = report["jvp"]
+    print(f"jvp ({r['m']}, {r['n']}) x {r['pairs']} pairs: {r['ms']:.3f} ms")
     print(f"wrote {args.out}")
 
 

@@ -8,6 +8,8 @@ consistency is enforced through the offsets
 so F(x_hat) = 0 by construction.  Generation uses numpy's PCG64 with one
 spawned stream per matrix index (then one for b and one for x_hat), so
 instances are identical across platforms and drawn row by row in place.
+Dense systems hold the symmetric parts of the drawn A_i, which give the
+same F; a dense file written before that loads symmetrized.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .systems import DCTQuadraticSystem, QuadraticSystem
+from .systems import DCTQuadraticSystem, QuadraticSystem, symmetrize
 
 GAUSSIAN = "gaussian"
 DCT = "dct"
@@ -87,8 +89,10 @@ def stored_bytes(spec, matrix_free=False):
 def generate(spec, matrix_free=False):
     """Gaussian quadratics (Example 1) or partial cosines (Example 2: A_i
     has columns cos(2*pi*j*xi_i), xi_i uniform on [0, 1]^n), dense unless
-    `matrix_free`, which stores only xi.  Raises ValueError for a storage
-    the family lacks or coefficients beyond the physical memory."""
+    `matrix_free`, which stores only xi.  A dense system holds the
+    symmetric part of each A_i, made right after it is drawn.  Raises
+    ValueError for a storage the family lacks or coefficients beyond the
+    physical memory."""
     size = stored_bytes(spec, matrix_free)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if size > memory:
@@ -100,6 +104,8 @@ def generate(spec, matrix_free=False):
     children = np.random.SeedSequence(spec.seed).spawn(m + 2)
     for child, row in zip(children, coef):     # A_i or xi_i, in place
         draw(np.random.default_rng(child), out=row)
+        if gaussian:
+            symmetrize(row[None])               # while A_i is in cache
     b = np.random.default_rng(children[m]).standard_normal((m, n))
     truth = generate_sparse_signal(n, spec.sp,
                                    np.random.default_rng(children[m + 1]))
@@ -143,7 +149,7 @@ def load_instance(path):
     matrix-free file whose meta kind is not cosine, a truth whose nonzero
     count is not round(sp * n), or a file that is no zip archive (empty,
     truncated, a directory) or a damaged one; FileNotFoundError for a
-    missing path."""
+    missing path.  Dense slabs A_i load as their symmetric parts."""
     if os.path.exists(path) and not zipfile.is_zipfile(path):
         raise ValueError(f"{path}: not an instance archive (.npz format)")
     try:
@@ -183,4 +189,6 @@ def load_instance(path):
     if expected != nonzeros:
         raise ValueError(f"{path}: meta sp={spec.sp} means {expected} nonzeros, "
                          f"but 'truth' has {nonzeros}")
+    if tensor == "A":           # a file from before symmetric slabs, too
+        symmetrize(system.A)
     return ProblemInstance(system, arrays["truth"], spec)

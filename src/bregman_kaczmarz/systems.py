@@ -2,10 +2,13 @@
 
 A system exposes m scalar equations F_i and their gradient rows.  The
 quadratic measurement model F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i is
-the workhorse of the experiments (one dense tensor, residuals in m*|S|*n
-on the support S of x); a matrix-free variant backs the partial-cosine
-family and computes only the cosines that meet the support.  Both give the
-Jacobian-vector product J(x) d without forming J(x).  `eval_points` (F_i
+the workhorse of the experiments.  F depends on A_i only through its
+symmetric part, so the dense storage holds symmetric slabs (`symmetrize`
+makes them): a gradient row reads its slab once, and the residuals read
+about half of the rows j in the support S of x, at cost m*|S|*n/2.  A
+matrix-free variant backs the partial-cosine family and computes only
+the cosines that meet the support.  Both give the Jacobian-vector
+product J(x) d without forming J(x).  `eval_points` (F_i
 at many points) and `grad_block` (many gradient rows at one point) loop
 `eval_component` and `grad_component` unless a system overrides them, as
 both built-in ones do.  `jvp` takes one pair (x, d) or stacks X, D of P
@@ -89,6 +92,17 @@ class NonlinearSystem:
         return idx.astype(int, copy=False)
 
 
+def symmetrize(A):
+    """Replace each slab A_i of an (m, n, n) array, in place and one slab
+    at a time, by its symmetric part 0.5 (A_i + A_i^T); returns A.  The
+    result is exactly symmetric, since floating-point addition commutes,
+    and a symmetric slab comes back bit for bit."""
+    for slab in A:
+        slab *= 0.5
+        slab += slab.T.copy()
+    return A
+
+
 def _quadratic_points(A, b, c, X):
     """0.5 <x, A x> + <b, x> + c at each row x of X, by one product X A^T."""
     X = np.asarray(X, dtype=float)
@@ -98,11 +112,17 @@ def _quadratic_points(A, b, c, X):
 class QuadraticSystem(NonlinearSystem):
     """F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i with dense storage.
 
-    A_i may be non-symmetric and is stored once, as given.  Gradient
-    rows 0.5 (A_i + A_i^T) x + b_i come from the contiguous slab A_i;
-    `eval_all` touches only the support S of x, at cost m*|S|*n, and
-    `jvp` only the union U of the supports of x and d, at cost 2m*|U|^2
-    per pair.
+    Every A_i must be symmetric; `symmetrize` makes it so, and every
+    dense system the package builds holds symmetric slabs.  A is stored
+    as given, unchecked and unchanged (copied only if it is no contiguous
+    float array): for a non-symmetric A_i the kernels give the gradient
+    row A_i x + b_i, which is wrong and which `diagnostics.check_gradients`
+    reports.  A gradient row is one product
+    with the contiguous slab A_i; `eval_all` reads, for each j in the
+    support S of x, the part of row j of every A_i right of the diagonal,
+    at cost about m*|S|*n/2; and `jvp` reads only the entries A_i[j, k]
+    with j in the support Ux of the x and k in the support Ud of the d of
+    its pairs, at cost m*|Ux|*|Ud| per pair.
     """
 
     def __init__(self, A, b, c):
@@ -132,25 +152,37 @@ class QuadraticSystem(NonlinearSystem):
         # slab by slab: gathering A[idx] copies |idx| n x n matrices first
         idx = self._rows(idx)
         x = np.asarray(x, dtype=float)
-        rows = np.array([self.A[i] @ x + x @ self.A[i] for i in idx.tolist()])
-        return 0.5 * rows.reshape(idx.size, self.n) + self.b[idx]
+        rows = np.empty((idx.size, self.n))
+        for row, i in zip(rows, idx.tolist()):
+            np.matmul(self.A[i], x, out=row)
+        rows += self.b[idx]
+        return rows
 
     def eval_all(self, x):
+        # 0.5 <x, A_i x> = sum over j in S of x_j (A_i[j, j+1:] x[j+1:]
+        # + 0.5 A_i[j, j] x_j) reads each pair A_i[j, k] = A_i[k, j] once;
+        # it subtracts no term, so one overflowing square gives +-inf, not
+        # the NaN of inf - inf
         x = np.asarray(x, dtype=float)
         S = np.flatnonzero(x)
+        xS = x[S]
         u = np.empty((self.m, S.size))
-        for s, j in enumerate(S):
-            u[:, s] = self.A[:, j, :] @ x    # (A_i x)_j for every row i
-        return 0.5 * (u * x[S]).sum(axis=1) + self.b @ x + self.c
+        for s, j in enumerate(S.tolist()):
+            u[:, s] = self.A[:, j, j + 1:] @ x[j + 1:]
+        diagonal = self.A[:, S, S]          # a copy: A_i[j, j] for j in S
+        diagonal *= 0.5 * xS
+        u += diagonal
+        return u @ xS + self.b @ x + self.c
 
     def jvp(self, x, d):
         """J(x) d, or row p J(X_p) D_p for stacks: row i of J(x) d is
-        0.5 (<x, A_i d> + <d, A_i x>) + <b_i, d>, where only the entries j
-        of A_i d and A_i x with x_j or d_j nonzero count.
+        <x, A_i d> + <b_i, d>, where only the entries A_i[j, k] with x_j
+        and d_k nonzero count.
 
         The pairs go in chunks of at most _JVP_BYTES of temporaries.  For
-        a chunk, U is the union of the supports of its rows, and each j in
-        U costs one product [D | X] A[:, j, U]^T over all its pairs.
+        a chunk, Ux and Ud are the unions of the supports of its x and d
+        rows, and each j in Ux costs one product D[:, Ud] A[:, j, Ud]^T
+        over all its pairs.
         """
         X, D, single = self._stacks(x, d)
         out = np.empty((len(X), self.m))
@@ -161,17 +193,14 @@ class QuadraticSystem(NonlinearSystem):
 
     def _jvp_chunk(self, X, D, out):
         """Write J(X_p) D_p into row p of out; the temporaries die here."""
-        p = len(X)
-        U = np.flatnonzero(((X != 0.0) | (D != 0.0)).any(axis=0))
-        DX = np.vstack((D[:, U], X[:, U]))
+        Ux = np.flatnonzero((X != 0.0).any(axis=0))
+        Ud = np.flatnonzero((D != 0.0).any(axis=0))
+        DU = D[:, Ud]
         out[:] = 0.0
-        for j in U.tolist():
-            w = DX @ self.A[:, j, U].T       # (A_i d_p)_j, then (A_i x_p)_j
-            w[:p] *= X[:, j, None]
-            w[p:] *= D[:, j, None]
-            out += w[:p]
-            out += w[p:]
-        out *= 0.5
+        for j in Ux.tolist():
+            w = DU @ self.A[:, j, Ud].T         # (A_i d_p)_j
+            w *= X[:, j, None]
+            out += w
         out += D @ self.b.T
 
 
@@ -313,5 +342,6 @@ class DCTQuadraticSystem(NonlinearSystem):
         return T.sum(axis=1)
 
     def to_dense(self):
+        """The same F with dense storage: the symmetric parts of the A_i."""
         A = self._cosines(self.xi, np.arange(self.n))
-        return QuadraticSystem(A, self.b, self.c)
+        return QuadraticSystem(symmetrize(A), self.b, self.c)

@@ -12,8 +12,10 @@ settings.load_profile("deterministic")
 
 
 def random_quadratic(m, n, seed):
+    """Gaussian A_i made symmetric, as the dense storage requires."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n, n))
+    A = 0.5 * (A + A.transpose(0, 2, 1))
     b = rng.standard_normal((m, n))
     c = rng.standard_normal(m)
     return QuadraticSystem(A, b, c)

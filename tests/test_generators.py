@@ -133,14 +133,15 @@ class TestGeneratedRoots:
 
 def reference_instance(spec, matrix_free):
     """The instance of `spec` drawn one stream at a time: coefficient row i
-    (A_i or xi_i) from stream i of the spawned seed, b from stream m and the
-    truth from stream m + 1, then the offsets -F_0(truth) of the system
-    with zero offsets."""
+    (A_i, made symmetric, or xi_i) from stream i of the spawned seed, b from
+    stream m and the truth from stream m + 1, then the offsets -F_0(truth)
+    of the system with zero offsets."""
     m, n = spec.m, spec.n
     streams = [np.random.default_rng(child) for child in
                np.random.SeedSequence(spec.seed).spawn(m + 2)]
     if spec.kind == GAUSSIAN:
-        rows = [rng.standard_normal((n, n)) for rng in streams[:m]]
+        halves = [0.5 * rng.standard_normal((n, n)) for rng in streams[:m]]
+        rows = [h + h.T for h in halves]
     else:
         rows = [rng.random(n) for rng in streams[:m]]
     b = streams[m].standard_normal((m, n))

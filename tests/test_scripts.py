@@ -23,7 +23,10 @@ def bench(monkeypatch):
     module = importlib.import_module("bench_diagnose")
     monkeypatch.setattr(module, "SHAPE", (40, 20, 0.1))
     monkeypatch.setattr(module, "BLOCKS", ((30, 12, 0.4, 7),))
+    monkeypatch.setattr(module, "EVALS", (30, 12, 0.4, (2, 5)))
+    monkeypatch.setattr(module, "JVP_PAIRS", 9)
     monkeypatch.setattr(module, "REPEATS", 1)
+    monkeypatch.setattr(module, "KERNEL_REPEATS", 1)
     return module
 
 
@@ -61,3 +64,8 @@ def test_bench_diagnose_main(bench, tmp_path):
             assert "grad_dev" not in a
     [block] = report["grad_block"]
     assert block["rows"] == 7 and block["ms"] > 0
+    assert [(r["m"], r["n"], r["support"]) for r in report["eval_all"]] == [
+        (30, 12, 2), (30, 12, 5)]
+    assert all(r["ms"] > 0 for r in report["eval_all"])
+    jvp = report["jvp"]
+    assert (jvp["m"], jvp["n"], jvp["pairs"]) == (40, 20, 9) and jvp["ms"] > 0

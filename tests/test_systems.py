@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from conftest import (CORRUPTIONS, RowByRow, affine_system, random_quadratic,
                       set_meta)
 
+from bregman_kaczmarz import diagnostics
 from bregman_kaczmarz.generators import (DCT, GAUSSIAN, GeneratorSpec,
-                                         generate, load_instance,
-                                         save_instance)
+                                         ProblemInstance, generate,
+                                         load_instance, save_instance)
 from bregman_kaczmarz.systems import DCTQuadraticSystem, QuadraticSystem
 
 
@@ -109,7 +110,8 @@ def peak_bytes(calls):
 
 def kernel_checks(make, dense):
     """The checks of the support-restricted kernel of one storage against
-    the full contraction of its dense tensor, for non-symmetric A_i.
+    the full contraction of its dense tensor, for symmetric A_i (the
+    cosine A_i are not, but their dense storage is).
 
     `make(m, n, seed)` builds a system and `dense(sys)` the dense system
     it is checked against.  Each storage's test class derives from its own
@@ -189,6 +191,21 @@ def kernel_checks(make, dense):
                 F = dense_reference(dense(sys), x)[0]
                 assert not np.isfinite(F).any()
                 assert not np.isfinite(sys.eval_all(x)).any()
+
+        @given(**SIZES, **SUPPORTS)
+        def test_overflow_gives_infinite_residuals(self, m, n, seed, support,
+                                                   negative_zeros, scale):
+            # an entry 1e200 makes only the A_i[j, j] x_j^2 term overflow:
+            # each residual is the infinity of the reference's sign, never
+            # the NaN of inf - inf
+            sys = make(m, n, seed)
+            rng = np.random.default_rng(seed)
+            x = sparse_vector(n, support, negative_zeros, scale, rng)
+            x[rng.integers(n)] = 1e200
+            with np.errstate(over="ignore"):
+                F = dense_reference(dense(sys), x)[0]
+                assert np.isinf(F).all()
+                np.testing.assert_array_equal(sys.eval_all(x), F)
 
     return KernelChecks
 
@@ -414,15 +431,14 @@ def test_stacked_jvp_memory_does_not_grow_with_pairs(make, rng):
 @pytest.mark.parametrize("m, n, rows", [(300, 150, 113), (200, 100, 20)])
 def test_dense_grad_block_bit_equal_to_row_formula(m, n, rows):
     # the block-dense and diagnose block shapes, at a dense and a sparse x:
-    # the rows the former per-row loop computed, bit for bit
+    # the rows of a loop of one product per symmetric slab, bit for bit
     sys = random_quadratic(m, n, seed=m)
     rng = np.random.default_rng(n)
     idx = rng.choice(m, size=rows, replace=False)
     sparse = np.zeros(n)
     sparse[rng.choice(n, size=n // 20, replace=False)] = rng.standard_normal(n // 20)
     for x in (rng.standard_normal(n), sparse):
-        expected = np.array([0.5 * (sys.A[i] @ x + x @ sys.A[i]) + sys.b[i]
-                             for i in idx])
+        expected = np.array([sys.A[i] @ x + sys.b[i] for i in idx])
         np.testing.assert_array_equal(sys.grad_block(idx, x), expected)
 
 
@@ -607,3 +623,60 @@ class TestShapes:
         sys = affine_system(B, y)
         x = rng.standard_normal(2)
         np.testing.assert_allclose(sys.eval_all(x), B @ x - y)
+
+
+def assert_symmetric(A):
+    np.testing.assert_array_equal(A, A.transpose(0, 2, 1))
+
+
+class TestSymmetricContract:
+    """Dense systems hold symmetric A_i; the package makes them so where
+    it builds one, and leaves a caller's tensor alone."""
+
+    @pytest.mark.parametrize("kind", [GAUSSIAN, DCT])
+    def test_generated_and_to_dense_slabs_symmetric(self, kind):
+        inst = generate(GeneratorSpec(kind, 7, 6, 0.5, seed=3))
+        assert_symmetric(inst.system.A)
+        assert_symmetric(random_cosine(7, 6, seed=3).to_dense().A)
+
+    def test_non_symmetric_file_loads_symmetrized(self, tmp_path, rng):
+        # a dense file holding the raw draw (the layout before symmetric
+        # slabs) gives the F of the raw tensor and its true gradient rows
+        spec = GeneratorSpec(GAUSSIAN, 9, 6, 0.5, seed=4)
+        inst = generate(spec)
+        raw = rng.standard_normal((spec.m, spec.n, spec.n))
+        old = QuadraticSystem(raw.copy(), inst.system.b, inst.system.c)
+        path = tmp_path / "old.npz"
+        save_instance(path, ProblemInstance(old, inst.truth, spec))
+        loaded = load_instance(path).system
+        assert_symmetric(loaded.A)
+        for x in (rng.standard_normal(spec.n), inst.truth):
+            F, F_scale, J, J_scale = dense_reference(old, x)
+            assert np.all(abs(loaded.eval_all(x) - F) <= RTOL * F_scale)
+            rows = loaded.grad_block(np.arange(spec.m), x)
+            assert np.all(abs(rows - J) <= RTOL * J_scale)
+        # re-symmetrizing symmetric slabs changes no bit
+        save_instance(path, inst)
+        assert load_instance(path).system.A.tobytes() == inst.system.A.tobytes()
+
+    def test_caller_tensor_untouched(self, rng):
+        A = rng.standard_normal((5, 4, 4))
+        before = A.tobytes()
+        sys = QuadraticSystem(A, rng.standard_normal((5, 4)),
+                              rng.standard_normal(5))
+        assert sys.A is A
+        x, d = rng.standard_normal(4), rng.standard_normal(4)
+        sys.eval_all(x), sys.eval_points(2, [x, d]), sys.grad_block([0, 3], x)
+        sys.jvp(x, d)
+        assert A.tobytes() == before
+
+    def test_non_symmetric_tensor_fails_gradient_check(self, rng):
+        # the kernels take A_i symmetric and nothing checks it on entry:
+        # the gradient check is the guard
+        raw = random_quadratic(6, 5, seed=0)
+        raw.A += rng.standard_normal(raw.A.shape)
+        sym = random_quadratic(6, 5, seed=0)
+        dev = {name: diagnostics.check_gradients(
+                   sys, diagnostics.GRADIENT_TRIALS, np.random.default_rng(1))
+               for name, sys in (("raw", raw), ("sym", sym))}
+        assert dev["raw"] > diagnostics.GRADIENT_TOL >= dev["sym"]
