@@ -19,7 +19,9 @@ times the call, `solver.run`, `diagnostics.estimate_eta`,
 median ms over the repeats.  The dense kernels are also timed alone,
 each as the median of KERNEL_REPEATS calls on a Gaussian instance:
 `grad_block` at the block shapes of the benchmark, (300, 150) with 113
-rows (`block-dense`) and (200, 100) with 20 rows (`diagnose`); `eval_all`
+rows (`block-dense`) and (200, 100) with 20 rows (`diagnose`), each at a
+dense x and at an x with round(sp n) nonzeros, the support of a
+local-start audit; `eval_all`
 at (300, 150) for supports |S| = 5, 42 and 73; and one stacked `jvp` of
 JVP_PAIRS pairs at the audited shape, each x the truth with noise of
 scale 1e-3 on its support and d = x - truth, as in a local-start audit.
@@ -145,13 +147,19 @@ def median_ms(call, *args):
 
 
 def block_ms(m, n, sp, rows):
-    """Dense `grad_block` for `rows` rows at a dense x."""
+    """Dense `grad_block` for `rows` rows at a dense x and at an x with
+    round(sp n) nonzeros."""
     system = dense_instance(m, n, sp).system
     rng = np.random.default_rng(SEEDS[0])
-    x = rng.standard_normal(n)
     idx = rng.choice(m, size=rows, replace=False)
-    return {"m": m, "n": n, "sp": sp, "rows": rows,
-            "ms": median_ms(system.grad_block, idx, x)}
+    results = []
+    for size in (n, round(sp * n)):
+        x = np.zeros(n)
+        x[rng.choice(n, size=size, replace=False)] = rng.standard_normal(size)
+        results.append({"m": m, "n": n, "sp": sp, "rows": rows,
+                        "support": size,
+                        "ms": median_ms(system.grad_block, idx, x)})
+    return results
 
 
 def eval_ms(m, n, sp, supports):
@@ -209,7 +217,7 @@ def main(argv=None):
               "m": m, "n": n, "sp": sp, "local_start": float(LOCAL_START),
               "repeats": REPEATS, "environment": environment(),
               "results": results,
-              "grad_block": [block_ms(*shape) for shape in BLOCKS],
+              "grad_block": [r for shape in BLOCKS for r in block_ms(*shape)],
               "eval_all": eval_ms(*EVALS),
               "jvp": jvp_ms(*SHAPE, JVP_PAIRS)}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
@@ -217,8 +225,8 @@ def main(argv=None):
         print(f"{r['storage']:<11} seed {r['seed']}: {r['valid']}/"
               f"{len(r['audits'])} valid, {r['diagnose_ms']:.0f} ms")
     for r in report["grad_block"]:
-        print(f"grad_block ({r['m']}, {r['n']}) x {r['rows']} rows: "
-              f"{r['ms']:.3f} ms")
+        print(f"grad_block ({r['m']}, {r['n']}) x {r['rows']} rows at "
+              f"|S| = {r['support']}: {r['ms']:.3f} ms")
     for r in report["eval_all"]:
         print(f"eval_all ({r['m']}, {r['n']}) at |S| = {r['support']}: "
               f"{r['ms']:.3f} ms")

@@ -4,18 +4,18 @@ A system exposes m scalar equations F_i and their gradient rows.  The
 quadratic measurement model F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i is
 the workhorse of the experiments.  F depends on A_i only through its
 symmetric part, so the dense storage holds symmetric slabs (`symmetrize`
-makes them): a gradient row reads its slab once, and the residuals read
-about half of the rows j in the support S of x, at cost m*|S|*n/2.  A
-matrix-free variant backs the partial-cosine family and computes only
-the cosines that meet the support.  Both give the Jacobian-vector
-product J(x) d without forming J(x).  `eval_points` (F_i
-at many points) and `grad_block` (many gradient rows at one point) loop
-`eval_component` and `grad_component` unless a system overrides them, as
-both built-in ones do.  `jvp` takes one pair (x, d) or stacks X, D of P
-pairs, shape (P, n), and gives J(X_p) D_p for all of them in one call;
-the built-in systems work through the pairs in chunks that share their
-support work, and the base class goes pair by pair.  All systems are
-read-only after construction.
+makes them): a gradient row reads the |S| support rows of its slab, S
+the support of x, and the residuals read about half of those rows of
+every slab, at cost m*|S|*n/2.  A matrix-free variant backs the
+partial-cosine family and computes only the cosines that meet the
+support.  Both give the Jacobian-vector product J(x) d without forming
+J(x).  `eval_points` (F_i at many points) and `grad_block` (many
+gradient rows at one point) loop `eval_component` and `grad_component`
+unless a system overrides them, as both built-in ones do.  `jvp` takes
+one pair (x, d) or stacks X, D of P pairs, shape (P, n), and gives
+J(X_p) D_p for all of them in one call; the built-in systems work
+through the pairs in chunks that share their support work, and the base
+class goes pair by pair.  All systems are read-only after construction.
 """
 
 from __future__ import annotations
@@ -23,7 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 # the temporaries one chunk of a dense stacked `jvp` may hold
-_JVP_BYTES = 1 << 18
+_JVP_BYTES = 1 << 17
+# the support rows one chunk of a dense `grad_block` may gather, counted
+# in slabs: at most _GRAD_SLABS n^2 doubles
+_GRAD_SLABS = 4
 
 
 class NonlinearSystem:
@@ -116,13 +119,13 @@ class QuadraticSystem(NonlinearSystem):
     dense system the package builds holds symmetric slabs.  A is stored
     as given, unchecked and unchanged (copied only if it is no contiguous
     float array): for a non-symmetric A_i the kernels give the gradient
-    row A_i x + b_i, which is wrong and which `diagnostics.check_gradients`
-    reports.  A gradient row is one product
-    with the contiguous slab A_i; `eval_all` reads, for each j in the
-    support S of x, the part of row j of every A_i right of the diagonal,
-    at cost about m*|S|*n/2; and `jvp` reads only the entries A_i[j, k]
-    with j in the support Ux of the x and k in the support Ud of the d of
-    its pairs, at cost m*|Ux|*|Ud| per pair.
+    row x_S A_i[S, :] + b_i, which is wrong and which
+    `diagnostics.check_gradients` reports.  A gradient row reads the |S|
+    support rows A_i[S, :] of its slab, S the support of x, at cost
+    |S|*n; `eval_all` reads, for each j in S, the part of row j of every
+    A_i right of the diagonal, at cost about m*|S|*n/2; and `jvp` reads
+    only the entries A_i[j, k] with j in the support Ux of the x and k in
+    the support Ud of the d of its pairs, at cost m*|Ux|*|Ud| per pair.
     """
 
     def __init__(self, A, b, c):
@@ -149,12 +152,18 @@ class QuadraticSystem(NonlinearSystem):
         return _quadratic_points(self.A[i], self.b[i], self.c[i], X)
 
     def grad_block(self, idx, x):
-        # slab by slab: gathering A[idx] copies |idx| n x n matrices first
+        # A_i x = x_S A_i[S, :] for a symmetric slab: per chunk of slabs,
+        # one gather of their support rows and one stacked product; at
+        # x = 0 the rows are b[idx]
         idx = self._rows(idx)
         x = np.asarray(x, dtype=float)
+        S = np.flatnonzero(x)
+        xS = x[S]
         rows = np.empty((idx.size, self.n))
-        for row, i in zip(rows, idx.tolist()):
-            np.matmul(self.A[i], x, out=row)
+        step = _GRAD_SLABS * self.n // max(S.size, 1)
+        for s in range(0, idx.size, step):
+            np.matmul(xS, self.A[idx[s:s + step, None], S],
+                      out=rows[s:s + step])
         rows += self.b[idx]
         return rows
 
@@ -186,7 +195,8 @@ class QuadraticSystem(NonlinearSystem):
         """
         X, D, single = self._stacks(x, d)
         out = np.empty((len(X), self.m))
-        step = max(1, _JVP_BYTES // (8 * (3 * self.m + 4 * self.n)))
+        # per pair: the product w and D b^T (m each) and D[:, Ud] (<= n)
+        step = max(1, _JVP_BYTES // (8 * (2 * self.m + self.n)))
         for s in range(0, len(X), step):
             self._jvp_chunk(X[s:s + step], D[s:s + step], out[s:s + step])
         return out[0] if single else out

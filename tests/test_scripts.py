@@ -62,8 +62,9 @@ def test_bench_diagnose_main(bench, tmp_path):
             assert calls["grad_block"] == steps
             assert "check_gradients" not in calls and "eval_points" not in calls
             assert "grad_dev" not in a
-    [block] = report["grad_block"]
-    assert block["rows"] == 7 and block["ms"] > 0
+    assert [(r["m"], r["n"], r["rows"], r["support"])
+            for r in report["grad_block"]] == [(30, 12, 7, 12), (30, 12, 7, 5)]
+    assert all(r["ms"] > 0 for r in report["grad_block"])
     assert [(r["m"], r["n"], r["support"]) for r in report["eval_all"]] == [
         (30, 12, 2), (30, 12, 5)]
     assert all(r["ms"] > 0 for r in report["eval_all"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (CORRUPTIONS, RowByRow, affine_system, random_quadratic,
                       set_meta)
 
-from bregman_kaczmarz import diagnostics
+from bregman_kaczmarz import diagnostics, systems
 from bregman_kaczmarz.generators import (DCT, GAUSSIAN, GeneratorSpec,
                                          ProblemInstance, generate,
                                          load_instance, save_instance)
@@ -175,10 +175,12 @@ def kernel_checks(make, dense):
 
         @given(**SIZES)
         def test_zero_gives_offsets_exactly(self, m, n, seed):
+            # residuals c and gradient rows b, at +0 and at -0 alike
             sys = make(m, n, seed)
-            np.testing.assert_array_equal(sys.eval_all(np.zeros(n)), sys.c)
-            np.testing.assert_array_equal(sys.eval_all(np.full(n, -0.0)),
-                                          sys.c)
+            for zero in (np.zeros(n), np.full(n, -0.0)):
+                np.testing.assert_array_equal(sys.eval_all(zero), sys.c)
+                np.testing.assert_array_equal(
+                    sys.grad_block(np.arange(m), zero), sys.b)
 
         @given(**SIZES, **NON_FINITE)
         def test_non_finite_x_gives_non_finite_residuals(self, m, n, seed, bad,
@@ -187,10 +189,14 @@ def kernel_checks(make, dense):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal(n) if dense_support else np.zeros(n)
             x[rng.integers(n)] = bad
+            # the support of x keeps the bad entry: no gradient row of a
+            # block has a finite entry either
+            idx = rng.choice(m, size=rng.integers(1, m + 1), replace=False)
             with np.errstate(invalid="ignore"):
                 F = dense_reference(dense(sys), x)[0]
                 assert not np.isfinite(F).any()
                 assert not np.isfinite(sys.eval_all(x)).any()
+                assert not np.isfinite(sys.grad_block(idx, x)).any()
 
         @given(**SIZES, **SUPPORTS)
         def test_overflow_gives_infinite_residuals(self, m, n, seed, support,
@@ -428,17 +434,21 @@ def test_stacked_jvp_memory_does_not_grow_with_pairs(make, rng):
         assert held[0] < 3 * m * n * support * 8 + 16 * 1024
 
 
-@pytest.mark.parametrize("m, n, rows", [(300, 150, 113), (200, 100, 20)])
+@pytest.mark.parametrize("m, n, rows", [(300, 150, 113), (200, 100, 20),
+                                        (40, 30, 40)])
 def test_dense_grad_block_bit_equal_to_row_formula(m, n, rows):
-    # the block-dense and diagnose block shapes, at a dense and a sparse x:
-    # the rows of a loop of one product per symmetric slab, bit for bit
+    # the block-dense and diagnose block shapes and a whole Jacobian, at a
+    # dense, a sparse and a zero x: row i is x_S A_i[S, :] + b_i, S the
+    # support of x, bit for bit, also in a block of several gather chunks
+    assert rows > systems._GRAD_SLABS   # dense x: several chunks
     sys = random_quadratic(m, n, seed=m)
     rng = np.random.default_rng(n)
     idx = rng.choice(m, size=rows, replace=False)
     sparse = np.zeros(n)
     sparse[rng.choice(n, size=n // 20, replace=False)] = rng.standard_normal(n // 20)
-    for x in (rng.standard_normal(n), sparse):
-        expected = np.array([sys.A[i] @ x + sys.b[i] for i in idx])
+    for x in (rng.standard_normal(n), sparse, np.zeros(n)):
+        S = np.flatnonzero(x)
+        expected = np.array([x[S] @ sys.A[i][S] + sys.b[i] for i in idx])
         np.testing.assert_array_equal(sys.grad_block(idx, x), expected)
 
 
