@@ -16,15 +16,16 @@ times the call, `solver.run`, `diagnostics.estimate_eta`,
 `eval_all`, `grad_block`, `jvp` and `eval_points`, patched once
 `load_instance` returns.  Each audit keeps its exit code (0 or 3 valid,
 4 refused), iterations, eta and grad_dev, and per span the calls and the
-median ms over the repeats.  The dense kernels are also timed alone,
-each as the median of KERNEL_REPEATS calls on a Gaussian instance:
-`grad_block` at the block shapes of the benchmark, (300, 150) with 113
-rows (`block-dense`) and (200, 100) with 20 rows (`diagnose`), each at a
+median ms over the repeats.  Kernels are also timed alone, each as the
+median of KERNEL_REPEATS calls: on a Gaussian instance, `grad_block` at
+the block shapes of the benchmark, (300, 150) with 113 rows
+(`block-dense`) and (200, 100) with 20 rows (`diagnose`), each at a
 dense x and at an x with round(sp n) nonzeros, the support of a
-local-start audit; `eval_all`
-at (300, 150) for supports |S| = 5, 42 and 73; and one stacked `jvp` of
-JVP_PAIRS pairs at the audited shape, each x the truth with noise of
-scale 1e-3 on its support and d = x - truth, as in a local-start audit.
+local-start audit, and `eval_all` at (300, 150) for supports |S| = 5,
+42 and 73; and on a Gaussian and a matrix-free cosine instance, one
+stacked `jvp` of JVP_PAIRS pairs at the audited shape, each x the truth
+with noise of scale 1e-3 on its support and d = x - truth, as in a
+local-start audit.
 
 A before/after comparison is this script run at both commits.  The
 output holds the numpy version, BLAS name and BLAS thread variables;
@@ -130,11 +131,12 @@ def measure(path, preset, seed, workdir):
                 **tracer.counts, spans=spans)
 
 
-def dense_instance(m, n, sp):
-    """The Gaussian instance of repetition 0 of the first seed."""
+def first_instance(m, n, sp, kind=gen.GAUSSIAN, matrix_free=False):
+    """The instance of repetition 0 of the first seed, Gaussian unless
+    `kind` says otherwise."""
     inst_seed, _, _ = cli.derived_seeds(SEEDS[0], 0)
-    return gen.generate(gen.GeneratorSpec(gen.GAUSSIAN, m, n, sp,
-                                          seed=inst_seed))
+    return gen.generate(gen.GeneratorSpec(kind, m, n, sp, seed=inst_seed),
+                        matrix_free=matrix_free)
 
 
 def median_ms(call, *args):
@@ -149,7 +151,7 @@ def median_ms(call, *args):
 def block_ms(m, n, sp, rows):
     """Dense `grad_block` for `rows` rows at a dense x and at an x with
     round(sp n) nonzeros."""
-    system = dense_instance(m, n, sp).system
+    system = first_instance(m, n, sp).system
     rng = np.random.default_rng(SEEDS[0])
     idx = rng.choice(m, size=rows, replace=False)
     results = []
@@ -164,7 +166,7 @@ def block_ms(m, n, sp, rows):
 
 def eval_ms(m, n, sp, supports):
     """Dense `eval_all` at an x with each support size."""
-    system = dense_instance(m, n, sp).system
+    system = first_instance(m, n, sp).system
     rng = np.random.default_rng(SEEDS[0])
     results = []
     for size in supports:
@@ -175,9 +177,9 @@ def eval_ms(m, n, sp, supports):
     return results
 
 
-def jvp_ms(m, n, sp, pairs):
-    """One dense stacked `jvp` of `pairs` local-start pairs (x, x - truth)."""
-    instance = dense_instance(m, n, sp)
+def jvp_ms(m, n, sp, pairs, kind=gen.GAUSSIAN, matrix_free=False):
+    """One stacked `jvp` of `pairs` local-start pairs (x, x - truth)."""
+    instance = first_instance(m, n, sp, kind, matrix_free)
     truth = instance.truth
     rng = np.random.default_rng(SEEDS[0])
     noise = float(LOCAL_START) * rng.standard_normal((pairs, n))
@@ -219,7 +221,8 @@ def main(argv=None):
               "results": results,
               "grad_block": [r for shape in BLOCKS for r in block_ms(*shape)],
               "eval_all": eval_ms(*EVALS),
-              "jvp": jvp_ms(*SHAPE, JVP_PAIRS)}
+              "jvp": jvp_ms(*SHAPE, JVP_PAIRS),
+              "jvp_matrix_free": jvp_ms(*SHAPE, JVP_PAIRS, gen.DCT, True)}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for r in results:
         print(f"{r['storage']:<11} seed {r['seed']}: {r['valid']}/"
@@ -230,8 +233,10 @@ def main(argv=None):
     for r in report["eval_all"]:
         print(f"eval_all ({r['m']}, {r['n']}) at |S| = {r['support']}: "
               f"{r['ms']:.3f} ms")
-    r = report["jvp"]
-    print(f"jvp ({r['m']}, {r['n']}) x {r['pairs']} pairs: {r['ms']:.3f} ms")
+    for key in ("jvp", "jvp_matrix_free"):
+        r = report[key]
+        print(f"{key} ({r['m']}, {r['n']}) x {r['pairs']} pairs: "
+              f"{r['ms']:.3f} ms")
     print(f"wrote {args.out}")
 
 

@@ -164,9 +164,11 @@ def load_instance(path):
                 raise ValueError(f"unsupported instance format {meta['format_version']}")
             spec = GeneratorSpec(kind=meta["kind"], m=meta["m"], n=meta["n"],
                                  sp=meta["sp"], seed=meta["seed"])
-            tensor = {"dct_seed": "xi", "dense": "A"}.get(meta["storage"])
-            if tensor is None:
+            tensors = {"dct_seed": "xi", "dense": "A"}
+            if not (isinstance(meta["storage"], str)
+                    and meta["storage"] in tensors):
                 raise ValueError(f"{path}: unknown storage {meta['storage']!r}")
+            tensor = tensors[meta["storage"]]
             _require(data, [tensor, "b", "c", "truth"], path)
             arrays = {name: data[name] for name in (tensor, "b", "c", "truth")}
     except zipfile.BadZipFile as exc:      # a member fails its CRC check

@@ -8,22 +8,21 @@ makes them): a gradient row reads the |S| support rows of its slab, S
 the support of x, and the residuals read about half of those rows of
 every slab, at cost m*|S|*n/2.  A matrix-free variant backs the
 partial-cosine family and computes only the cosines that meet the
-support.  Both give the Jacobian-vector product J(x) d without forming
-J(x).  `eval_points` (F_i at many points) and `grad_block` (many
+support.  `eval_points` (F_i at many points) and `grad_block` (many
 gradient rows at one point) loop `eval_component` and `grad_component`
 unless a system overrides them, as both built-in ones do.  `jvp` takes
 one pair (x, d) or stacks X, D of P pairs, shape (P, n), and gives
-J(X_p) D_p for all of them in one call; the built-in systems work
-through the pairs in chunks that share their support work, and the base
-class goes pair by pair.  All systems are read-only after construction.
+J(X_p) D_p for all of them in one call without forming J(x); the base
+class goes pair by pair.  Both storages share one quadratic base, which
+computes `eval_points` from a storage's A_i and `jvp` from its rows of
+the symmetric slabs, working through the pairs in chunks that share
+their support work.  All systems are read-only after construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# the temporaries one chunk of a dense stacked `jvp` may hold
-_JVP_BYTES = 1 << 17
 # the support rows one chunk of a dense `grad_block` may gather, counted
 # in slabs: at most _GRAD_SLABS n^2 doubles
 _GRAD_SLABS = 4
@@ -106,13 +105,67 @@ def symmetrize(A):
     return A
 
 
-def _quadratic_points(A, b, c, X):
-    """0.5 <x, A x> + <b, x> + c at each row x of X, by one product X A^T."""
-    X = np.asarray(X, dtype=float)
-    return 0.5 * ((X @ A.T) * X).sum(axis=1) + X @ b + c
+class _Quadratic(NonlinearSystem):
+    """F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i, whatever the storage of
+    the A_i.  A subclass supplies `matrix(i)`, which gives A_i with i
+    checked, and `_sym_rows(j, cols)`, which gives row j of every
+    symmetric part 0.5 (A_i + A_i^T) at the columns cols, shape
+    (m, len(cols)).  `jvp` reads only the entries with j in the support
+    Ux of the x and a column in the support Ud of the d of its pairs.
+    """
+
+    def __init__(self, name, coef, b, c):
+        b = np.asarray(b, dtype=float)
+        c = np.asarray(c, dtype=float)
+        m, n = coef.shape[:2]
+        if b.shape != (m, n) or c.shape != (m,):
+            raise ValueError(f"shape mismatch: {name} {coef.shape}, "
+                             f"b {b.shape}, c {c.shape}")
+        self.b = b
+        self.c = c
+        self.m = m
+        self.n = n
+
+    def eval_points(self, i, X):
+        """F_i at each row of X, by one product X A_i^T."""
+        X = np.asarray(X, dtype=float)
+        A = self.matrix(i)
+        return 0.5 * ((X @ A.T) * X).sum(axis=1) + X @ self.b[i] + self.c[i]
+
+    def jvp(self, x, d):
+        """J(x) d, or row p J(X_p) D_p for stacks: row i of J(x) d is
+        <x, A_i d> + <b_i, d>, where only the entries A_i[j, k] with x_j
+        and d_k nonzero count.
+
+        The pairs go in chunks of max(1, m n // (m + n)), so that the
+        temporaries of a chunk, its (P, m) products and D[:, Ud], hold at
+        most m*n doubles.  For a chunk, Ux and Ud are the unions of the
+        supports of its x and d rows, and each j in Ux costs one product
+        of D[:, Ud] with `_sym_rows(j, Ud)` over all its pairs.
+        """
+        X, D, single = self._stacks(x, d)
+        out = np.empty((len(X), self.m))
+        step = max(1, self.m * self.n // (self.m + self.n))
+        for s in range(0, len(X), step):
+            self._jvp_chunk(X[s:s + step], D[s:s + step], out[s:s + step])
+        return out[0] if single else out
+
+    def _jvp_chunk(self, X, D, out):
+        """Write J(X_p) D_p into row p of out; the temporaries die here."""
+        Ux = np.flatnonzero((X != 0.0).any(axis=0))
+        Ud = np.flatnonzero((D != 0.0).any(axis=0))
+        DU = D[:, Ud]
+        w = np.empty_like(out)
+        out[:] = 0.0
+        for j in Ux.tolist():
+            np.matmul(DU, self._sym_rows(j, Ud).T, out=w)   # (A_i d_p)_j
+            w *= X[:, j, None]
+            out += w
+        np.matmul(D, self.b.T, out=w)
+        out += w
 
 
-class QuadraticSystem(NonlinearSystem):
+class QuadraticSystem(_Quadratic):
     """F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i with dense storage.
 
     Every A_i must be symmetric; `symmetrize` makes it so, and every
@@ -124,32 +177,28 @@ class QuadraticSystem(NonlinearSystem):
     support rows A_i[S, :] of its slab, S the support of x, at cost
     |S|*n; `eval_all` reads, for each j in S, the part of row j of every
     A_i right of the diagonal, at cost about m*|S|*n/2; and `jvp` reads
-    only the entries A_i[j, k] with j in the support Ux of the x and k in
-    the support Ud of the d of its pairs, at cost m*|Ux|*|Ud| per pair.
+    the stored entries A[:, j, Ud] for each j in Ux, at cost m*|Ux|*|Ud|
+    per pair.
     """
 
     def __init__(self, A, b, c):
         A = np.ascontiguousarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        c = np.asarray(c, dtype=float)
-        m, n, n2 = A.shape
+        _, n, n2 = A.shape
         if n != n2:
             raise ValueError(f"A must be (m, n, n), got {A.shape}")
-        if b.shape != (m, n) or c.shape != (m,):
-            raise ValueError(
-                f"shape mismatch: A {A.shape}, b {b.shape}, c {c.shape}")
+        super().__init__("A", A, b, c)
         self.A = A
-        self.b = b
-        self.c = c
-        self.m = m
-        self.n = n
+
+    def matrix(self, i):
+        """A_i, shape (n, n), a view of the stored slab."""
+        self._check_index(i)
+        return self.A[i]
+
+    def _sym_rows(self, j, cols):
+        return self.A[:, j, cols]
 
     def eval_component(self, i, x):
         return float(self.eval_points(i, [x])[0])
-
-    def eval_points(self, i, X):
-        self._check_index(i)
-        return _quadratic_points(self.A[i], self.b[i], self.c[i], X)
 
     def grad_block(self, idx, x):
         # A_i x = x_S A_i[S, :] for a symmetric slab: per chunk of slabs,
@@ -183,62 +232,24 @@ class QuadraticSystem(NonlinearSystem):
         u += diagonal
         return u @ xS + self.b @ x + self.c
 
-    def jvp(self, x, d):
-        """J(x) d, or row p J(X_p) D_p for stacks: row i of J(x) d is
-        <x, A_i d> + <b_i, d>, where only the entries A_i[j, k] with x_j
-        and d_k nonzero count.
 
-        The pairs go in chunks of at most _JVP_BYTES of temporaries.  For
-        a chunk, Ux and Ud are the unions of the supports of its x and d
-        rows, and each j in Ux costs one product D[:, Ud] A[:, j, Ud]^T
-        over all its pairs.
-        """
-        X, D, single = self._stacks(x, d)
-        out = np.empty((len(X), self.m))
-        # per pair: the product w and D b^T (m each) and D[:, Ud] (<= n)
-        step = max(1, _JVP_BYTES // (8 * (2 * self.m + self.n)))
-        for s in range(0, len(X), step):
-            self._jvp_chunk(X[s:s + step], D[s:s + step], out[s:s + step])
-        return out[0] if single else out
-
-    def _jvp_chunk(self, X, D, out):
-        """Write J(X_p) D_p into row p of out; the temporaries die here."""
-        Ux = np.flatnonzero((X != 0.0).any(axis=0))
-        Ud = np.flatnonzero((D != 0.0).any(axis=0))
-        DU = D[:, Ud]
-        out[:] = 0.0
-        for j in Ux.tolist():
-            w = DU @ self.A[:, j, Ud].T         # (A_i d_p)_j
-            w *= X[:, j, None]
-            out += w
-        out += D @ self.b.T
-
-
-class DCTQuadraticSystem(NonlinearSystem):
+class DCTQuadraticSystem(_Quadratic):
     """Matrix-free partial-cosine quadratics.
 
     Column j of A_i is cos(2*pi*j*xi_i) elementwise (j = 0..n-1), so only
     the frequency vectors xi_i need to be stored.  Entries are computed on
     demand and only where they meet the support S of x: m*|S|^2 cosines
-    per residual vector, 2*n*|S| - |S|^2 per gradient row and
-    2*|Ux|*|Ud| per row of J(x) d for a whole chunk of pairs (the union
-    supports of their x and d), against n^2 per row for a materialized
-    A_i.  Nothing is cached between calls.
+    per residual vector, 2*n*|S| - |S|^2 per gradient row and 2*|Ud| per
+    j in Ux for a row of J(x) d over a whole chunk of pairs, against n^2
+    per row for a materialized A_i.  Nothing is cached between calls.
     """
 
     def __init__(self, xi, b, c):
         xi = np.asarray(xi, dtype=float)
-        b = np.asarray(b, dtype=float)
-        c = np.asarray(c, dtype=float)
-        m, n = xi.shape
-        if b.shape != (m, n) or c.shape != (m,):
-            raise ValueError(
-                f"shape mismatch: xi {xi.shape}, b {b.shape}, c {c.shape}")
+        if xi.ndim != 2:
+            raise ValueError(f"xi must be (m, n), got {xi.shape}")
+        super().__init__("xi", xi, b, c)
         self.xi = xi
-        self.b = b
-        self.c = c
-        self.m = m
-        self.n = n
 
     @staticmethod
     def _cosines(xi, cols):
@@ -277,9 +288,16 @@ class DCTQuadraticSystem(NonlinearSystem):
         return 0.5 * (Ax + Atx) + self.b[rows]
 
     def matrix(self, i):
-        """Materialize A_i, shape (n, n)."""
+        """Materialize A_i, shape (n, n) (n^2 cosines)."""
         self._check_index(i)
         return self._cosines(self.xi[i], np.arange(self.n))
+
+    def _sym_rows(self, j, cols):
+        # 0.5 (A_i[j, cols] + A_i[cols, j]): 2 m |cols| cosines
+        rows = self._cosines(self.xi[:, j], cols)
+        rows += self._cosines(self.xi[:, cols], [j])[..., 0]
+        rows *= 0.5
+        return rows
 
     def eval_component(self, i, x):
         """F_i(x); for an index array i, the array of F_i(x) over its
@@ -290,66 +308,11 @@ class DCTQuadraticSystem(NonlinearSystem):
             return float(self._values([i], x)[0])
         return self._values(self._rows(i), x)
 
-    def eval_points(self, i, X):
-        """F_i at each row of X from A_i, built once (n^2 cosines)."""
-        return _quadratic_points(self.matrix(i), self.b[i], self.c[i], X)
-
     def eval_all(self, x):
         return self.eval_component(np.arange(self.m), x)
 
     def grad_block(self, idx, x):
         return self._gradients(self._rows(idx), np.asarray(x, dtype=float))
-
-    def jvp(self, x, d):
-        """J(x) d, or row p J(X_p) D_p for stacks, from the cosines
-        A_i[Ux, Ud] and A_i[Ud, Ux] alone, Ux and Ud being the unions of
-        the supports of the x and d rows of a chunk of pairs.  Each block
-        is computed once per chunk, contracted with every pair of it and
-        freed before the next."""
-        X, D, single = self._stacks(x, d)
-        NX, ND = X != 0.0, D != 0.0
-        out = np.empty((len(X), self.m))
-        s = 0
-        while s < len(X):
-            e = s + self._chunk(NX[s:], ND[s:])
-            out[s:e] = self._jvp_chunk(X[s:e], D[s:e], NX[s:e], ND[s:e]).T
-            s = e
-        return out[0] if single else out
-
-    def _jvp_chunk(self, X, D, NX, ND):
-        """J(X_p) D_p as column p, shape (m, P); the temporaries die here."""
-        Ux = np.flatnonzero(NX.any(axis=0))
-        Ud = np.flatnonzero(ND.any(axis=0))
-        XU, DU = X[:, Ux], D[:, Ud]
-        lin = self._bilinear(self.xi[:, Ux], Ud, DU, XU)    # <x, A_i d>
-        lin += self._bilinear(self.xi[:, Ud], Ux, XU, DU)   # <d, A_i x>
-        lin *= 0.5
-        lin += self.b @ D.T
-        return lin
-
-    def _chunk(self, NX, ND):
-        """How many leading pairs, at least one, go in a chunk: per row of
-        F, its block (|Ux| |Ud| cosines), the products with its p pairs and
-        the results, |Ux| |Ud| + p (|Ux| + |Ud| + 3) entries, stay within
-        2 n |S|, |S| >= 1 the largest x-support in the chunk."""
-        # p (|Ux| + 3) <= 2 n max(|S|, 1) <= 2 n max(|Ux|, 1) bounds p by 2n
-        NX, ND = NX[:2 * self.n], ND[:2 * self.n]
-        ux = np.logical_or.accumulate(NX, axis=0).sum(axis=1)
-        ud = np.logical_or.accumulate(ND, axis=0).sum(axis=1)
-        sx = np.maximum.accumulate(NX.sum(axis=1))
-        p = np.arange(1, len(NX) + 1)
-        fits = ux * ud + p * (ux + ud + 3) <= 2 * self.n * np.maximum(sx, 1)
-        return max(1, len(fits) if fits.all() else int(fits.argmin()))
-
-    def _bilinear(self, xi, cols, R, L):
-        """<L_p, A_i[rows, cols] R_p> for every row i and pair p, shape
-        (m, P), the rows of A_i being those whose frequencies xi holds."""
-        C = self._cosines(xi, cols)                    # (m, |rows|, |cols|)
-        m, k, _ = C.shape
-        T = (C.reshape(m * k, len(cols)) @ R.T).reshape(m, k, len(R))
-        del C
-        T *= L.T
-        return T.sum(axis=1)
 
     def to_dense(self):
         """The same F with dense storage: the symmetric parts of the A_i."""

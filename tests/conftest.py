@@ -85,4 +85,7 @@ CORRUPTIONS = {
     "m string": (lambda path: set_meta(path, m="10"), "m must be integral"),
     "sp null": (lambda path: set_meta(path, sp=None), "sp must be real"),
     "seed -1": (lambda path: set_meta(path, seed=-1), "seed must be non-negative"),
+    "storage list": (lambda path: set_meta(path, storage=["dense"]),
+                     "unknown storage"),
+    "storage dict": (lambda path: set_meta(path, storage={}), "unknown storage"),
 }

@@ -68,5 +68,6 @@ def test_bench_diagnose_main(bench, tmp_path):
     assert [(r["m"], r["n"], r["support"]) for r in report["eval_all"]] == [
         (30, 12, 2), (30, 12, 5)]
     assert all(r["ms"] > 0 for r in report["eval_all"])
-    jvp = report["jvp"]
-    assert (jvp["m"], jvp["n"], jvp["pairs"]) == (40, 20, 9) and jvp["ms"] > 0
+    for key in ("jvp", "jvp_matrix_free"):
+        jvp = report[key]
+        assert (jvp["m"], jvp["n"], jvp["pairs"]) == (40, 20, 9) and jvp["ms"] > 0

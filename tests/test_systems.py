@@ -385,11 +385,12 @@ def stacked_pairs(n, count, rng):
 
 
 @pytest.mark.parametrize("case", ["dense", "matrix-free", "affine", "base"])
-@pytest.mark.parametrize("count", [0, 1, 17, 1000])
+@pytest.mark.parametrize("count", [0, 1, 3, 17, 1000])
 def test_stacked_jvp_rows_match_single_pairs(case, count, rng):
     # row p of a stacked call is J(X_p) D_p: against the 1-D call and the
-    # dense reference, over one chunk and several (1000 pairs of a dense
-    # (9, 6) system are two)
+    # dense reference, over one chunk and several (a (9, 6) system of
+    # either storage takes 9 * 6 // (9 + 6) = 3 pairs a chunk, so 3 pairs
+    # are one full chunk and 1000 are 334)
     sys, dense = eval_points_cases()[case]
     X, D = stacked_pairs(sys.n, count, rng)
     out = sys.jvp(X, D)
@@ -401,6 +402,15 @@ def test_stacked_jvp_rows_match_single_pairs(case, count, rng):
         tol = RTOL * (dense_reference(dense, x)[3] @ abs(d))
         assert np.all(abs(row - one) <= tol)
         assert np.all(abs(row - J @ d) <= tol)
+
+
+def test_matrix_free_jvp_bit_equal_to_dense_storage(rng):
+    # both storages run one chunk kernel, and the matrix-free rows of the
+    # symmetric slabs are those of to_dense() bit for bit, so the stacked
+    # products are too
+    sys = random_cosine(40, 30, seed=3)
+    X, D = stacked_pairs(sys.n, 100, rng)
+    np.testing.assert_array_equal(sys.jvp(X, D), sys.to_dense().jvp(X, D))
 
 
 @pytest.mark.parametrize("case", ["dense", "matrix-free", "base"])
