@@ -22,7 +22,9 @@ the block shapes of the benchmark, (300, 150) with 113 rows
 (`block-dense`) and (200, 100) with 20 rows (`diagnose`), each at a
 dense x and at an x with round(sp n) nonzeros, the support of a
 local-start audit, and `eval_all` at (300, 150) for supports |S| = 5,
-42 and 73; and on a Gaussian and a matrix-free cosine instance, one
+42 and 73; on a matrix-free cosine instance, `grad_block` at (200, 100)
+with 72 rows at |S| = 8 (`dct-matfree`, several chunks); and on a
+Gaussian and a matrix-free cosine instance, one
 stacked `jvp` of JVP_PAIRS pairs at the audited shape, each x the truth
 with noise of scale 1e-3 on its support and d = x - truth, as in a
 local-start audit.
@@ -67,6 +69,7 @@ SHAPE = (200, 100, 0.05)                                  # m, n, sp
 STORAGES = (("dense", gen.GAUSSIAN, False), ("matrix-free", gen.DCT, True))
 BLOCKS = ((300, 150, 0.4, 113), (200, 100, 0.05, 20))   # m, n, sp, rows
 EVALS = (300, 150, 0.4, (5, 42, 73))              # m, n, sp, supports |S|
+MATRIX_FREE_BLOCK = (200, 100, 0.05, 72, (8,))  # m, n, sp, rows, supports
 JVP_PAIRS = 256
 LOCAL_START = "1e-3"
 REPEATS = 5
@@ -148,14 +151,15 @@ def median_ms(call, *args):
     return statistics.median((s.end - s.start) / 1e6 for s in tracer.spans)
 
 
-def block_ms(m, n, sp, rows):
-    """Dense `grad_block` for `rows` rows at a dense x and at an x with
-    round(sp n) nonzeros."""
-    system = first_instance(m, n, sp).system
+def block_ms(m, n, sp, rows, supports=None, kind=gen.GAUSSIAN,
+             matrix_free=False):
+    """`grad_block` for `rows` rows at an x with each support size, by
+    default a dense x and round(sp n) nonzeros."""
+    system = first_instance(m, n, sp, kind, matrix_free).system
     rng = np.random.default_rng(SEEDS[0])
     idx = rng.choice(m, size=rows, replace=False)
     results = []
-    for size in (n, round(sp * n)):
+    for size in supports or (n, round(sp * n)):
         x = np.zeros(n)
         x[rng.choice(n, size=size, replace=False)] = rng.standard_normal(size)
         results.append({"m": m, "n": n, "sp": sp, "rows": rows,
@@ -220,6 +224,8 @@ def main(argv=None):
               "repeats": REPEATS, "environment": environment(),
               "results": results,
               "grad_block": [r for shape in BLOCKS for r in block_ms(*shape)],
+              "grad_block_matrix_free": block_ms(*MATRIX_FREE_BLOCK, gen.DCT,
+                                                 True),
               "eval_all": eval_ms(*EVALS),
               "jvp": jvp_ms(*SHAPE, JVP_PAIRS),
               "jvp_matrix_free": jvp_ms(*SHAPE, JVP_PAIRS, gen.DCT, True)}
@@ -227,9 +233,10 @@ def main(argv=None):
     for r in results:
         print(f"{r['storage']:<11} seed {r['seed']}: {r['valid']}/"
               f"{len(r['audits'])} valid, {r['diagnose_ms']:.0f} ms")
-    for r in report["grad_block"]:
-        print(f"grad_block ({r['m']}, {r['n']}) x {r['rows']} rows at "
-              f"|S| = {r['support']}: {r['ms']:.3f} ms")
+    for key in ("grad_block", "grad_block_matrix_free"):
+        for r in report[key]:
+            print(f"{key} ({r['m']}, {r['n']}) x {r['rows']} rows at "
+                  f"|S| = {r['support']}: {r['ms']:.3f} ms")
     for r in report["eval_all"]:
         print(f"eval_all ({r['m']}, {r['n']}) at |S| = {r['support']}: "
               f"{r['ms']:.3f} ms")

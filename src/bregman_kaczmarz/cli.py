@@ -159,6 +159,7 @@ def cmd_run(args):
 
 
 def cmd_bench(args):
+    out = _usable_out(args.out, directory=True)
     solvers = [args.solver] if args.solver else SOLVER_NAMES
     spec = gen.GeneratorSpec(kind=args.kind, m=args.m, n=args.n, sp=args.sp,
                              seed=args.seed)
@@ -179,11 +180,11 @@ def cmd_bench(args):
                for name in solvers}
 
     prior = SparsePrior(args.lam)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     results = {name: [] for name in solvers}
     for rep, name, record in sweep(spec, configs, args.reps, prior,
                                    args.matrix_free):
+        # made once `generate` has passed the spec, so a refusal leaves none
+        out.mkdir(parents=True, exist_ok=True)
         elapsed = int(record.column("elapsed_ns").sum())
         results[name].append((record.iterations, elapsed,
                               record.status == slv.CONVERGED))

@@ -14,17 +14,19 @@ unless a system overrides them, as both built-in ones do.  `jvp` takes
 one pair (x, d) or stacks X, D of P pairs, shape (P, n), and gives
 J(X_p) D_p for all of them in one call without forming J(x); the base
 class goes pair by pair.  Both storages share one quadratic base, which
-computes `eval_points` from a storage's A_i and `jvp` from its rows of
-the symmetric slabs, working through the pairs in chunks that share
-their support work.  All systems are read-only after construction.
+computes `eval_points` from a storage's A_i, `grad_block` from its
+products of x_S with chunks of slabs and `jvp` from its rows of the
+symmetric slabs, working through the pairs in chunks that share their
+support work.  All systems are read-only after construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# the support rows one chunk of a dense `grad_block` may gather, counted
-# in slabs: at most _GRAD_SLABS n^2 doubles
+# the support rows or columns of the slabs one chunk of `grad_block`
+# reads, counted in slabs: a block of them holds at most _GRAD_SLABS n^2
+# doubles, gathered (dense) or computed (matrix-free)
 _GRAD_SLABS = 4
 
 
@@ -108,10 +110,12 @@ def symmetrize(A):
 class _Quadratic(NonlinearSystem):
     """F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i, whatever the storage of
     the A_i.  A subclass supplies `matrix(i)`, which gives A_i with i
-    checked, and `_sym_rows(j, cols)`, which gives row j of every
-    symmetric part 0.5 (A_i + A_i^T) at the columns cols, shape
-    (m, len(cols)).  `jvp` reads only the entries with j in the support
-    Ux of the x and a column in the support Ud of the d of its pairs.
+    checked; `_grad_chunk(idx, S, xS, out)`, which writes x_S sym(A_i)[S, :]
+    for each slab i of idx, S the support of x, into a row of out; and
+    `_sym_rows(j, cols)`, which gives row j of every symmetric part
+    sym(A_i) = 0.5 (A_i + A_i^T) at the columns cols, shape (m, len(cols)).
+    `jvp` reads only the entries with j in the support Ux of the x and a
+    column in the support Ud of the d of its pairs.
     """
 
     def __init__(self, name, coef, b, c):
@@ -149,6 +153,21 @@ class _Quadratic(NonlinearSystem):
         for s in range(0, len(X), step):
             self._jvp_chunk(X[s:s + step], D[s:s + step], out[s:s + step])
         return out[0] if single else out
+
+    def grad_block(self, idx, x):
+        """Rows sym(A_i) x + b_i for i in idx: `_grad_chunk` writes the
+        products of _GRAD_SLABS n // |S| slabs at a time, S the support
+        of x; at x = 0 the rows are b[idx]."""
+        idx = self._rows(idx)
+        x = np.asarray(x, dtype=float)
+        S = np.flatnonzero(x)
+        xS = x[S]
+        rows = np.empty((idx.size, self.n))
+        step = _GRAD_SLABS * self.n // max(S.size, 1)
+        for s in range(0, idx.size, step):
+            self._grad_chunk(idx[s:s + step], S, xS, rows[s:s + step])
+        rows += self.b[idx]
+        return rows
 
     def _jvp_chunk(self, X, D, out):
         """Write J(X_p) D_p into row p of out; the temporaries die here."""
@@ -200,21 +219,10 @@ class QuadraticSystem(_Quadratic):
     def eval_component(self, i, x):
         return float(self.eval_points(i, [x])[0])
 
-    def grad_block(self, idx, x):
-        # A_i x = x_S A_i[S, :] for a symmetric slab: per chunk of slabs,
-        # one gather of their support rows and one stacked product; at
-        # x = 0 the rows are b[idx]
-        idx = self._rows(idx)
-        x = np.asarray(x, dtype=float)
-        S = np.flatnonzero(x)
-        xS = x[S]
-        rows = np.empty((idx.size, self.n))
-        step = _GRAD_SLABS * self.n // max(S.size, 1)
-        for s in range(0, idx.size, step):
-            np.matmul(xS, self.A[idx[s:s + step, None], S],
-                      out=rows[s:s + step])
-        rows += self.b[idx]
-        return rows
+    def _grad_chunk(self, idx, S, xS, out):
+        # A_i x = x_S A_i[S, :] for a symmetric slab: one gather of the
+        # support rows of the chunk's slabs and one stacked product
+        np.matmul(xS, self.A[idx[:, None], S], out=out)
 
     def eval_all(self, x):
         # 0.5 <x, A_i x> = sum over j in S of x_j (A_i[j, j+1:] x[j+1:]
@@ -239,9 +247,10 @@ class DCTQuadraticSystem(_Quadratic):
     Column j of A_i is cos(2*pi*j*xi_i) elementwise (j = 0..n-1), so only
     the frequency vectors xi_i need to be stored.  Entries are computed on
     demand and only where they meet the support S of x: m*|S|^2 cosines
-    per residual vector, 2*n*|S| - |S|^2 per gradient row and 2*|Ud| per
-    j in Ux for a row of J(x) d over a whole chunk of pairs, against n^2
-    per row for a materialized A_i.  Nothing is cached between calls.
+    per residual vector, 2*n*|S| per gradient row (its support rows and
+    columns) and 2*|Ud| per j in Ux for a row of J(x) d over a whole
+    chunk of pairs, against n^2 per row for a materialized A_i.  Nothing
+    is cached between calls.
     """
 
     def __init__(self, xi, b, c):
@@ -269,23 +278,15 @@ class DCTQuadraticSystem(_Quadratic):
         C = self._cosines(self.xi[:, S][rows], S)      # A_i[S, S]
         return 0.5 * (C @ xS * xS).sum(axis=1) + self.b[rows] @ x + self.c[rows]
 
-    def _gradients(self, rows, x):
-        """Gradient rows 0.5 (A_i x + A_i^T x) + b_i for an index array.
-
-        A_i x needs the support columns A_i[:, S]; A_i^T x needs the support
-        rows A_i[S, :], whose block A_i[S, S] is read from the columns.
-        """
-        S = np.flatnonzero(x)
-        xS = x[S]
-        xi = self.xi[rows]
-        cols = self._cosines(xi, S)                    # A_i[:, S]
-        Ax = cols @ xS
-        Atx = np.empty_like(xi)
-        Atx[:, S] = x @ cols                           # x is zero off S
-        del cols                        # freed before the second block
-        Sc = np.flatnonzero(x == 0.0)
-        Atx[:, Sc] = xS @ self._cosines(xi[:, S], Sc)  # A_i[S, S^c]
-        return 0.5 * (Ax + Atx) + self.b[rows]
+    def _grad_chunk(self, idx, S, xS, out):
+        # 0.5 (x_S A_i[S, :] + A_i[:, S] x_S), the support columns laid out
+        # as (|S|, n) rows; each block of cosines is freed before the next
+        xi = self.xi[idx]
+        np.matmul(xS, self._cosines(xi[:, S], np.arange(self.n)), out=out)
+        cols = np.einsum("ik,j->ijk", 2.0 * np.pi * xi, S.astype(float),
+                         order="C")
+        out += xS @ np.cos(cols, out=cols)
+        out *= 0.5
 
     def matrix(self, i):
         """Materialize A_i, shape (n, n) (n^2 cosines)."""
@@ -310,9 +311,6 @@ class DCTQuadraticSystem(_Quadratic):
 
     def eval_all(self, x):
         return self.eval_component(np.arange(self.m), x)
-
-    def grad_block(self, idx, x):
-        return self._gradients(self._rows(idx), np.asarray(x, dtype=float))
 
     def to_dense(self):
         """The same F with dense storage: the symmetric parts of the A_i."""

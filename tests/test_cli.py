@@ -298,6 +298,17 @@ class TestBench:
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
+    def test_beyond_physical_memory_leaves_no_directory(self, tmp_path,
+                                                         monkeypatch):
+        # generate refuses the spec; bench exits 4 and makes no --out
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}    # 1 MiB
+        monkeypatch.setattr(generators.os, "sysconf", pages.__getitem__)
+        out = tmp_path / "b"
+        rc = cli.main(["bench", "--kind", "gaussian", "--m", "40", "--n",
+                       "100", "--sp", "0.1", "--reps", "1", "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
     @pytest.mark.parametrize("reps", ["0", "-3"])
     def test_no_repetitions_rejected(self, tmp_path, reps):
         out = tmp_path / "b"

@@ -24,6 +24,7 @@ def bench(monkeypatch):
     monkeypatch.setattr(module, "SHAPE", (40, 20, 0.1))
     monkeypatch.setattr(module, "BLOCKS", ((30, 12, 0.4, 7),))
     monkeypatch.setattr(module, "EVALS", (30, 12, 0.4, (2, 5)))
+    monkeypatch.setattr(module, "MATRIX_FREE_BLOCK", (30, 12, 0.4, 9, (2,)))
     monkeypatch.setattr(module, "JVP_PAIRS", 9)
     monkeypatch.setattr(module, "REPEATS", 1)
     monkeypatch.setattr(module, "KERNEL_REPEATS", 1)
@@ -64,7 +65,10 @@ def test_bench_diagnose_main(bench, tmp_path):
             assert "grad_dev" not in a
     assert [(r["m"], r["n"], r["rows"], r["support"])
             for r in report["grad_block"]] == [(30, 12, 7, 12), (30, 12, 7, 5)]
-    assert all(r["ms"] > 0 for r in report["grad_block"])
+    assert [(r["m"], r["n"], r["rows"], r["support"])
+            for r in report["grad_block_matrix_free"]] == [(30, 12, 9, 2)]
+    assert all(r["ms"] > 0 for key in ("grad_block", "grad_block_matrix_free")
+               for r in report[key])
     assert [(r["m"], r["n"], r["support"]) for r in report["eval_all"]] == [
         (30, 12, 2), (30, 12, 5)]
     assert all(r["ms"] > 0 for r in report["eval_all"])

@@ -444,21 +444,34 @@ def test_stacked_jvp_memory_does_not_grow_with_pairs(make, rng):
         assert held[0] < 3 * m * n * support * 8 + 16 * 1024
 
 
-@pytest.mark.parametrize("m, n, rows", [(300, 150, 113), (200, 100, 20),
-                                        (40, 30, 40)])
-def test_dense_grad_block_bit_equal_to_row_formula(m, n, rows):
-    # the block-dense and diagnose block shapes and a whole Jacobian, at a
-    # dense, a sparse and a zero x: row i is x_S A_i[S, :] + b_i, S the
-    # support of x, bit for bit, also in a block of several gather chunks
+@pytest.mark.parametrize("storage, m, n, rows, support", [
+    ("dense", 300, 150, 113, 7), ("dense", 200, 100, 20, 5),
+    ("dense", 40, 30, 40, 1), ("matrix-free", 200, 100, 72, 8)])
+def test_grad_block_bit_equal_to_row_formula_dense_and_matrix_free(
+        storage, m, n, rows, support):
+    # the block-dense, diagnose and dct-matfree block shapes and a whole
+    # Jacobian, at a dense, a sparse and a zero x, bit for bit, also in a
+    # block of several chunks: with A = A_i and S the support of x, row i
+    # is x_S A[S, :] + b_i for a dense (symmetric) slab and
+    # 0.5 (x_S A[S, :] + A[:, S] x_S) + b_i for the matrix-free A_i
     assert rows > systems._GRAD_SLABS   # dense x: several chunks
-    sys = random_quadratic(m, n, seed=m)
+    matrix_free = storage == "matrix-free"
+    sys = (random_cosine if matrix_free else random_quadratic)(m, n, seed=m)
     rng = np.random.default_rng(n)
     idx = rng.choice(m, size=rows, replace=False)
     sparse = np.zeros(n)
-    sparse[rng.choice(n, size=n // 20, replace=False)] = rng.standard_normal(n // 20)
+    sparse[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
+    # the sparse x spans several chunks of the matrix-free block
+    assert not matrix_free or rows > systems._GRAD_SLABS * n // support
     for x in (rng.standard_normal(n), sparse, np.zeros(n)):
         S = np.flatnonzero(x)
-        expected = np.array([x[S] @ sys.A[i][S] + sys.b[i] for i in idx])
+        expected = []
+        for i in idx:
+            A = sys.matrix(i)
+            row = x[S] @ A[S]
+            if matrix_free:
+                row = 0.5 * (row + A[:, S] @ x[S])
+            expected.append(row + sys.b[i])
         np.testing.assert_array_equal(sys.grad_block(idx, x), expected)
 
 
