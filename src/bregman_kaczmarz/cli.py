@@ -2,13 +2,12 @@
 and hypothesis audits, all emitting deterministic CSV files.
 
 Exit codes: 0 converged/complete, 2 max-iters, 3 degenerate, 4 validation
-error.
+error, a usage error included.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import statistics
 import sys
 from dataclasses import replace
@@ -123,10 +122,19 @@ def _usable_out(path, directory):
     return out
 
 
+def _problem(args):
+    """(instance, prior, preset config) of `run` and `diagnose`; the flags
+    are checked before the instance file is read."""
+    config = preset_config(args.solver, seed=args.seed, alpha=args.alpha,
+                           delta=args.delta, theta=args.theta, tol=args.tol,
+                           max_iters=args.max_iters)
+    prior = SparsePrior(args.lam)
+    return gen.load_instance(args.instance), prior, config
+
+
 def cmd_generate(args):
     out = _usable_out(args.out, directory=False)
-    spec = gen.GeneratorSpec(kind=args.kind, m=args.m, n=args.n, sp=args.sp,
-                             seed=args.seed)
+    spec = gen.GeneratorSpec(args.kind, args.m, args.n, args.sp, args.seed)
     instance = gen.generate(spec, matrix_free=args.matrix_free)
     out.parent.mkdir(parents=True, exist_ok=True)
     gen.save_instance(out, instance)
@@ -137,22 +145,16 @@ def cmd_generate(args):
 
 def cmd_run(args):
     out = _usable_out(args.out, directory=True)
-    instance = gen.load_instance(args.instance)
-    prior = SparsePrior(args.lam)
-    config = preset_config(args.solver, seed=args.seed, alpha=args.alpha,
-                           delta=args.delta, theta=args.theta, tol=args.tol,
-                           max_iters=args.max_iters)
+    instance, prior, config = _problem(args)
     x0_star = initial_dual(instance.system.n, args.seed)
     record = slv.run(instance.system, prior, config, x0_star,
                      truth=instance.truth)
 
     out.mkdir(parents=True, exist_ok=True)
     record.to_csv(out / "history.csv")
-    with open(out / "signal.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SIGNAL_HEADER)
-        for j, (xj, tj) in enumerate(zip(record.final_primal, instance.truth)):
-            w.writerow([j, xj, tj])
+    slv.write_csv(out / "signal.csv", SIGNAL_HEADER,
+                  zip(range(instance.truth.size), record.final_primal,
+                      instance.truth))
     print(f"{args.solver}: status={record.status} iterations={record.iterations} "
           f"rel_res_sq={record.rows[-1][1]:.3e}")
     return _status_exit(record.status)
@@ -161,16 +163,13 @@ def cmd_run(args):
 def cmd_bench(args):
     out = _usable_out(args.out, directory=True)
     solvers = [args.solver] if args.solver else SOLVER_NAMES
-    spec = gen.GeneratorSpec(kind=args.kind, m=args.m, n=args.n, sp=args.sp,
-                             seed=args.seed)
+    spec = gen.GeneratorSpec(args.kind, args.m, args.n, args.sp, args.seed)
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
     size = gen.stored_bytes(spec, args.matrix_free)
     if not args.force_large and size > DESK_SCALE_BYTES:
-        print(f"refusing {size} stored bytes beyond desk scale "
-              f"({DESK_SCALE_BYTES}); pass --force-large to override",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError(f"refusing {size} stored bytes beyond desk scale "
+                         f"({DESK_SCALE_BYTES}); pass --force-large to override")
 
     # a sweep over every preset hands each one only the flags it reads
     flags = {"alpha": args.alpha, "delta": args.delta, "theta": args.theta}
@@ -191,21 +190,16 @@ def cmd_bench(args):
         if args.curves:
             record.to_csv(out / f"curve_{name}_rep{rep}.csv")
 
-    with open(out / "table.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TABLE_HEADER)
-        for name in solvers:
-            its = [r[0] for r in results[name]]
-            times = [r[1] for r in results[name]]
-            conv = [r[2] for r in results[name]]
-            w.writerow([args.m, args.n, args.sp, name,
-                        statistics.median(its), statistics.mean(its),
-                        int(statistics.median(times)),
-                        sum(conv) / len(conv)])
+    table, summary = [], []
     for name in solvers:
-        its = sorted(r[0] for r in results[name])
-        print(f"{name}: median_it={statistics.median(its)} "
-              f"converged={sum(r[2] for r in results[name])}/{args.reps}")
+        its, times, conv = zip(*results[name])
+        table.append([args.m, args.n, args.sp, name, statistics.median(its),
+                      statistics.mean(its), int(statistics.median(times)),
+                      sum(conv) / len(conv)])
+        summary.append(f"{name}: median_it={table[-1][4]} "
+                       f"converged={sum(conv)}/{args.reps}")
+    slv.write_csv(out / "table.csv", TABLE_HEADER, table)
+    print("\n".join(summary))
     return EXIT_OK
 
 
@@ -213,11 +207,7 @@ def cmd_diagnose(args):
     if args.local_start is not None and not np.isfinite(args.local_start):
         raise ValueError(f"--local-start must be finite, got {args.local_start}")
     out = _usable_out(args.out, directory=True)
-    instance = gen.load_instance(args.instance)
-    prior = SparsePrior(args.lam)
-    config = preset_config(args.solver, seed=args.seed, alpha=args.alpha,
-                           delta=args.delta, theta=args.theta, tol=args.tol,
-                           max_iters=args.max_iters)
+    instance, prior, config = _problem(args)
     rng = np.random.default_rng(args.seed)
     if args.local_start is not None:
         x0_star = local_dual(instance.truth, args.lam, args.local_start, rng)
@@ -248,6 +238,14 @@ def cmd_diagnose(args):
     return EXIT_OK if passed else EXIT_DEGENERATE
 
 
+def _add_spec_flags(p):
+    p.add_argument("--kind", choices=[gen.GAUSSIAN, gen.DCT], required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--sp", type=float, required=True)
+    p.add_argument("--matrix-free", action="store_true")
+
+
 def _add_solver_flags(p):
     p.add_argument("--solver", choices=SOLVER_NAMES, default="abnbk-a")
     p.add_argument("--alpha", type=float, default=None)
@@ -259,20 +257,23 @@ def _add_solver_flags(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, which `main` refuses (exit 4)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bkz",
         description="Sparse nonlinear system solving via block "
                     "Bregman-Kaczmarz iterations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a problem instance file")
-    p.add_argument("--kind", choices=[gen.GAUSSIAN, gen.DCT], required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sp", type=float, required=True)
+    _add_spec_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--matrix-free", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -283,13 +284,9 @@ def build_parser():
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="solver comparison table over seeds")
-    p.add_argument("--kind", choices=[gen.GAUSSIAN, gen.DCT], required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sp", type=float, required=True)
+    _add_spec_flags(p)
     p.add_argument("--reps", type=int, default=20)
     p.add_argument("--curves", action="store_true")
-    p.add_argument("--matrix-free", action="store_true")
     p.add_argument("--force-large", action="store_true")
     _add_solver_flags(p)
     p.set_defaults(solver=None)
@@ -307,12 +304,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    # an --out that is a file where a directory goes, or the reverse, is
-    # refused like bad input; other OS errors (a full disk) are not
+    # usage errors and an --out of the wrong kind (a file where a directory
+    # goes, or the reverse) are refused like bad input; a full disk is not
     except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError,
             NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ Everything here is pure analysis over recorded histories.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,10 +149,7 @@ class ContractionAudit:
         return self.fraction_satisfied == 1.0
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(AUDIT_HEADER)
-            w.writerows(self.rows)
+        slv.write_csv(path, AUDIT_HEADER, self.rows)
 
 
 def block_jacobians(record, system):

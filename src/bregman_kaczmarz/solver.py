@@ -84,6 +84,14 @@ class SolverConfig:
                 "range [1, 2)", stacklevel=2)
 
 
+def write_csv(path, header, rows):
+    """Write one header line and then the rows to the CSV file at path."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 @dataclass
 class RunRecord:
     status: str
@@ -102,11 +110,8 @@ class RunRecord:
         return np.array([row[j] for row in self.rows])
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(CSV_HEADER + ["status"])
-            for row in self.rows:
-                w.writerow(list(row) + [self.status])
+        write_csv(path, CSV_HEADER + ["status"],
+                  ((*row, self.status) for row in self.rows))
 
 
 def abnbk_step(dual, primal, F, system, prior, config, rng, k):

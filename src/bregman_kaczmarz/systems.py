@@ -303,11 +303,9 @@ class DCTQuadraticSystem(_Quadratic):
     def eval_component(self, i, x):
         """F_i(x); for an index array i, the array of F_i(x) over its
         entries in one vectorized call (eval_all passes every row)."""
-        x = np.asarray(x, dtype=float)
-        if np.ndim(i) == 0:
-            self._check_index(i)
-            return float(self._values([i], x)[0])
-        return self._values(self._rows(i), x)
+        values = self._values(self._rows(np.atleast_1d(i)),
+                              np.asarray(x, dtype=float))
+        return float(values[0]) if np.ndim(i) == 0 else values
 
     def eval_all(self, x):
         return self.eval_component(np.arange(self.m), x)

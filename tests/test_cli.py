@@ -262,11 +262,14 @@ class TestBench:
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
-    def test_desk_scale_guard(self, tmp_path):
+    def test_desk_scale_guard(self, tmp_path, capsys):
         rc = cli.main(["bench", "--kind", "gaussian", "--m", "2000", "--n",
                        "2000", "--sp", "0.1", "--out", str(tmp_path / "b")])
         assert rc == cli.EXIT_VALIDATION
         assert not (tmp_path / "b" / "table.csv").exists()
+        size = stored_bytes(GeneratorSpec("gaussian", 2000, 2000, 0.1, seed=0))
+        assert capsys.readouterr().err.startswith(
+            f"error: refusing {size} stored bytes beyond desk scale")
 
     def test_matrix_free_cosine(self, tmp_path):
         out = tmp_path / "bench"
@@ -514,3 +517,40 @@ def test_unusable_out_rejected(instance_path, tmp_path, capsys, monkeypatch,
         rc = cli.main(valid_call(command, instance_path) + ["--out", str(path)])
         assert rc == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# the integer flags of each command
+INT_FLAGS = {"generate": ["--m"], "run": ["--max-iters"],
+             "bench": ["--m", "--max-iters", "--reps"],
+             "diagnose": ["--max-iters"]}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_usage_error_rejected(instance_path, tmp_path, capsys, command):
+    # a usage error is bad input like any other: exit 4 and one error
+    # line naming the argument, never argparse's exit 2 of a capped run
+    out = ["--out", str(tmp_path / "out")]
+    calls = [(valid_call(command, instance_path) + [flag, "1.5"] + out, flag)
+             for flag in INT_FLAGS[command]]
+    calls.append((valid_call(command, instance_path), "--out"))
+    for argv, flag in calls:
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["solve", "inst.npz"]])
+def test_missing_or_unknown_command_rejected(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "command" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[c, "--help"] for c in COMMANDS])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bkz")

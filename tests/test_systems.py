@@ -265,7 +265,8 @@ class TestMatrixFreeKernel(kernel_checks(random_cosine,
 
     def test_eval_component_over_index_array(self, rng):
         # an index array gives its rows of F in one call, bit-equal to the
-        # single-row calls; every entry is range-checked
+        # single-row calls; every entry is range-checked, and a float or
+        # boolean index is refused, scalar or not
         sys = random_cosine(9, 6, seed=3)
         x = np.zeros(6)
         x[[1, 4]] = rng.standard_normal(2)
@@ -274,7 +275,7 @@ class TestMatrixFreeKernel(kernel_checks(random_cosine,
         for idx in ([], [4], [8, 0, 8], range(9)):
             idx = np.array(idx, dtype=int)
             np.testing.assert_array_equal(sys.eval_component(idx, x), F[idx])
-        for bad in ([0, -1], [9, 0]):
+        for bad in ([0, -1], [9, 0], 1.0, True, [1.0]):
             with pytest.raises(IndexError):
                 sys.eval_component(bad, x)
 
