@@ -23,11 +23,15 @@ the block shapes of the benchmark, (300, 150) with 113 rows
 dense x and at an x with round(sp n) nonzeros, the support of a
 local-start audit, and `eval_all` at (300, 150) for supports |S| = 5,
 42 and 73; on a matrix-free cosine instance, `grad_block` at (200, 100)
-with 72 rows at |S| = 8 (`dct-matfree`, several chunks); and on a
-Gaussian and a matrix-free cosine instance, one
-stacked `jvp` of JVP_PAIRS pairs at the audited shape, each x the truth
-with noise of scale 1e-3 on its support and d = x - truth, as in a
-local-start audit.
+with 72 rows at |S| = 8 (a `dct-matfree` block), cold: each call on a
+fresh system, which holds no support rows of an earlier block; the
+`grad_block` calls of the `abnbk-a` solve of repetition 0 of the first
+seed on the `dct-matfree` instance (200, 100, sp = 0.05), replayed in
+order on a fresh system, in ms per step, so each block reuses the rows
+it shares with the one before as in the solve; and on a Gaussian and a
+matrix-free cosine instance, one stacked `jvp` of JVP_PAIRS pairs at the
+audited shape, each x the truth with noise of scale 1e-3 on its support
+and d = x - truth, as in a local-start audit.
 
 A before/after comparison is this script run at both commits.  The
 output holds the numpy version, BLAS name and BLAS thread variables;
@@ -55,6 +59,7 @@ import statistics
 import tempfile
 from collections import defaultdict
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from io import StringIO
 
 import numpy as np
@@ -62,6 +67,8 @@ from tracing import Tracer, aggregate
 
 from bregman_kaczmarz import cli, diagnostics, solver
 from bregman_kaczmarz import generators as gen
+from bregman_kaczmarz.priors import SparsePrior
+from bregman_kaczmarz.systems import DCTQuadraticSystem
 
 SEEDS = (1, 7)
 REPS = (0, 1)
@@ -70,6 +77,7 @@ STORAGES = (("dense", gen.GAUSSIAN, False), ("matrix-free", gen.DCT, True))
 BLOCKS = ((300, 150, 0.4, 113), (200, 100, 0.05, 20))   # m, n, sp, rows
 EVALS = (300, 150, 0.4, (5, 42, 73))              # m, n, sp, supports |S|
 MATRIX_FREE_BLOCK = (200, 100, 0.05, 72, (8,))  # m, n, sp, rows, supports
+MATRIX_FREE_SOLVE = (200, 100, 0.05, "abnbk-a")   # m, n, sp, preset
 JVP_PAIRS = 256
 LOCAL_START = "1e-3"
 REPEATS = 5
@@ -142,19 +150,30 @@ def first_instance(m, n, sp, kind=gen.GAUSSIAN, matrix_free=False):
                         matrix_free=matrix_free)
 
 
-def median_ms(call, *args):
-    """Median ms of KERNEL_REPEATS calls call(*args)."""
+def median_ms(calls):
+    """Median ms over an iterable of argument-free calls, each timed alone;
+    the iterable may build a call untimed."""
     tracer = Tracer()
-    timed = tracer.wrap("kernel", call)
-    for _ in range(KERNEL_REPEATS):
-        timed(*args)
+    for call in calls:
+        tracer.wrap("kernel", call)()
     return statistics.median((s.end - s.start) / 1e6 for s in tracer.spans)
+
+
+def repeated(call, *args):
+    """KERNEL_REPEATS calls call(*args)."""
+    return [partial(call, *args)] * KERNEL_REPEATS
+
+
+def fresh(system):
+    """A new matrix-free system of the same arrays, holding no rows."""
+    return DCTQuadraticSystem(system.xi, system.b, system.c)
 
 
 def block_ms(m, n, sp, rows, supports=None, kind=gen.GAUSSIAN,
              matrix_free=False):
     """`grad_block` for `rows` rows at an x with each support size, by
-    default a dense x and round(sp n) nonzeros."""
+    default a dense x and round(sp n) nonzeros; a matrix-free call runs
+    on a fresh system."""
     system = first_instance(m, n, sp, kind, matrix_free).system
     rng = np.random.default_rng(SEEDS[0])
     idx = rng.choice(m, size=rows, replace=False)
@@ -162,10 +181,49 @@ def block_ms(m, n, sp, rows, supports=None, kind=gen.GAUSSIAN,
     for size in supports or (n, round(sp * n)):
         x = np.zeros(n)
         x[rng.choice(n, size=size, replace=False)] = rng.standard_normal(size)
+        calls = ((partial(fresh(system).grad_block, idx, x)
+                  for _ in range(KERNEL_REPEATS)) if matrix_free
+                 else repeated(system.grad_block, idx, x))
         results.append({"m": m, "n": n, "sp": sp, "rows": rows,
-                        "support": size,
-                        "ms": median_ms(system.grad_block, idx, x)})
+                        "support": size, "ms": median_ms(calls)})
     return results
+
+
+def solve_blocks(m, n, sp, preset):
+    """The matrix-free instance of `first_instance` and the (block, x) of
+    every `grad_block` call of its solve by `preset`, with the start and
+    solver seeds of repetition 0 of the first seed."""
+    instance = first_instance(m, n, sp, gen.DCT, True)
+    _, x0_seed, solver_seed = cli.derived_seeds(SEEDS[0], 0)
+    system = fresh(instance.system)
+    grad_block = system.grad_block
+    calls = []
+
+    def record(idx, x):
+        calls.append((np.array(idx), np.array(x)))
+        return grad_block(idx, x)
+
+    system.grad_block = record
+    solver.run(system, SparsePrior(cli.DEFAULT_LAMBDA),
+               cli.preset_config(preset, seed=solver_seed),
+               cli.initial_dual(n, x0_seed), truth=instance.truth)
+    return instance.system, calls
+
+
+def solve_ms(m, n, sp, preset):
+    """ms per step of the `grad_block` calls of a recorded solve, replayed
+    in order on a fresh system: the median of KERNEL_REPEATS replays."""
+    system, calls = solve_blocks(m, n, sp, preset)
+
+    def replay(replica):
+        for idx, x in calls:
+            replica.grad_block(idx, x)
+
+    ms = median_ms(partial(replay, fresh(system))
+                   for _ in range(KERNEL_REPEATS))
+    return {"m": m, "n": n, "sp": sp, "preset": preset, "steps": len(calls),
+            "rows": sum(idx.size for idx, _ in calls),
+            "ms_per_step": ms / len(calls)}
 
 
 def eval_ms(m, n, sp, supports):
@@ -177,7 +235,7 @@ def eval_ms(m, n, sp, supports):
         x = np.zeros(n)
         x[rng.choice(n, size=size, replace=False)] = rng.standard_normal(size)
         results.append({"m": m, "n": n, "sp": sp, "support": size,
-                        "ms": median_ms(system.eval_all, x)})
+                        "ms": median_ms(repeated(system.eval_all, x))})
     return results
 
 
@@ -189,7 +247,7 @@ def jvp_ms(m, n, sp, pairs, kind=gen.GAUSSIAN, matrix_free=False):
     noise = float(LOCAL_START) * rng.standard_normal((pairs, n))
     X = truth + noise * (truth != 0)
     return {"m": m, "n": n, "sp": sp, "pairs": pairs,
-            "ms": median_ms(instance.system.jvp, X, X - truth)}
+            "ms": median_ms(repeated(instance.system.jvp, X, X - truth))}
 
 
 def main(argv=None):
@@ -226,6 +284,7 @@ def main(argv=None):
               "grad_block": [r for shape in BLOCKS for r in block_ms(*shape)],
               "grad_block_matrix_free": block_ms(*MATRIX_FREE_BLOCK, gen.DCT,
                                                  True),
+              "grad_block_matrix_free_solve": solve_ms(*MATRIX_FREE_SOLVE),
               "eval_all": eval_ms(*EVALS),
               "jvp": jvp_ms(*SHAPE, JVP_PAIRS),
               "jvp_matrix_free": jvp_ms(*SHAPE, JVP_PAIRS, gen.DCT, True)}
@@ -237,6 +296,9 @@ def main(argv=None):
         for r in report[key]:
             print(f"{key} ({r['m']}, {r['n']}) x {r['rows']} rows at "
                   f"|S| = {r['support']}: {r['ms']:.3f} ms")
+    r = report["grad_block_matrix_free_solve"]
+    print(f"grad_block_matrix_free_solve ({r['m']}, {r['n']}) {r['preset']}, "
+          f"{r['steps']} steps: {r['ms_per_step']:.3f} ms per step")
     for r in report["eval_all"]:
         print(f"eval_all ({r['m']}, {r['n']}) at |S| = {r['support']}: "
               f"{r['ms']:.3f} ms")

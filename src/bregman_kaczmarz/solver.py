@@ -160,8 +160,10 @@ def run(system, prior, config, x0_star, truth=None):
     """Iterate until the squared relative residual drops below tol.
 
     Ground-truth columns (solution error, Bregman distance) are populated
-    only when `truth` is given.  Identical (config, x0_star, instance)
-    inputs reproduce the record bit-exactly apart from timings.
+    only when `truth` is given, and only for the rows kept: without
+    history they are computed once, for the last row.  Identical (config,
+    x0_star, instance) inputs reproduce the record bit-exactly apart from
+    timings.
     """
     dual = np.array(x0_star, dtype=float)
     if dual.shape != (system.n,):
@@ -175,8 +177,8 @@ def run(system, prior, config, x0_star, truth=None):
     primals = [primal] if config.keep_iterates else None
     residuals = [F] if config.keep_iterates else None
 
-    def history_row(k, res_sq, block_size, alpha, elapsed_ns):
-        # the truth columns are those of the current (dual, primal)
+    def history_row(k, res_sq, block_size, alpha, elapsed_ns, dual, primal):
+        # the truth columns are those of the step's (dual, primal)
         rel = res_sq / res0_sq if res0_sq > 0 else 0.0
         if truth is None:
             err = breg = float("nan")
@@ -185,7 +187,8 @@ def run(system, prior, config, x0_star, truth=None):
             breg = prior.bregman_distance(dual, truth)
         return (k, rel, err, breg, block_size, alpha, elapsed_ns)
 
-    rows = [history_row(0, res0_sq, 0, 0.0, 0)]
+    last = (0, res0_sq, 0, 0.0, 0, dual, primal)    # the last recorded step
+    rows = [history_row(*last)] if config.record_history else []
     k = 0
     status = MAX_ITERS
     message = ""
@@ -218,13 +221,15 @@ def run(system, prior, config, x0_star, truth=None):
             blocks.append(block)
             primals.append(primal)
             residuals.append(F)
-        if not config.record_history:
-            rows.clear()        # keep only the row of the last recorded step
-        rows.append(history_row(k, res_sq, len(block), alpha, elapsed))
+        last = (k, res_sq, len(block), alpha, elapsed, dual, primal)
+        if config.record_history:
+            rows.append(history_row(*last))
         if res_sq / res0_sq <= config.tol:
             status = CONVERGED
             break
 
+    if not config.record_history:
+        rows = [history_row(*last)]     # only the row of the last recorded step
     return RunRecord(status, k, rows, message=message, duals=duals,
                      blocks=blocks, primals=primals, residuals=residuals,
                      final_dual=dual, final_primal=primal)

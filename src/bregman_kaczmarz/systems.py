@@ -8,16 +8,20 @@ makes them): a gradient row reads the |S| support rows of its slab, S
 the support of x, and the residuals read about half of those rows of
 every slab, at cost m*|S|*n/2.  A matrix-free variant backs the
 partial-cosine family and computes only the cosines that meet the
-support.  `eval_points` (F_i at many points) and `grad_block` (many
+support; it holds the support rows of its last gradient block, within a
+bound, so that the next block computes only the rows it does not share
+with it.  `eval_points` (F_i at many points) and `grad_block` (many
 gradient rows at one point) loop `eval_component` and `grad_component`
 unless a system overrides them, as both built-in ones do.  `jvp` takes
 one pair (x, d) or stacks X, D of P pairs, shape (P, n), and gives
 J(X_p) D_p for all of them in one call without forming J(x); the base
 class goes pair by pair.  Both storages share one quadratic base, which
-computes `eval_points` from a storage's A_i, `grad_block` from its
-products of x_S with chunks of slabs and `jvp` from its rows of the
-symmetric slabs, working through the pairs in chunks that share their
-support work.  All systems are read-only after construction.
+computes `eval_points` from a storage's A_i, `grad_block` from products
+of x_S with the support rows of the symmetric slabs and `jvp` from rows
+of those slabs, working through the pairs in chunks that share their
+support work.  All systems are read-only after construction: the held
+rows of the matrix-free variant stay valid only while its xi does not
+change.
 """
 
 from __future__ import annotations
@@ -28,6 +32,29 @@ import numpy as np
 # reads, counted in slabs: a block of them holds at most _GRAD_SLABS n^2
 # doubles, gathered (dense) or computed (matrix-free)
 _GRAD_SLABS = 4
+# the support rows a matrix-free system holds from one gradient block to
+# the next, counted in slabs: at most _HELD_SLABS n^2 doubles; a larger
+# block goes in chunks of _GRAD_SLABS and leaves the held rows as they are
+_HELD_SLABS = 32
+
+
+def _positions(held, keys, size):
+    """The position of each key in the int array held, -1 where held lacks
+    it; keys and held lie in [0, size)."""
+    where = np.full(size, -1)
+    where[held] = np.arange(held.size)
+    return where[keys]
+
+
+def _chunks(at, width, rows):
+    """The index array at in pieces of rows // width entries, so that a
+    piece of slabs with width <= rows rows each covers at most `rows`
+    rows; nothing when width is 0."""
+    if width == 0:
+        return
+    step = rows // width
+    for s in range(0, at.size, step):
+        yield at[s:s + step]
 
 
 class NonlinearSystem:
@@ -110,8 +137,8 @@ def symmetrize(A):
 class _Quadratic(NonlinearSystem):
     """F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i, whatever the storage of
     the A_i.  A subclass supplies `matrix(i)`, which gives A_i with i
-    checked; `_grad_chunk(idx, S, xS, out)`, which writes x_S sym(A_i)[S, :]
-    for each slab i of idx, S the support of x, into a row of out; and
+    checked; `_support_rows(idx, S)`, which gives the support rows
+    sym(A_i)[S, :] of each slab i of idx, shape (|idx|, |S|, n); and
     `_sym_rows(j, cols)`, which gives row j of every symmetric part
     sym(A_i) = 0.5 (A_i + A_i^T) at the columns cols, shape (m, len(cols)).
     `jvp` reads only the entries with j in the support Ux of the x and a
@@ -155,9 +182,9 @@ class _Quadratic(NonlinearSystem):
         return out[0] if single else out
 
     def grad_block(self, idx, x):
-        """Rows sym(A_i) x + b_i for i in idx: `_grad_chunk` writes the
-        products of _GRAD_SLABS n // |S| slabs at a time, S the support
-        of x; at x = 0 the rows are b[idx]."""
+        """Rows x_S sym(A_i)[S, :] + b_i for i in idx, S the support of x:
+        one stacked product of x_S with the `_support_rows` of
+        _GRAD_SLABS n // |S| slabs at a time; at x = 0 the rows are b[idx]."""
         idx = self._rows(idx)
         x = np.asarray(x, dtype=float)
         S = np.flatnonzero(x)
@@ -165,7 +192,8 @@ class _Quadratic(NonlinearSystem):
         rows = np.empty((idx.size, self.n))
         step = _GRAD_SLABS * self.n // max(S.size, 1)
         for s in range(0, idx.size, step):
-            self._grad_chunk(idx[s:s + step], S, xS, rows[s:s + step])
+            np.matmul(xS, self._support_rows(idx[s:s + step], S),
+                      out=rows[s:s + step])
         rows += self.b[idx]
         return rows
 
@@ -219,10 +247,9 @@ class QuadraticSystem(_Quadratic):
     def eval_component(self, i, x):
         return float(self.eval_points(i, [x])[0])
 
-    def _grad_chunk(self, idx, S, xS, out):
-        # A_i x = x_S A_i[S, :] for a symmetric slab: one gather of the
-        # support rows of the chunk's slabs and one stacked product
-        np.matmul(xS, self.A[idx[:, None], S], out=out)
+    def _support_rows(self, idx, S):
+        # A_i x = x_S A_i[S, :] for a symmetric slab: one gather
+        return self.A[idx[:, None], S]
 
     def eval_all(self, x):
         # 0.5 <x, A_i x> = sum over j in S of x_j (A_i[j, j+1:] x[j+1:]
@@ -249,8 +276,16 @@ class DCTQuadraticSystem(_Quadratic):
     demand and only where they meet the support S of x: m*|S|^2 cosines
     per residual vector, 2*n*|S| per gradient row (its support rows and
     columns) and 2*|Ud| per j in Ux for a row of J(x) d over a whole
-    chunk of pairs, against n^2 per row for a materialized A_i.  Nothing
-    is cached between calls.
+    chunk of pairs, against n^2 per row for a materialized A_i.
+
+    A gradient block of at most _HELD_SLABS n support rows keeps them,
+    sym(A_i)[S, :] for its slabs i and S, until the next such block: that
+    one copies the row of every pair (i, j) both share and computes only
+    the others, and the consecutive blocks of a solve share most pairs.
+    The rows are a function of the pair alone, the sums `to_dense()`
+    stores, so a gradient row is that of `to_dense()` bit for bit
+    whatever came before.  The held rows take at most _HELD_SLABS n^2
+    doubles and assume that xi is never changed.
     """
 
     def __init__(self, xi, b, c):
@@ -259,6 +294,10 @@ class DCTQuadraticSystem(_Quadratic):
             raise ValueError(f"xi must be (m, n), got {xi.shape}")
         super().__init__("xi", xi, b, c)
         self.xi = xi
+        # the slabs, support and rows of the last held block
+        self._held_idx = np.empty(0, dtype=int)
+        self._held_S = np.empty(0, dtype=int)
+        self._held_rows = np.empty((0, 0, self.n))
 
     @staticmethod
     def _cosines(xi, cols):
@@ -278,15 +317,49 @@ class DCTQuadraticSystem(_Quadratic):
         C = self._cosines(self.xi[:, S][rows], S)      # A_i[S, S]
         return 0.5 * (C @ xS * xS).sum(axis=1) + self.b[rows] @ x + self.c[rows]
 
-    def _grad_chunk(self, idx, S, xS, out):
-        # 0.5 (x_S A_i[S, :] + A_i[:, S] x_S), the support columns laid out
-        # as (|S|, n) rows; each block of cosines is freed before the next
+    def grad_block(self, idx, x):
+        """The rows of the base class; a block of at most _HELD_SLABS n
+        support rows forms them with one product from the rows of
+        `_held_support_rows`, a larger one in chunks of fresh rows."""
+        idx = self._rows(idx)
+        x = np.asarray(x, dtype=float)
+        S = np.flatnonzero(x)
+        if idx.size * S.size > _HELD_SLABS * self.n:
+            return super().grad_block(idx, x)
+        rows = np.matmul(x[S], self._held_support_rows(idx, S))
+        rows += self.b[idx]
+        return rows
+
+    def _held_support_rows(self, idx, S):
+        """`_support_rows(idx, S)`, held until the next call: the row of a
+        pair (i, j) the held rows have is copied, in chunks of at most n
+        rows while the old rows are still held, and the other rows are
+        computed once those are freed, in chunks of at most _GRAD_SLABS n."""
+        at_slab = _positions(self._held_idx, idx, self.m)
+        at_col = _positions(self._held_S, S, self.n)
+        rows = np.empty((idx.size, S.size, self.n))
+        old, new = np.flatnonzero(at_slab >= 0), np.flatnonzero(at_slab < 0)
+        kept, fresh = np.flatnonzero(at_col >= 0), np.flatnonzero(at_col < 0)
+        for a in _chunks(old, kept.size, self.n):
+            rows[np.ix_(a, kept)] = self._held_rows[np.ix_(at_slab[a],
+                                                           at_col[kept])]
+        self._held_rows = None      # freed before the new rows are computed
+        for slabs, cols in ((new, np.arange(S.size)), (old, fresh)):
+            for a in _chunks(slabs, cols.size, _GRAD_SLABS * self.n):
+                rows[np.ix_(a, cols)] = self._support_rows(idx[a], S[cols])
+        self._held_idx, self._held_S, self._held_rows = idx.copy(), S, rows
+        return rows
+
+    def _support_rows(self, idx, S):
+        # 0.5 (A_i[S, :] + A_i[:, S]^T): 2 n |S| cosines a slab, summed as
+        # `symmetrize` sums them
         xi = self.xi[idx]
-        np.matmul(xS, self._cosines(xi[:, S], np.arange(self.n)), out=out)
-        cols = np.einsum("ik,j->ijk", 2.0 * np.pi * xi, S.astype(float),
-                         order="C")
-        out += xS @ np.cos(cols, out=cols)
-        out *= 0.5
+        rows = self._cosines(xi[:, S], np.arange(self.n))
+        xi *= 2.0 * np.pi       # a copy: the products `_cosines` forms
+        cols = np.einsum("ik,j->ijk", xi, S.astype(float), order="C")
+        rows += np.cos(cols, out=cols)      # A_i[:, S]^T laid out as rows
+        rows *= 0.5
+        return rows
 
     def matrix(self, i):
         """Materialize A_i, shape (n, n) (n^2 cosines)."""

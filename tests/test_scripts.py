@@ -25,6 +25,7 @@ def bench(monkeypatch):
     monkeypatch.setattr(module, "BLOCKS", ((30, 12, 0.4, 7),))
     monkeypatch.setattr(module, "EVALS", (30, 12, 0.4, (2, 5)))
     monkeypatch.setattr(module, "MATRIX_FREE_BLOCK", (30, 12, 0.4, 9, (2,)))
+    monkeypatch.setattr(module, "MATRIX_FREE_SOLVE", (30, 12, 0.2, "abnbk-a"))
     monkeypatch.setattr(module, "JVP_PAIRS", 9)
     monkeypatch.setattr(module, "REPEATS", 1)
     monkeypatch.setattr(module, "KERNEL_REPEATS", 1)
@@ -69,9 +70,28 @@ def test_bench_diagnose_main(bench, tmp_path):
             for r in report["grad_block_matrix_free"]] == [(30, 12, 9, 2)]
     assert all(r["ms"] > 0 for key in ("grad_block", "grad_block_matrix_free")
                for r in report[key])
+    # the replayed solve holds the blocks the solver asked for, one a step
+    solve = report["grad_block_matrix_free_solve"]
+    _, calls = bench.solve_blocks(30, 12, 0.2, "abnbk-a")
+    assert (solve["m"], solve["n"], solve["preset"]) == (30, 12, "abnbk-a")
+    assert solve["steps"] == len(calls) > 1
+    assert solve["rows"] == sum(idx.size for idx, _ in calls)
+    assert solve["ms_per_step"] > 0
     assert [(r["m"], r["n"], r["support"]) for r in report["eval_all"]] == [
         (30, 12, 2), (30, 12, 5)]
     assert all(r["ms"] > 0 for r in report["eval_all"])
     for key in ("jvp", "jvp_matrix_free"):
         jvp = report[key]
         assert (jvp["m"], jvp["n"], jvp["pairs"]) == (40, 20, 9) and jvp["ms"] > 0
+
+
+def test_bench_diagnose_times_matrix_free_blocks_cold(bench, monkeypatch):
+    # every timed matrix-free grad_block call runs on a system built for
+    # it, so no call reuses the rows another one left
+    built = []
+    monkeypatch.setattr(bench, "fresh",
+                        lambda system: built.append(system) or
+                        bench.DCTQuadraticSystem(system.xi, system.b, system.c))
+    monkeypatch.setattr(bench, "KERNEL_REPEATS", 3)
+    results = bench.block_ms(*bench.MATRIX_FREE_BLOCK, generators.DCT, True)
+    assert len(results) == 1 and len(built) == 3

@@ -175,6 +175,41 @@ class TestRun:
             np.testing.assert_array_equal(last.final_dual, full.final_dual,
                                           err_msg=name)
 
+    def test_truth_columns_only_for_kept_rows(self, monkeypatch):
+        # a run without history computes the truth columns once, for the
+        # row it keeps, and they are those of the recorded run's last row,
+        # also when a non-finite step ends the run (truth 1 for log x)
+        cases = dict(HISTORY_CASES)
+        system, prior, config, x0, _, status = cases["non_finite_step"]
+        cases["non_finite_step"] = (system, prior, config, x0,
+                                    np.array([1.0]), status)
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(slv, "solution_error",
+                            counted("err", slv.solution_error))
+        for name, (system, prior, config, x0, truth, status) in cases.items():
+            if truth is None:
+                continue
+            monkeypatch.setattr(prior, "bregman_distance",
+                                counted("breg", prior.bregman_distance))
+            calls.clear()
+            full = slv.run(system, prior, config, x0, truth=truth)
+            assert calls.count("err") == calls.count("breg") == len(full.rows)
+            calls.clear()
+            last = slv.run(system, prior,
+                           dataclasses.replace(config, record_history=False),
+                           x0, truth=truth)
+            assert sorted(calls) == ["breg", "err"], name  # once each
+            assert full.status == last.status == status, name
+            np.testing.assert_array_equal(last.rows[0][:6], full.rows[-1][:6],
+                                          err_msg=name)
+
     @pytest.mark.parametrize("kind", ["gaussian", "dct"])
     @pytest.mark.parametrize("preset", cli.SOLVER_NAMES)
     def test_keep_iterates_changes_nothing(self, kind, preset):

@@ -108,6 +108,31 @@ def peak_bytes(calls):
     return peaks
 
 
+def call_bytes(calls):
+    """For each call, its tracemalloc peak above what was allocated when it
+    began, and what stays allocated after it, in bytes.  The counts go
+    into arrays made before the trace starts, so they hold no traced
+    memory themselves."""
+    peaks = np.zeros(len(calls), dtype=int)
+    kept = np.zeros(len(calls), dtype=int)
+    tracemalloc.start()
+    try:
+        for k, call in enumerate(calls):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            kept[k], peaks[k] = tracemalloc.get_traced_memory()
+            peaks[k] -= start
+    finally:
+        tracemalloc.stop()
+    return peaks, kept
+
+
+def held_bytes(sys):
+    """The bytes of the support rows a matrix-free system holds."""
+    return sum(v.nbytes for k, v in vars(sys).items() if k.startswith("_held"))
+
+
 def kernel_checks(make, dense):
     """The checks of the support-restricted kernel of one storage against
     the full contraction of its dense tensor, for symmetric A_i (the
@@ -242,8 +267,11 @@ class TestSupportKernel(kernel_checks(random_quadratic, lambda sys: sys)):
 class TestMatrixFreeKernel(kernel_checks(random_cosine,
                                           DCTQuadraticSystem.to_dense)):
     def test_no_tensor_beyond_storage(self, rng):
-        # no per-row n x n matrix and no cache: a call holds at most a few
-        # (|B|, n, |S|) blocks of cosines
+        # no per-row n x n matrix: above what the system held when it
+        # began, a call allocates at most a few (|B|, n, |S|) blocks of
+        # cosines; after any call the system holds at most the support
+        # rows of one block, _HELD_SLABS n^2 doubles, and over a long
+        # sequence of calls what it holds does not grow
         m, n, support = 40, 30, 3
         warm = random_cosine(m, n, seed=1)
         warm.jacobian(rng.standard_normal(n))
@@ -253,15 +281,28 @@ class TestMatrixFreeKernel(kernel_checks(random_cosine,
         x[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
         d = rng.standard_normal(n)
         block = [0, 7, 39]
-        peaks = peak_bytes([lambda: sys.eval_all(x),
-                            lambda: sys.grad_block(block, x),
-                            lambda: sys.jacobian(x),
-                            lambda: sys.grad_component(5, x),
-                            lambda: sys.jvp(x, d)])
+        peaks, _ = call_bytes([lambda: sys.eval_all(x),
+                               lambda: sys.grad_block(block, x),
+                               lambda: sys.jacobian(x),
+                               lambda: sys.grad_component(5, x),
+                               lambda: sys.jvp(x, d)])
         for rows, peak in zip([m, len(block), m, 1, m], peaks):
             assert peak < 3 * rows * n * support * 8 + 16 * 1024
+
+        bound = systems._HELD_SLABS * n * n * 8
+        calls = []
+        for _ in range(40):
+            idx = rng.choice(m, size=rng.integers(m + 1), replace=False)
+            v = sparse_vector(n, rng.integers(n + 1), False, 1.0, rng)
+            calls.append(lambda idx=idx, v=v: sys.grad_block(idx, v))
+        calls.append(lambda: sys.jacobian(rng.standard_normal(n)))
+        _, kept = call_bytes(calls * 3)
+        assert max(kept) <= bound + 16 * 1024
+        passes = kept[len(calls) - 1::len(calls)]
+        assert max(passes) <= passes[0] + 1024
+        assert held_bytes(sys) <= bound
         arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
-        assert arrays == {"xi", "b", "c"}
+        assert arrays == {"xi", "b", "c", "_held_idx", "_held_S", "_held_rows"}
 
     def test_eval_component_over_index_array(self, rng):
         # an index array gives its rows of F in one call, bit-equal to the
@@ -452,28 +493,63 @@ def test_grad_block_bit_equal_to_row_formula_dense_and_matrix_free(
         storage, m, n, rows, support):
     # the block-dense, diagnose and dct-matfree block shapes and a whole
     # Jacobian, at a dense, a sparse and a zero x, bit for bit, also in a
-    # block of several chunks: with A = A_i and S the support of x, row i
-    # is x_S A[S, :] + b_i for a dense (symmetric) slab and
-    # 0.5 (x_S A[S, :] + A[:, S] x_S) + b_i for the matrix-free A_i
+    # block of several chunks: with A the symmetric slab of row i (of
+    # to_dense() for the matrix-free A_i) and S the support of x, row i is
+    # x_S A[S, :] + b_i for both storages
     assert rows > systems._GRAD_SLABS   # dense x: several chunks
     matrix_free = storage == "matrix-free"
     sys = (random_cosine if matrix_free else random_quadratic)(m, n, seed=m)
+    dense = sys.to_dense() if matrix_free else sys
     rng = np.random.default_rng(n)
     idx = rng.choice(m, size=rows, replace=False)
     sparse = np.zeros(n)
     sparse[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
-    # the sparse x spans several chunks of the matrix-free block
-    assert not matrix_free or rows > systems._GRAD_SLABS * n // support
-    for x in (rng.standard_normal(n), sparse, np.zeros(n)):
+    # the matrix-free block at the sparse x is held, so the second call
+    # copies every row from the first
+    assert not matrix_free or rows * support <= systems._HELD_SLABS * n
+    for x in (rng.standard_normal(n), sparse, sparse, np.zeros(n)):
         S = np.flatnonzero(x)
-        expected = []
-        for i in idx:
-            A = sys.matrix(i)
-            row = x[S] @ A[S]
-            if matrix_free:
-                row = 0.5 * (row + A[:, S] @ x[S])
-            expected.append(row + sys.b[i])
+        expected = [x[S] @ dense.matrix(i)[S] + sys.b[i] for i in idx]
         np.testing.assert_array_equal(sys.grad_block(idx, x), expected)
+
+
+SEQUENCE_M, SEQUENCE_N = 40, 12
+# blocks that overlap, are disjoint, repeat a row or an earlier block or
+# are empty, at supports that grow and shrink, x = 0, a NaN entry (the
+# flag) and a whole Jacobian at a dense x, above the hold bound
+SEQUENCE_CALLS = [([0, 1, 2, 3], {1}, False), ([2, 3, 4, 5], {1, 4, 7}, False),
+                  ([20, 21], {4, 7}, False), ([8, 0, 8], {1, 4, 7}, False),
+                  ([8, 0, 8], {1, 4, 7}, False), ([], {2}, False),
+                  ([5, 6], set(), False), ([3, 8], {2, 5, 9}, True),
+                  (range(SEQUENCE_M), set(range(SEQUENCE_N)), False)]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_matrix_free_rows_pure_over_call_sequences(seed, data):
+    # every call of a sequence on one matrix-free system gives the rows of
+    # a fresh system and of to_dense() bit for bit, whatever it holds from
+    # the calls before, and what it holds stays within the bound
+    m, n = SEQUENCE_M, SEQUENCE_N
+    assert m * n > systems._HELD_SLABS * n
+    drawn = data.draw(st.lists(st.tuples(
+        st.lists(st.integers(0, m - 1), max_size=m),
+        st.sets(st.integers(0, n - 1)), st.booleans()), max_size=8))
+    calls = data.draw(st.permutations(SEQUENCE_CALLS + drawn))
+    sys = random_cosine(m, n, seed)
+    dense = sys.to_dense()
+    rng = np.random.default_rng(seed)
+    for block, support, nan in calls:
+        idx = np.array(block, dtype=int)
+        S = sorted(support)
+        x = np.zeros(n)
+        x[S] = rng.standard_normal(len(S))
+        if nan and S:
+            x[S[0]] = np.nan
+        rows = sys.grad_block(idx, x)
+        np.testing.assert_array_equal(
+            rows, random_cosine(m, n, seed).grad_block(idx, x))
+        np.testing.assert_array_equal(rows, dense.grad_block(idx, x))
+        assert held_bytes(sys) <= systems._HELD_SLABS * n * n * 8
 
 
 class TestDCTSystem:
