@@ -24,11 +24,13 @@ dense x and at an x with round(sp n) nonzeros, the support of a
 local-start audit, and `eval_all` at (300, 150) for supports |S| = 5,
 42 and 73; on a matrix-free cosine instance, `grad_block` at (200, 100)
 with 72 rows at |S| = 8 (a `dct-matfree` block), cold: each call on a
-fresh system, which holds no support rows of an earlier block; the
-`grad_block` calls of the `abnbk-a` solve of repetition 0 of the first
-seed on the `dct-matfree` instance (200, 100, sp = 0.05), replayed in
-order on a fresh system, in ms per step, so each block reuses the rows
-it shares with the one before as in the solve; and on a Gaussian and a
+fresh system, which holds no support rows of an earlier block; for
+every preset, the `grad_block` calls of its solve of repetition 0 of
+the first seed on the `dct-matfree` instance (200, 100, sp = 0.05),
+replayed in order on a fresh system, in ms per step, so each block
+reuses the rows it shares with the one before as in the solve, with the
+share of the (slab, support index) pairs of the solve's blocks that the
+block before had; and on a Gaussian and a
 matrix-free cosine instance, one stacked `jvp` of JVP_PAIRS pairs at the
 audited shape, each x the truth with noise of scale 1e-3 on its support
 and d = x - truth, as in a local-start audit.
@@ -77,7 +79,7 @@ STORAGES = (("dense", gen.GAUSSIAN, False), ("matrix-free", gen.DCT, True))
 BLOCKS = ((300, 150, 0.4, 113), (200, 100, 0.05, 20))   # m, n, sp, rows
 EVALS = (300, 150, 0.4, (5, 42, 73))              # m, n, sp, supports |S|
 MATRIX_FREE_BLOCK = (200, 100, 0.05, 72, (8,))  # m, n, sp, rows, supports
-MATRIX_FREE_SOLVE = (200, 100, 0.05, "abnbk-a")   # m, n, sp, preset
+MATRIX_FREE_SOLVE = (200, 100, 0.05)                # m, n, sp
 JVP_PAIRS = 256
 LOCAL_START = "1e-3"
 REPEATS = 5
@@ -210,6 +212,18 @@ def solve_blocks(m, n, sp, preset):
     return instance.system, calls
 
 
+def shared_pairs(calls):
+    """The share of the (slab, support index) pairs of the blocks of calls
+    that the block before had."""
+    pairs, shared, before = 0, 0, set()
+    for idx, x in calls:
+        block = {(i, j) for i in idx.tolist() for j in np.flatnonzero(x).tolist()}
+        pairs += len(block)
+        shared += len(block & before)
+        before = block
+    return shared / max(pairs, 1)
+
+
 def solve_ms(m, n, sp, preset):
     """ms per step of the `grad_block` calls of a recorded solve, replayed
     in order on a fresh system: the median of KERNEL_REPEATS replays."""
@@ -223,7 +237,7 @@ def solve_ms(m, n, sp, preset):
                    for _ in range(KERNEL_REPEATS))
     return {"m": m, "n": n, "sp": sp, "preset": preset, "steps": len(calls),
             "rows": sum(idx.size for idx, _ in calls),
-            "ms_per_step": ms / len(calls)}
+            "pairs_shared": shared_pairs(calls), "ms_per_step": ms / len(calls)}
 
 
 def eval_ms(m, n, sp, supports):
@@ -284,7 +298,9 @@ def main(argv=None):
               "grad_block": [r for shape in BLOCKS for r in block_ms(*shape)],
               "grad_block_matrix_free": block_ms(*MATRIX_FREE_BLOCK, gen.DCT,
                                                  True),
-              "grad_block_matrix_free_solve": solve_ms(*MATRIX_FREE_SOLVE),
+              "grad_block_matrix_free_solve": [
+                  solve_ms(*MATRIX_FREE_SOLVE, preset)
+                  for preset in cli.SOLVER_NAMES],
               "eval_all": eval_ms(*EVALS),
               "jvp": jvp_ms(*SHAPE, JVP_PAIRS),
               "jvp_matrix_free": jvp_ms(*SHAPE, JVP_PAIRS, gen.DCT, True)}
@@ -296,9 +312,10 @@ def main(argv=None):
         for r in report[key]:
             print(f"{key} ({r['m']}, {r['n']}) x {r['rows']} rows at "
                   f"|S| = {r['support']}: {r['ms']:.3f} ms")
-    r = report["grad_block_matrix_free_solve"]
-    print(f"grad_block_matrix_free_solve ({r['m']}, {r['n']}) {r['preset']}, "
-          f"{r['steps']} steps: {r['ms_per_step']:.3f} ms per step")
+    for r in report["grad_block_matrix_free_solve"]:
+        print(f"grad_block_matrix_free_solve ({r['m']}, {r['n']}) "
+              f"{r['preset']}, {r['steps']} steps, {r['pairs_shared']:.0%} "
+              f"of pairs shared: {r['ms_per_step']:.3f} ms per step")
     for r in report["eval_all"]:
         print(f"eval_all ({r['m']}, {r['n']}) at |S| = {r['support']}: "
               f"{r['ms']:.3f} ms")

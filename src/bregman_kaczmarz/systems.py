@@ -19,9 +19,10 @@ class goes pair by pair.  Both storages share one quadratic base, which
 computes `eval_points` from a storage's A_i, `grad_block` from products
 of x_S with the support rows of the symmetric slabs and `jvp` from rows
 of those slabs, working through the pairs in chunks that share their
-support work.  All systems are read-only after construction: the held
-rows of the matrix-free variant stay valid only while its xi does not
-change.
+support work.  A dense system is read-only after construction.  A
+matrix-free one replaces its held rows on a gradient block, so it must
+not be shared between threads, and they stay valid only while its xi
+does not change.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ import numpy as np
 # doubles, gathered (dense) or computed (matrix-free)
 _GRAD_SLABS = 4
 # the support rows a matrix-free system holds from one gradient block to
-# the next, counted in slabs: at most _HELD_SLABS n^2 doubles; a larger
-# block goes in chunks of _GRAD_SLABS and leaves the held rows as they are
-_HELD_SLABS = 32
+# the next, counted in slabs: at most _HELD_SLABS n^2 doubles, a little
+# above the largest block of the greedy presets on the cosine family
+# (15.2 n^2 at (200, 100)); a larger block goes in chunks of _GRAD_SLABS
+# and leaves the held rows as they are
+_HELD_SLABS = 16
 
 
 def _positions(held, keys, size):
@@ -44,6 +47,20 @@ def _positions(held, keys, size):
     where = np.full(size, -1)
     where[held] = np.arange(held.size)
     return where[keys]
+
+
+def _move(buffer, src, dst, rows):
+    """Copy row src[k] of buffer to row dst[k] for every k, in place, for
+    increasing src and dst, at most `rows` rows at a time: first the rows
+    that move to a lower position, in increasing order, then those that
+    move to a higher one, in decreasing order, so that no row is
+    overwritten before it has been copied."""
+    lower = np.flatnonzero(dst < src)
+    higher = np.flatnonzero(dst > src)[::-1]
+    for moving in (lower, higher):
+        for s in range(0, moving.size, rows):
+            k = moving[s:s + rows]
+            buffer[dst[k]] = buffer[src[k]]
 
 
 def _chunks(at, width, rows):
@@ -188,13 +205,17 @@ class _Quadratic(NonlinearSystem):
         idx = self._rows(idx)
         x = np.asarray(x, dtype=float)
         S = np.flatnonzero(x)
-        xS = x[S]
+        rows = self._products(idx, S, x[S])
+        rows += self.b[idx]
+        return rows
+
+    def _products(self, idx, S, xS):
+        """x_S sym(A_i)[S, :] for i in idx, shape (|idx|, n), in chunks."""
         rows = np.empty((idx.size, self.n))
         step = _GRAD_SLABS * self.n // max(S.size, 1)
         for s in range(0, idx.size, step):
             np.matmul(xS, self._support_rows(idx[s:s + step], S),
                       out=rows[s:s + step])
-        rows += self.b[idx]
         return rows
 
     def _jvp_chunk(self, X, D, out):
@@ -278,14 +299,21 @@ class DCTQuadraticSystem(_Quadratic):
     columns) and 2*|Ud| per j in Ux for a row of J(x) d over a whole
     chunk of pairs, against n^2 per row for a materialized A_i.
 
-    A gradient block of at most _HELD_SLABS n support rows keeps them,
+    A gradient block of 2 to _HELD_SLABS n support rows keeps them,
     sym(A_i)[S, :] for its slabs i and S, until the next such block: that
-    one copies the row of every pair (i, j) both share and computes only
-    the others, and the consecutive blocks of a solve share most pairs.
-    The rows are a function of the pair alone, the sums `to_dense()`
-    stores, so a gradient row is that of `to_dense()` bit for bit
-    whatever came before.  The held rows take at most _HELD_SLABS n^2
-    doubles and assume that xi is never changed.
+    one keeps the row of every pair (i, j) both share, moved within one
+    buffer, and computes only the others.  The consecutive blocks of a
+    greedy-block solve share about half their pairs (54-61% over three
+    seed-1 solves of abnbk-a and abnbk-c at (200, 100)); single-row
+    steps share almost none, so a single row, like a block beyond the
+    bound, is computed afresh and leaves the held rows as they are.  The rows are a function of the
+    pair alone, the sums `to_dense()` stores, so a gradient row is that
+    of `to_dense()` bit for bit whatever came before.  The held rows take
+    at most _HELD_SLABS n^2 doubles, and a block adds to them at most a
+    chunk of moved or computed rows, so the rows of two blocks are never
+    held at once.  They assume that xi is never changed; since every
+    gradient block may replace them, a system must not be shared between
+    threads.
     """
 
     def __init__(self, xi, b, c):
@@ -294,10 +322,14 @@ class DCTQuadraticSystem(_Quadratic):
             raise ValueError(f"xi must be (m, n), got {xi.shape}")
         super().__init__("xi", xi, b, c)
         self.xi = xi
-        # the slabs, support and rows of the last held block
-        self._held_idx = np.empty(0, dtype=int)
-        self._held_S = np.empty(0, dtype=int)
-        self._held_rows = np.empty((0, 0, self.n))
+        self._release()
+
+    def _release(self):
+        """Hold nothing.  One attribute, the sorted slabs, the support and
+        the (|slabs| |S|, n) buffer of the held rows, so that it is never
+        half replaced."""
+        self._held = (np.empty(0, dtype=int), np.empty(0, dtype=int),
+                      np.empty((0, self.n)))
 
     @staticmethod
     def _cosines(xi, cols):
@@ -317,37 +349,43 @@ class DCTQuadraticSystem(_Quadratic):
         C = self._cosines(self.xi[:, S][rows], S)      # A_i[S, S]
         return 0.5 * (C @ xS * xS).sum(axis=1) + self.b[rows] @ x + self.c[rows]
 
-    def grad_block(self, idx, x):
-        """The rows of the base class; a block of at most _HELD_SLABS n
-        support rows forms them with one product from the rows of
-        `_held_support_rows`, a larger one in chunks of fresh rows."""
-        idx = self._rows(idx)
-        x = np.asarray(x, dtype=float)
-        S = np.flatnonzero(x)
-        if idx.size * S.size > _HELD_SLABS * self.n:
-            return super().grad_block(idx, x)
-        rows = np.matmul(x[S], self._held_support_rows(idx, S))
-        rows += self.b[idx]
-        return rows
+    def _products(self, idx, S, xS):
+        # a block of 2 to _HELD_SLABS n support rows: one product with the
+        # held rows of its distinct slabs; a single row or a larger block:
+        # the chunks of the base class, of fresh rows
+        if not 1 < idx.size <= _HELD_SLABS * self.n // max(S.size, 1):
+            return super()._products(idx, S, xS)
+        slabs, at = np.unique(idx, return_inverse=True)
+        return np.matmul(xS, self._held_support_rows(slabs, S))[at]
 
-    def _held_support_rows(self, idx, S):
-        """`_support_rows(idx, S)`, held until the next call: the row of a
-        pair (i, j) the held rows have is copied, in chunks of at most n
-        rows while the old rows are still held, and the other rows are
-        computed once those are freed, in chunks of at most _GRAD_SLABS n."""
-        at_slab = _positions(self._held_idx, idx, self.m)
-        at_col = _positions(self._held_S, S, self.n)
-        rows = np.empty((idx.size, S.size, self.n))
-        old, new = np.flatnonzero(at_slab >= 0), np.flatnonzero(at_slab < 0)
-        kept, fresh = np.flatnonzero(at_col >= 0), np.flatnonzero(at_col < 0)
-        for a in _chunks(old, kept.size, self.n):
-            rows[np.ix_(a, kept)] = self._held_rows[np.ix_(at_slab[a],
-                                                           at_col[kept])]
-        self._held_rows = None      # freed before the new rows are computed
-        for slabs, cols in ((new, np.arange(S.size)), (old, fresh)):
-            for a in _chunks(slabs, cols.size, _GRAD_SLABS * self.n):
-                rows[np.ix_(a, cols)] = self._support_rows(idx[a], S[cols])
-        self._held_idx, self._held_S, self._held_rows = idx.copy(), S, rows
+    def _held_support_rows(self, slabs, S):
+        """`_support_rows(slabs, S)` for sorted distinct slabs, held until
+        the next call in the buffer of the last ones.  Both layouts sort
+        the pairs (i, j) by slab and then by support index, so the rows of
+        the shared pairs move within the buffer in order, which grows or
+        shrinks in place; the other rows are computed in chunks of at most
+        _GRAD_SLABS n.  Until the buffer is rebuilt the system holds
+        nothing, so a call that fails leaves no stale rows."""
+        held_slabs, held_S, buffer = self._held
+        self._release()
+        at_slab = _positions(held_slabs, slabs, self.m)
+        at_col = _positions(held_S, S, self.n)
+        old, kept = np.flatnonzero(at_slab >= 0), np.flatnonzero(at_col >= 0)
+        src = (at_slab[old, None] * held_S.size + at_col[kept]).ravel()
+        dst = (old[:, None] * S.size + kept).ravel()
+        size = slabs.size * S.size
+        # no view of the buffer outlives the call that made it, so it can
+        # be resized in place
+        buffer.resize((max(len(buffer), size), self.n), refcheck=False)
+        _move(buffer, src, dst, _GRAD_SLABS * self.n)
+        buffer.resize((size, self.n), refcheck=False)
+        rows = buffer.reshape(slabs.size, S.size, self.n)
+        new, fresh = np.flatnonzero(at_slab < 0), np.flatnonzero(at_col < 0)
+        for a in _chunks(new, S.size, _GRAD_SLABS * self.n):
+            rows[a] = self._support_rows(slabs[a], S)
+        for a in _chunks(old, fresh.size, _GRAD_SLABS * self.n):
+            rows[np.ix_(a, fresh)] = self._support_rows(slabs[a], S[fresh])
+        self._held = (slabs, S, buffer)
         return rows
 
     def _support_rows(self, idx, S):

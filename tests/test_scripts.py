@@ -7,6 +7,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bregman_kaczmarz import cli, diagnostics, generators, solver
@@ -25,7 +26,7 @@ def bench(monkeypatch):
     monkeypatch.setattr(module, "BLOCKS", ((30, 12, 0.4, 7),))
     monkeypatch.setattr(module, "EVALS", (30, 12, 0.4, (2, 5)))
     monkeypatch.setattr(module, "MATRIX_FREE_BLOCK", (30, 12, 0.4, 9, (2,)))
-    monkeypatch.setattr(module, "MATRIX_FREE_SOLVE", (30, 12, 0.2, "abnbk-a"))
+    monkeypatch.setattr(module, "MATRIX_FREE_SOLVE", (30, 12, 0.2))
     monkeypatch.setattr(module, "JVP_PAIRS", 9)
     monkeypatch.setattr(module, "REPEATS", 1)
     monkeypatch.setattr(module, "KERNEL_REPEATS", 1)
@@ -70,19 +71,37 @@ def test_bench_diagnose_main(bench, tmp_path):
             for r in report["grad_block_matrix_free"]] == [(30, 12, 9, 2)]
     assert all(r["ms"] > 0 for key in ("grad_block", "grad_block_matrix_free")
                for r in report[key])
-    # the replayed solve holds the blocks the solver asked for, one a step
-    solve = report["grad_block_matrix_free_solve"]
-    _, calls = bench.solve_blocks(30, 12, 0.2, "abnbk-a")
-    assert (solve["m"], solve["n"], solve["preset"]) == (30, 12, "abnbk-a")
-    assert solve["steps"] == len(calls) > 1
-    assert solve["rows"] == sum(idx.size for idx, _ in calls)
-    assert solve["ms_per_step"] > 0
+    # each preset's replayed solve holds the blocks the solver asked for,
+    # one a step
+    solves = report["grad_block_matrix_free_solve"]
+    assert [r["preset"] for r in solves] == list(cli.SOLVER_NAMES)
+    for solve in solves:
+        _, calls = bench.solve_blocks(30, 12, 0.2, solve["preset"])
+        assert (solve["m"], solve["n"]) == (30, 12)
+        assert solve["steps"] == len(calls) > 1
+        assert solve["rows"] == sum(idx.size for idx, _ in calls)
+        assert solve["pairs_shared"] == bench.shared_pairs(calls)
+        assert 0 <= solve["pairs_shared"] <= 1 and solve["ms_per_step"] > 0
     assert [(r["m"], r["n"], r["support"]) for r in report["eval_all"]] == [
         (30, 12, 2), (30, 12, 5)]
     assert all(r["ms"] > 0 for r in report["eval_all"])
     for key in ("jvp", "jvp_matrix_free"):
         jvp = report[key]
         assert (jvp["m"], jvp["n"], jvp["pairs"]) == (40, 20, 9) and jvp["ms"] > 0
+
+
+def test_shared_pairs(bench):
+    # pairs of each block that the block before had, over all pairs: the
+    # first block shares none, a repeat all, and x = 0 gives no pairs
+    x = np.zeros(6)
+    x[[1, 4]] = 1.0
+    y = np.zeros(6)
+    y[[4, 5]] = 1.0
+    calls = [(np.array([0, 2]), x), (np.array([2, 3]), y),
+             (np.array([2, 3]), y), (np.array([3]), np.zeros(6))]
+    # pairs 4 + 4 + 4; shared 0, (2, 4), all 4
+    assert bench.shared_pairs(calls) == 5 / 12
+    assert bench.shared_pairs([]) == 0
 
 
 def test_bench_diagnose_times_matrix_free_blocks_cold(bench, monkeypatch):

@@ -130,7 +130,7 @@ def call_bytes(calls):
 
 def held_bytes(sys):
     """The bytes of the support rows a matrix-free system holds."""
-    return sum(v.nbytes for k, v in vars(sys).items() if k.startswith("_held"))
+    return sys._held[2].nbytes
 
 
 def kernel_checks(make, dense):
@@ -302,7 +302,8 @@ class TestMatrixFreeKernel(kernel_checks(random_cosine,
         assert max(passes) <= passes[0] + 1024
         assert held_bytes(sys) <= bound
         arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
-        assert arrays == {"xi", "b", "c", "_held_idx", "_held_S", "_held_rows"}
+        assert arrays == {"xi", "b", "c"}
+        assert set(vars(sys)) - arrays == {"m", "n", "_held"}
 
     def test_eval_component_over_index_array(self, rng):
         # an index array gives its rows of F in one call, bit-equal to the
@@ -515,12 +516,13 @@ def test_grad_block_bit_equal_to_row_formula_dense_and_matrix_free(
 
 SEQUENCE_M, SEQUENCE_N = 40, 12
 # blocks that overlap, are disjoint, repeat a row or an earlier block or
-# are empty, at supports that grow and shrink, x = 0, a NaN entry (the
+# are empty or a single row, at supports that grow and shrink, x = 0, a NaN entry (the
 # flag) and a whole Jacobian at a dense x, above the hold bound
 SEQUENCE_CALLS = [([0, 1, 2, 3], {1}, False), ([2, 3, 4, 5], {1, 4, 7}, False),
                   ([20, 21], {4, 7}, False), ([8, 0, 8], {1, 4, 7}, False),
                   ([8, 0, 8], {1, 4, 7}, False), ([], {2}, False),
                   ([5, 6], set(), False), ([3, 8], {2, 5, 9}, True),
+                  ([3], {2, 5}, False),
                   (range(SEQUENCE_M), set(range(SEQUENCE_N)), False)]
 
 
@@ -550,6 +552,56 @@ def test_matrix_free_rows_pure_over_call_sequences(seed, data):
             rows, random_cosine(m, n, seed).grad_block(idx, x))
         np.testing.assert_array_equal(rows, dense.grad_block(idx, x))
         assert held_bytes(sys) <= systems._HELD_SLABS * n * n * 8
+
+
+def test_matrix_free_shared_rows_move_over_several_chunks(rng):
+    # from the first block to the second, the shared rows of slabs 1-7
+    # move to lower positions of the held buffer and those of slabs 9-19
+    # to higher ones, more rows each way than one chunk of moves
+    # (_GRAD_SLABS n rows) takes, and back again in the third block
+    m, n = 40, 12
+    assert 7 * 8 > systems._GRAD_SLABS * n
+    sys = random_cosine(m, n, seed=6)
+    dense = sys.to_dense()
+    for block, support in ((range(20), range(2, 10)),
+                           (range(1, 21), range(1, 10)),
+                           (range(20), range(2, 10))):
+        idx = np.array(block)
+        x = np.zeros(n)
+        x[support] = rng.standard_normal(len(support))
+        assert idx.size * len(support) <= systems._HELD_SLABS * n
+        np.testing.assert_array_equal(sys.grad_block(idx, x),
+                                      dense.grad_block(idx, x))
+
+
+def test_matrix_free_rows_after_a_failed_block(rng):
+    # a block that fails while computing its rows leaves the system holding
+    # nothing, not keys without rows, and a single row leaves the held
+    # rows as they are; the next blocks give the rows of to_dense()
+    m, n = 40, 12
+    sys = random_cosine(m, n, seed=5)
+    dense = sys.to_dense()
+    x = np.zeros(n)
+    x[[1, 4, 7]] = rng.standard_normal(3)
+    first, second, third = [0, 1, 2, 3], [2, 3, 4, 5], [3, 4, 5, 6]
+    sys.grad_block(first, x)
+    held = sys._held
+    np.testing.assert_array_equal(sys.grad_component(9, x),
+                                  dense.grad_component(9, x))
+    assert sys._held is held
+    support_rows = sys._support_rows
+
+    def fail_once(idx, S):
+        sys._support_rows = support_rows
+        raise MemoryError
+
+    sys._support_rows = fail_once
+    with pytest.raises(MemoryError):
+        sys.grad_block(second, x)
+    assert held_bytes(sys) == 0
+    for block in (third, second):
+        np.testing.assert_array_equal(sys.grad_block(block, x),
+                                      dense.grad_block(block, x))
 
 
 class TestDCTSystem:
