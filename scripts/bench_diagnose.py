@@ -21,19 +21,25 @@ median of KERNEL_REPEATS calls: on a Gaussian instance, `grad_block` at
 the block shapes of the benchmark, (300, 150) with 113 rows
 (`block-dense`) and (200, 100) with 20 rows (`diagnose`), each at a
 dense x and at an x with round(sp n) nonzeros, the support of a
-local-start audit, and `eval_all` at (300, 150) for supports |S| = 5,
-42 and 73; on a matrix-free cosine instance, `grad_block` at (200, 100)
-with 72 rows at |S| = 8 (a `dct-matfree` block), cold: each call on a
-fresh system, which holds no support rows of an earlier block; for
-every preset, the `grad_block` calls of its solve of repetition 0 of
-the first seed on the `dct-matfree` instance (200, 100, sp = 0.05),
-replayed in order on a fresh system, in ms per step, so each block
-reuses the rows it shares with the one before as in the solve, with the
-share of the (slab, support index) pairs of the solve's blocks that the
-block before had; and on a Gaussian and a
-matrix-free cosine instance, one stacked `jvp` of JVP_PAIRS pairs at the
-audited shape, each x the truth with noise of scale 1e-3 on its support
-and d = x - truth, as in a local-start audit.
+local-start audit, and `eval_all` at (300, 150) for supports |S| = 5, 42
+and 73, cold: each call on a fresh system, which holds no support pairs
+of an earlier residual; for `nbk` and `mrnbk`, the `eval_all` calls of
+their solves of repetition 0 of the first seed on the `row-sparse`
+instance (300, 150, sp = 0.1), replayed in order on a fresh system, in
+ms per call over the median of RESIDUAL_REPLAYS replays, with the share
+of calls whose support pairs fit the budget of held pairs and the share
+of the pairs of those calls that the pairs held before them lacked; on a
+matrix-free cosine instance, `grad_block` at (200, 100) with 72 rows at
+|S| = 8 (a `dct-matfree` block), cold: each call on a fresh system,
+which holds no support rows of an earlier block; for every preset, the
+`grad_block` calls of its solve of repetition 0 of the first seed on the
+`dct-matfree` instance (200, 100, sp = 0.05), replayed in order on a
+fresh system, in ms per step, so each block reuses the rows it shares
+with the one before as in the solve, with the share of the (slab,
+support index) pairs of the solve's blocks that the block before had;
+and on a Gaussian and a matrix-free cosine instance, one stacked `jvp`
+of JVP_PAIRS pairs at the audited shape, each x the truth with noise of
+scale 1e-3 on its support and d = x - truth, as in a local-start audit.
 
 A before/after comparison is this script run at both commits.  The
 output holds the numpy version, BLAS name and BLAS thread variables;
@@ -67,10 +73,10 @@ from io import StringIO
 import numpy as np
 from tracing import Tracer, aggregate
 
-from bregman_kaczmarz import cli, diagnostics, solver
+from bregman_kaczmarz import cli, diagnostics, solver, systems
 from bregman_kaczmarz import generators as gen
 from bregman_kaczmarz.priors import SparsePrior
-from bregman_kaczmarz.systems import DCTQuadraticSystem
+from bregman_kaczmarz.systems import DCTQuadraticSystem, QuadraticSystem
 
 SEEDS = (1, 7)
 REPS = (0, 1)
@@ -80,6 +86,9 @@ BLOCKS = ((300, 150, 0.4, 113), (200, 100, 0.05, 20))   # m, n, sp, rows
 EVALS = (300, 150, 0.4, (5, 42, 73))              # m, n, sp, supports |S|
 MATRIX_FREE_BLOCK = (200, 100, 0.05, 72, (8,))  # m, n, sp, rows, supports
 MATRIX_FREE_SOLVE = (200, 100, 0.05)                # m, n, sp
+RESIDUAL_SOLVE = (300, 150, 0.1)                    # m, n, sp
+RESIDUAL_PRESETS = ("nbk", "mrnbk")
+RESIDUAL_REPLAYS = 5
 JVP_PAIRS = 256
 LOCAL_START = "1e-3"
 REPEATS = 5
@@ -167,8 +176,10 @@ def repeated(call, *args):
 
 
 def fresh(system):
-    """A new matrix-free system of the same arrays, holding no rows."""
-    return DCTQuadraticSystem(system.xi, system.b, system.c)
+    """A new system of the same arrays, holding no support rows or pairs."""
+    if isinstance(system, DCTQuadraticSystem):
+        return DCTQuadraticSystem(system.xi, system.b, system.c)
+    return QuadraticSystem(system.A, system.b, system.c)
 
 
 def block_ms(m, n, sp, rows, supports=None, kind=gen.GAUSSIAN,
@@ -191,25 +202,57 @@ def block_ms(m, n, sp, rows, supports=None, kind=gen.GAUSSIAN,
     return results
 
 
-def solve_blocks(m, n, sp, preset):
-    """The matrix-free instance of `first_instance` and the (block, x) of
-    every `grad_block` call of its solve by `preset`, with the start and
-    solver seeds of repetition 0 of the first seed."""
-    instance = first_instance(m, n, sp, gen.DCT, True)
+def recorded_calls(instance, preset, method):
+    """The arguments of every call of `method` of a fresh copy of the
+    instance's system in its solve by `preset`, with the start and solver
+    seeds of repetition 0 of the first seed."""
     _, x0_seed, solver_seed = cli.derived_seeds(SEEDS[0], 0)
     system = fresh(instance.system)
-    grad_block = system.grad_block
+    call = getattr(system, method)
     calls = []
 
-    def record(idx, x):
-        calls.append((np.array(idx), np.array(x)))
-        return grad_block(idx, x)
+    def record(*args):
+        calls.append(tuple(np.array(arg) for arg in args))
+        return call(*args)
 
-    system.grad_block = record
+    setattr(system, method, record)
     solver.run(system, SparsePrior(cli.DEFAULT_LAMBDA),
                cli.preset_config(preset, seed=solver_seed),
-               cli.initial_dual(n, x0_seed), truth=instance.truth)
-    return instance.system, calls
+               cli.initial_dual(system.n, x0_seed), truth=instance.truth)
+    return calls
+
+
+def solve_blocks(m, n, sp, preset):
+    """The matrix-free instance of `first_instance` and the (block, x) of
+    every `grad_block` call of its solve by `preset`."""
+    instance = first_instance(m, n, sp, gen.DCT, True)
+    return instance.system, recorded_calls(instance, preset, "grad_block")
+
+
+def solve_residuals(m, n, sp, preset):
+    """The Gaussian instance of `first_instance` and the x of every
+    `eval_all` call of its solve by `preset`."""
+    instance = first_instance(m, n, sp)
+    return instance.system, [x for x, in recorded_calls(instance, preset,
+                                                         "eval_all")]
+
+
+def pair_shares(points, n):
+    """The share of the residuals at `points` whose support pairs j <= k
+    fit the budget of held pairs, and the share of the pairs of those
+    residuals that the last one of them before lacked."""
+    budget = n * n // systems._PAIR_SHARE
+    fits, pairs, new, held = 0, 0, 0, set()
+    for x in points:
+        support = set(np.flatnonzero(x).tolist())
+        size = len(support) * (len(support) + 1) // 2
+        if size > budget:
+            continue
+        kept = len(support & held)
+        fits, pairs = fits + 1, pairs + size
+        new += size - kept * (kept + 1) // 2
+        held = support
+    return fits / max(len(points), 1), new / max(pairs, 1)
 
 
 def shared_pairs(calls):
@@ -240,16 +283,36 @@ def solve_ms(m, n, sp, preset):
             "pairs_shared": shared_pairs(calls), "ms_per_step": ms / len(calls)}
 
 
+def residual_solve_ms(m, n, sp, preset):
+    """ms per call of the `eval_all` calls of a recorded solve, replayed in
+    order on a fresh system: the median of RESIDUAL_REPLAYS replays."""
+    system, points = solve_residuals(m, n, sp, preset)
+
+    def replay(replica):
+        for x in points:
+            replica.eval_all(x)
+
+    ms = median_ms(partial(replay, fresh(system))
+                   for _ in range(RESIDUAL_REPLAYS))
+    within, new = pair_shares(points, n)
+    return {"m": m, "n": n, "sp": sp, "preset": preset, "calls": len(points),
+            "within_budget": within, "pairs_new": new,
+            "ms_per_call": ms / len(points)}
+
+
 def eval_ms(m, n, sp, supports):
-    """Dense `eval_all` at an x with each support size."""
+    """Dense `eval_all` at an x with each support size, each call on a
+    fresh system."""
     system = first_instance(m, n, sp).system
     rng = np.random.default_rng(SEEDS[0])
     results = []
     for size in supports:
         x = np.zeros(n)
         x[rng.choice(n, size=size, replace=False)] = rng.standard_normal(size)
+        calls = (partial(fresh(system).eval_all, x)
+                 for _ in range(KERNEL_REPEATS))
         results.append({"m": m, "n": n, "sp": sp, "support": size,
-                        "ms": median_ms(repeated(system.eval_all, x))})
+                        "ms": median_ms(calls)})
     return results
 
 
@@ -302,6 +365,8 @@ def main(argv=None):
                   solve_ms(*MATRIX_FREE_SOLVE, preset)
                   for preset in cli.SOLVER_NAMES],
               "eval_all": eval_ms(*EVALS),
+              "eval_all_solve": [residual_solve_ms(*RESIDUAL_SOLVE, preset)
+                                 for preset in RESIDUAL_PRESETS],
               "jvp": jvp_ms(*SHAPE, JVP_PAIRS),
               "jvp_matrix_free": jvp_ms(*SHAPE, JVP_PAIRS, gen.DCT, True)}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
@@ -319,6 +384,11 @@ def main(argv=None):
     for r in report["eval_all"]:
         print(f"eval_all ({r['m']}, {r['n']}) at |S| = {r['support']}: "
               f"{r['ms']:.3f} ms")
+    for r in report["eval_all_solve"]:
+        print(f"eval_all_solve ({r['m']}, {r['n']}) {r['preset']}, "
+              f"{r['calls']} calls, {r['within_budget']:.0%} within the "
+              f"budget, {r['pairs_new']:.1%} of pairs new: "
+              f"{r['ms_per_call']:.3f} ms per call")
     for key in ("jvp", "jvp_matrix_free"):
         r = report[key]
         print(f"{key} ({r['m']}, {r['n']}) x {r['pairs']} pairs: "

@@ -5,12 +5,17 @@ quadratic measurement model F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i is
 the workhorse of the experiments.  F depends on A_i only through its
 symmetric part, so the dense storage holds symmetric slabs (`symmetrize`
 makes them): a gradient row reads the |S| support rows of its slab, S
-the support of x, and the residuals read about half of those rows of
-every slab, at cost m*|S|*n/2.  A matrix-free variant backs the
-partial-cosine family and computes only the cosines that meet the
-support; it holds the support rows of its last gradient block, within a
-bound, so that the next block computes only the rows it does not share
-with it.  `eval_points` (F_i at many points) and `grad_block` (many
+the support of x.  The residuals are one product of the weights x_j x_k
+with the entries A_i[j, k] of the pairs j <= k of S, which a dense system
+holds from one residual to the next within a budget of n^2 // 12 pairs,
+a twelfth of the tensor: the next residual moves the pairs its support
+shares with the one held and gathers only the others.  Beyond the budget
+the residuals read about half of the support rows of every slab, at cost
+m*|S|*n/2, and leave the held pairs as they are.  A matrix-free variant
+backs the partial-cosine family and computes only the cosines that meet
+the support; it holds the support rows of its last gradient block,
+within a bound, so that the next block computes only the rows it does
+not share with it.  `eval_points` (F_i at many points) and `grad_block` (many
 gradient rows at one point) loop `eval_component` and `grad_component`
 unless a system overrides them, as both built-in ones do.  `jvp` takes
 one pair (x, d) or stacks X, D of P pairs, shape (P, n), and gives
@@ -19,9 +24,10 @@ class goes pair by pair.  Both storages share one quadratic base, which
 computes `eval_points` from a storage's A_i, `grad_block` from products
 of x_S with the support rows of the symmetric slabs and `jvp` from rows
 of those slabs, working through the pairs in chunks that share their
-support work.  A dense system is read-only after construction.  A
-matrix-free one replaces its held rows on a gradient block, so it must
-not be shared between threads, and they stay valid only while its xi
+support work.  Both storages replace what they hold as they are
+called, a dense system its pairs on a residual and a matrix-free one its
+rows on a gradient block, so neither may be shared between threads; the
+held values stay valid only while A, from the first residual on, or xi
 does not change.
 """
 
@@ -39,6 +45,11 @@ _GRAD_SLABS = 4
 # (15.2 n^2 at (200, 100)); a larger block goes in chunks of _GRAD_SLABS
 # and leaves the held rows as they are
 _HELD_SLABS = 16
+# the support pairs (j, k), j <= k, a dense system holds from one residual
+# vector to the next: at most n^2 // _PAIR_SHARE pairs, m n^2 / 12
+# doubles, a twelfth of the stored tensor (4.5 MB and |S| <= 60 at
+# (300, 150)); a residual at a larger support reads the rows of A instead
+_PAIR_SHARE = 12
 
 
 def _positions(held, keys, size):
@@ -61,6 +72,29 @@ def _move(buffer, src, dst, rows):
         for s in range(0, moving.size, rows):
             k = moving[s:s + rows]
             buffer[dst[k]] = buffer[src[k]]
+
+
+def _move_runs(flat, src, dst, width):
+    """Copy the `width` entries of the 1-D array flat from src[k] * width
+    to dst[k] * width for every k, in place, for increasing src and dst.
+    The k where both src and dst step by one make a run, copied as one
+    slice; numpy copies an overlapping slice as if through a temporary,
+    so a run may overlap its target.  First the runs that move to a lower
+    position, in increasing order, then those that move to a higher one,
+    in decreasing order, so that no run is overwritten before it has been
+    copied."""
+    if src.size == 0:
+        return
+    ends = np.flatnonzero((src[1:] != src[:-1] + 1)
+                          | (dst[1:] != dst[:-1] + 1)) + 1
+    starts = np.concatenate(([0], ends))
+    sizes = (np.concatenate((ends, [src.size])) - starts) * width
+    src, dst = src[starts] * width, dst[starts] * width
+    lower = np.flatnonzero(dst < src).tolist()
+    higher = np.flatnonzero(dst > src)[::-1].tolist()
+    for k in lower + higher:
+        a, b, size = src[k], dst[k], sizes[k]
+        flat[b:b + size] = flat[a:a + size]
 
 
 def _chunks(at, width, rows):
@@ -243,10 +277,30 @@ class QuadraticSystem(_Quadratic):
     row x_S A_i[S, :] + b_i, which is wrong and which
     `diagnostics.check_gradients` reports.  A gradient row reads the |S|
     support rows A_i[S, :] of its slab, S the support of x, at cost
-    |S|*n; `eval_all` reads, for each j in S, the part of row j of every
-    A_i right of the diagonal, at cost about m*|S|*n/2; and `jvp` reads
-    the stored entries A[:, j, Ud] for each j in Ux, at cost m*|Ux|*|Ud|
-    per pair.
+    |S|*n; `eval_all` is one product of the held pairs, at cost
+    m*|S|*(|S| + 1)/2, plus the moves of the pairs it keeps and a gather
+    of m*|S| entries for each support index new since the residual
+    before, or beyond the budget a read, for each j in S, of the part of
+    row j of every A_i right of the diagonal, at cost about m*|S|*n/2;
+    and `jvp` reads the stored entries A[:, j, Ud] for each j in Ux, at
+    cost m*|Ux|*|Ud| per pair.
+
+    The system holds A_i[j, k] for every i and every pair j <= k of the
+    support of its last residual within the budget, at most
+    n^2 // _PAIR_SHARE pairs (m*n^2/12 doubles, |S| <= 60 at (300, 150)),
+    in one buffer allocated with the system: the pairs by k,
+    then by j, so that a new support index above all the others only
+    appends pairs.  The next residual within the budget moves the pairs
+    its support keeps, which keep their order, as runs within the buffer
+    and gathers the pairs of each new support index from its row of
+    every slab; the consecutive residuals of the single-row presets share
+    about 97% of their pairs.  A residual beyond the budget reads the
+    rows of A and leaves the held pairs as they are.  The residual is
+    the product of the weights with the pairs in that order, so it is
+    that of a fresh system bit for bit, whatever came before, and within
+    rounding of the loop over rows of A.  The held pairs assume that A
+    does not change after the first residual; since every residual may
+    replace them, a system must not be shared between threads.
     """
 
     def __init__(self, A, b, c):
@@ -256,6 +310,13 @@ class QuadraticSystem(_Quadratic):
             raise ValueError(f"A must be (m, n, n), got {A.shape}")
         super().__init__("A", A, b, c)
         self.A = A
+        # the support of the last residual within the budget and the
+        # buffer of its pairs, whose pages cost nothing until touched, and
+        # the pair indices of one support size
+        self._pairs = (np.empty(0, dtype=int),
+                       np.empty(n * n // _PAIR_SHARE * self.m))
+        self._pair_index = (np.empty(0, dtype=int), np.empty(0, dtype=int),
+                            np.zeros(1, dtype=int))
 
     def matrix(self, i):
         """A_i, shape (n, n), a view of the stored slab."""
@@ -273,11 +334,58 @@ class QuadraticSystem(_Quadratic):
         return self.A[idx[:, None], S]
 
     def eval_all(self, x):
-        # 0.5 <x, A_i x> = sum over j in S of x_j (A_i[j, j+1:] x[j+1:]
-        # + 0.5 A_i[j, j] x_j) reads each pair A_i[j, k] = A_i[k, j] once;
-        # it subtracts no term, so one overflowing square gives +-inf, not
-        # the NaN of inf - inf
+        # 0.5 <x, A_i x> = sum over the pairs j <= k of S of w_jk A_i[j, k],
+        # w_jk = x_j x_k halved where j = k: one product of the weights
+        # with the held pairs; it subtracts no term, so one overflowing
+        # square gives +-inf, not the NaN of inf - inf
         x = np.asarray(x, dtype=float)
+        S = np.flatnonzero(x)
+        if S.size * (S.size + 1) // 2 > self.n * self.n // _PAIR_SHARE:
+            return self._row_residuals(x)
+        k, j, first = self._pair_index
+        if first.size != S.size + 1:
+            # the pairs by k, then by j: those of k start at row k (k + 1) / 2
+            first = np.arange(S.size + 1)
+            first = first * (first + 1) // 2
+            k = np.repeat(np.arange(S.size), np.arange(1, S.size + 1))
+            j = np.arange(first[-1]) - first[k]
+            self._pair_index = (k, j, first)
+        xS = x[S]
+        w = xS[j] * xS[k]
+        w[first[1:] - 1] *= 0.5                 # the pairs j = k
+        return w @ self._held_pairs(S, k, j, first) + self.b @ x + self.c
+
+    def _held_pairs(self, S, k, j, first):
+        """A_i[S[j_p], S[k_p]] for every i in row p of a (P, m) view of the
+        buffer, P = |S| (|S| + 1) / 2, (k, j) the pair indices of
+        `np.tril_indices(|S|)` and first[t] the row of the pair (0, t),
+        held until the next residual within the budget.  The pairs of the
+        support the buffer holds keep their order, so they move within it
+        in runs; the pairs of each new support index are gathered from its
+        row of every slab.  Until the pairs are rebuilt the system holds
+        none, so a call that fails leaves no stale pairs."""
+        held, buffer = self._pairs
+        pairs = buffer[:k.size * self.m].reshape(k.size, self.m)
+        if np.array_equal(held, S):
+            return pairs
+        self._pairs = (np.empty(0, dtype=int), buffer)
+        at = _positions(held, S, self.n)
+        at_k, at_j = at[k], at[j]
+        dst = np.flatnonzero((at_k >= 0) & (at_j >= 0))
+        src = at_k[dst] * (at_k[dst] + 1) // 2 + at_j[dst]
+        _move_runs(buffer, src, dst, self.m)
+        for t in np.flatnonzero(at < 0).tolist():
+            # A_i[S[t], S[u]] for every u, A_i[S[u], S[t]] of a symmetric slab
+            row = self.A[:, S[t], S]
+            pairs[first[t]:first[t + 1]] = row[:, :t + 1].T
+            pairs[first[t + 1:-1] + t] = row[:, t + 1:].T
+        self._pairs = (S, buffer)
+        return pairs
+
+    def _row_residuals(self, x):
+        """F(x) from the rows of A: for each j in S, the part of row j of
+        every A_i right of the diagonal, at cost about m*|S|*n/2, reading
+        each pair A_i[j, k] = A_i[k, j] once; nothing is held."""
         S = np.flatnonzero(x)
         xS = x[S]
         u = np.empty((self.m, S.size))
@@ -303,11 +411,11 @@ class DCTQuadraticSystem(_Quadratic):
     sym(A_i)[S, :] for its slabs i and S, until the next such block: that
     one keeps the row of every pair (i, j) both share, moved within one
     buffer, and computes only the others.  The consecutive blocks of a
-    greedy-block solve share about half their pairs (54-61% over three
-    seed-1 solves of abnbk-a and abnbk-c at (200, 100)); single-row
-    steps share almost none, so a single row, like a block beyond the
-    bound, is computed afresh and leaves the held rows as they are.  The rows are a function of the
-    pair alone, the sums `to_dense()` stores, so a gradient row is that
+    greedy-block solve share about 60% of their pairs (62% for abnbk-c
+    and 63% for abnbk-a over their seed-1 solves at (200, 100));
+    single-row steps share almost none, so a single row, like a block
+    beyond the bound, is computed afresh and leaves the held rows as they
+    are.  The rows are a function of the pair alone, the sums `to_dense()` stores, so a gradient row is that
     of `to_dense()` bit for bit whatever came before.  The held rows take
     at most _HELD_SLABS n^2 doubles, and a block adds to them at most a
     chunk of moved or computed rows, so the rows of two blocks are never

@@ -27,6 +27,8 @@ def bench(monkeypatch):
     monkeypatch.setattr(module, "EVALS", (30, 12, 0.4, (2, 5)))
     monkeypatch.setattr(module, "MATRIX_FREE_BLOCK", (30, 12, 0.4, 9, (2,)))
     monkeypatch.setattr(module, "MATRIX_FREE_SOLVE", (30, 12, 0.2))
+    monkeypatch.setattr(module, "RESIDUAL_SOLVE", (30, 12, 0.2))
+    monkeypatch.setattr(module, "RESIDUAL_REPLAYS", 1)
     monkeypatch.setattr(module, "JVP_PAIRS", 9)
     monkeypatch.setattr(module, "REPEATS", 1)
     monkeypatch.setattr(module, "KERNEL_REPEATS", 1)
@@ -85,6 +87,18 @@ def test_bench_diagnose_main(bench, tmp_path):
     assert [(r["m"], r["n"], r["support"]) for r in report["eval_all"]] == [
         (30, 12, 2), (30, 12, 5)]
     assert all(r["ms"] > 0 for r in report["eval_all"])
+    # each replayed single-row solve holds the residuals the solver asked
+    # for, one at the start and one a step
+    solves = report["eval_all_solve"]
+    assert [r["preset"] for r in solves] == list(bench.RESIDUAL_PRESETS)
+    for solve in solves:
+        _, points = bench.solve_residuals(30, 12, 0.2, solve["preset"])
+        assert (solve["m"], solve["n"]) == (30, 12)
+        assert solve["calls"] == len(points) > 1
+        assert (solve["within_budget"], solve["pairs_new"]) == \
+            bench.pair_shares(points, 12)
+        assert 0 < solve["within_budget"] <= 1 and 0 <= solve["pairs_new"] <= 1
+        assert solve["ms_per_call"] > 0
     for key in ("jvp", "jvp_matrix_free"):
         jvp = report[key]
         assert (jvp["m"], jvp["n"], jvp["pairs"]) == (40, 20, 9) and jvp["ms"] > 0
@@ -102,6 +116,33 @@ def test_shared_pairs(bench):
     # pairs 4 + 4 + 4; shared 0, (2, 4), all 4
     assert bench.shared_pairs(calls) == 5 / 12
     assert bench.shared_pairs([]) == 0
+
+
+def test_pair_shares(bench):
+    # at n = 12 the budget is 12 pairs, |S| <= 4: the residual at five
+    # indices is beyond it and leaves the held pairs as they are, so the
+    # residual at {1, 4, 7} shares (1, 1), (1, 4) and (4, 4) with {1, 4}
+    assert 12 * 12 // bench.systems._PAIR_SHARE == 12
+    points = []
+    for support in ({1, 4}, {1, 4}, set(range(5)), {1, 4, 7}, set()):
+        x = np.zeros(12)
+        x[sorted(support)] = 1.0
+        points.append(x)
+    # pairs 3 + 3 + 6 + 0 within the budget; new 3, 0, 3 and 0
+    assert bench.pair_shares(points, 12) == (4 / 5, 6 / 12)
+    assert bench.pair_shares([], 12) == (0, 0)
+
+
+def test_bench_diagnose_times_dense_residuals_cold(bench, monkeypatch):
+    # every timed eval_all call at a fixed support runs on a system built
+    # for it, so no call reuses the pairs another one left
+    built = []
+    monkeypatch.setattr(bench, "fresh",
+                        lambda system: built.append(system) or
+                        bench.QuadraticSystem(system.A, system.b, system.c))
+    monkeypatch.setattr(bench, "KERNEL_REPEATS", 3)
+    results = bench.eval_ms(*bench.EVALS)
+    assert len(results) == 2 and len(built) == 6
 
 
 def test_bench_diagnose_times_matrix_free_blocks_cold(bench, monkeypatch):

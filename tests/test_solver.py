@@ -232,6 +232,31 @@ class TestRun:
         for k, dual in enumerate(kept.duals):
             assert prior.bregman_distance(dual, inst.truth) == breg[k]
 
+    @pytest.mark.parametrize("kind", ["gaussian", "dct"])
+    @pytest.mark.parametrize("preset", cli.SOLVER_NAMES)
+    def test_run_repeats_on_one_system(self, kind, preset):
+        # what a system holds from the solve before (dense support pairs,
+        # matrix-free support rows) changes nothing: a solve of another
+        # preset between two equal solves leaves their records equal
+        inst = generate(GeneratorSpec(kind, 40, 20, 0.2, seed=4),
+                        matrix_free=kind == "dct")
+        prior = SparsePrior(2.0)
+        x0 = cli.initial_dual(20, 4)
+        config = cli.preset_config(preset, seed=4, keep_iterates=True)
+        other = cli.SOLVER_NAMES[cli.SOLVER_NAMES.index(preset) - 1]
+        first = slv.run(inst.system, prior, config, x0, truth=inst.truth)
+        slv.run(inst.system, prior, cli.preset_config(other, seed=5),
+                cli.initial_dual(20, 5), truth=inst.truth)
+        again = slv.run(inst.system, prior, config, x0, truth=inst.truth)
+        assert (again.status, again.iterations, again.message) == (
+            first.status, first.iterations, first.message)
+        np.testing.assert_array_equal([row[:6] for row in again.rows],
+                                      [row[:6] for row in first.rows])
+        for name in ("duals", "blocks", "primals", "residuals"):
+            for a, b in zip(getattr(again, name), getattr(first, name),
+                            strict=True):
+                assert a.tobytes() == b.tobytes(), name
+
     @pytest.mark.parametrize("name", list(HISTORY_CASES))
     def test_residuals_follow_the_duals(self, name):
         # the mirror image of each kept dual and F there, bit for bit, on

@@ -133,6 +133,16 @@ def held_bytes(sys):
     return sys._held[2].nbytes
 
 
+def held_pair_bytes(sys):
+    """The bytes of the buffer of support pairs a dense system holds."""
+    return sys._pairs[1].nbytes
+
+
+def pair_budget_bytes(sys):
+    """The bytes of the most support pairs a dense system may hold."""
+    return sys.m * (sys.n * sys.n // systems._PAIR_SHARE) * 8
+
+
 def kernel_checks(make, dense):
     """The checks of the support-restricted kernel of one storage against
     the full contraction of its dense tensor, for symmetric A_i (the
@@ -260,8 +270,22 @@ class TestSupportKernel(kernel_checks(random_quadratic, lambda sys: sys)):
             lambda: sys.jacobian(x), lambda: sys.grad_component(5, x),
             lambda: sys.jvp(sparse, d), lambda: sys.jvp(x, d)])
         assert max(peaks) < m * n * n * 8 / 4
+
+        # over a long sequence of residuals, below the budget and above it,
+        # the system keeps the one buffer of support pairs it was built
+        # with, at the budget, and little else
+        calls = [lambda v=sparse_vector(n, size, False, 1.0, rng):
+                 sys.eval_all(v) for size in rng.integers(16, size=40)]
+        buffer = sys._pairs[1]
+        _, kept = call_bytes(calls * 3)
+        assert max(kept) <= 16 * 1024
+        for call in calls:
+            call()
+            assert sys._pairs[1] is buffer
+        assert held_pair_bytes(sys) == pair_budget_bytes(sys)
         arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
         assert arrays == {"A", "b", "c"}
+        assert set(vars(sys)) - arrays == {"m", "n", "_pairs", "_pair_index"}
 
 
 class TestMatrixFreeKernel(kernel_checks(random_cosine,
@@ -602,6 +626,81 @@ def test_matrix_free_rows_after_a_failed_block(rng):
     for block in (third, second):
         np.testing.assert_array_equal(sys.grad_block(block, x),
                                       dense.grad_block(block, x))
+
+
+PAIRS_M, PAIRS_N = 30, 20
+# supports that grow, shrink, are disjoint or repeat, reach the first and
+# the last index, x = 0, a NaN entry and an entry whose square overflows
+# (the second field), and supports above the budget of held pairs and back
+# under it
+PAIR_CALLS = [({1}, None), ({1, 4, 7}, None), ({1, 3, 4, 7, 19}, None),
+              ({4, 7}, None), ({0, 2, 5}, None), ({4, 7}, None),
+              ({4, 7}, None), (set(), None), ({2, 5, 9}, np.nan),
+              ({3, 8, 15}, 1e200), (set(range(12)), None), ({3, 8}, None),
+              (set(range(PAIRS_N)), None), ({0, 19}, None)]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_dense_pairs_pure_over_call_sequences(seed, data):
+    # every residual of a sequence on one dense system is that of a fresh
+    # system bit for bit, whatever pairs it holds from the calls before,
+    # and within RTOL of the loop over the rows of A (the same infinities
+    # where a square overflows); what it holds stays within the budget
+    m, n = PAIRS_M, PAIRS_N
+    sizes = [len(support) for support, _ in PAIR_CALLS]
+    assert 12 * 13 // 2 > n * n // systems._PAIR_SHARE >= 5 * 6 // 2
+    assert 12 in sizes and 5 in sizes
+    drawn = data.draw(st.lists(st.tuples(st.sets(st.integers(0, n - 1)),
+                                         st.none()), max_size=8))
+    calls = data.draw(st.permutations(PAIR_CALLS + drawn))
+    sys = random_quadratic(m, n, seed)
+    rng = np.random.default_rng(seed)
+    for support, special in calls:
+        S = sorted(support)
+        x = np.zeros(n)
+        x[S] = rng.standard_normal(len(S))
+        if special is not None and S:
+            x[S[0]] = special
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = sys.eval_all(x)
+            np.testing.assert_array_equal(
+                F, random_quadratic(m, n, seed).eval_all(x))
+            loop = sys._row_residuals(x)
+            scale = dense_reference(sys, x)[1]
+        if special is None or not S:
+            assert np.all(abs(F - loop) <= RTOL * scale)
+        elif np.isnan(special):
+            assert not np.isfinite(F).any()
+        else:
+            assert np.isinf(F).all()
+            np.testing.assert_array_equal(F, loop)
+        assert held_pair_bytes(sys) <= pair_budget_bytes(sys)
+
+
+def test_dense_pairs_after_a_failed_gather(rng):
+    # a residual that fails while gathering its new pairs, after the kept
+    # ones have moved, leaves the system holding none; the next residuals,
+    # at the support held before and at the new one, are a fresh system's
+    m, n = PAIRS_M, PAIRS_N
+    sys = random_quadratic(m, n, seed=4)
+    fresh = random_quadratic(m, n, seed=4)
+    x, y = np.zeros(n), np.zeros(n)
+    x[[2, 9, 15]] = rng.standard_normal(3)
+    y[[2, 5, 9, 15]] = rng.standard_normal(4)   # the pairs of 9 and 15 move
+    sys.eval_all(x)
+    A = sys.A
+
+    class GatherFails:
+        def __getitem__(self, key):
+            sys.A = A
+            raise MemoryError
+
+    sys.A = GatherFails()
+    with pytest.raises(MemoryError):
+        sys.eval_all(y)
+    assert sys._pairs[0].size == 0
+    for v in (x, y, x):
+        np.testing.assert_array_equal(sys.eval_all(v), fresh.eval_all(v))
 
 
 class TestDCTSystem:
