@@ -37,9 +37,15 @@ which holds no support rows of an earlier block; for every preset, the
 fresh system, in ms per step, so each block reuses the rows it shares
 with the one before as in the solve, with the share of the (slab,
 support index) pairs of the solve's blocks that the block before had;
-and on a Gaussian and a matrix-free cosine instance, one stacked `jvp`
-of JVP_PAIRS pairs at the audited shape, each x the truth with noise of
-scale 1e-3 on its support and d = x - truth, as in a local-start audit.
+for each seed, the MATRIX_FREE_REPS `abnbk-a` solves of the
+`dct-matfree` workload (200, 100, sp = 0.05, repetitions 0 to 5), their
+`eval_all` and `grad_block` calls replayed in order, each solve on a
+fresh system, in ms per call over the median of RESIDUAL_REPLAYS
+replays, and the cosines each solve computes, counted over one more
+replay of both in their order; and on a Gaussian and a matrix-free
+cosine instance, one stacked `jvp` of JVP_PAIRS pairs at the audited
+shape, each x the truth with noise of scale 1e-3 on its support and
+d = x - truth, as in a local-start audit.
 
 A before/after comparison is this script run at both commits.  The
 output holds the numpy version, BLAS name and BLAS thread variables;
@@ -86,6 +92,8 @@ BLOCKS = ((300, 150, 0.4, 113), (200, 100, 0.05, 20))   # m, n, sp, rows
 EVALS = (300, 150, 0.4, (5, 42, 73))              # m, n, sp, supports |S|
 MATRIX_FREE_BLOCK = (200, 100, 0.05, 72, (8,))  # m, n, sp, rows, supports
 MATRIX_FREE_SOLVE = (200, 100, 0.05)                # m, n, sp
+MATRIX_FREE_PRESET = "abnbk-a"          # the preset of `dct-matfree`
+MATRIX_FREE_REPS = 6
 RESIDUAL_SOLVE = (300, 150, 0.1)                    # m, n, sp
 RESIDUAL_PRESETS = ("nbk", "mrnbk")
 RESIDUAL_REPLAYS = 5
@@ -153,10 +161,11 @@ def measure(path, preset, seed, workdir):
                 **tracer.counts, spans=spans)
 
 
-def first_instance(m, n, sp, kind=gen.GAUSSIAN, matrix_free=False):
-    """The instance of repetition 0 of the first seed, Gaussian unless
-    `kind` says otherwise."""
-    inst_seed, _, _ = cli.derived_seeds(SEEDS[0], 0)
+def first_instance(m, n, sp, kind=gen.GAUSSIAN, matrix_free=False,
+                   seed=SEEDS[0], rep=0):
+    """The instance of repetition `rep` of `seed`, by default repetition 0
+    of the first seed, Gaussian unless `kind` says otherwise."""
+    inst_seed, _, _ = cli.derived_seeds(seed, rep)
     return gen.generate(gen.GeneratorSpec(kind, m, n, sp, seed=inst_seed),
                         matrix_free=matrix_free)
 
@@ -202,20 +211,24 @@ def block_ms(m, n, sp, rows, supports=None, kind=gen.GAUSSIAN,
     return results
 
 
-def recorded_calls(instance, preset, method):
-    """The arguments of every call of `method` of a fresh copy of the
-    instance's system in its solve by `preset`, with the start and solver
-    seeds of repetition 0 of the first seed."""
-    _, x0_seed, solver_seed = cli.derived_seeds(SEEDS[0], 0)
+def recorded_calls(instance, preset, methods, seed=SEEDS[0], rep=0):
+    """The (method, arguments) of every call of one of `methods` of a
+    fresh copy of the instance's system in its solve by `preset`, in
+    order, with the start and solver seeds of repetition `rep` of `seed`."""
+    _, x0_seed, solver_seed = cli.derived_seeds(seed, rep)
     system = fresh(instance.system)
-    call = getattr(system, method)
     calls = []
 
-    def record(*args):
-        calls.append(tuple(np.array(arg) for arg in args))
-        return call(*args)
+    def recorder(method):
+        call = getattr(system, method)
 
-    setattr(system, method, record)
+        def record(*args):
+            calls.append((method, tuple(np.array(arg) for arg in args)))
+            return call(*args)
+        return record
+
+    for method in methods:
+        setattr(system, method, recorder(method))
     solver.run(system, SparsePrior(cli.DEFAULT_LAMBDA),
                cli.preset_config(preset, seed=solver_seed),
                cli.initial_dual(system.n, x0_seed), truth=instance.truth)
@@ -226,15 +239,16 @@ def solve_blocks(m, n, sp, preset):
     """The matrix-free instance of `first_instance` and the (block, x) of
     every `grad_block` call of its solve by `preset`."""
     instance = first_instance(m, n, sp, gen.DCT, True)
-    return instance.system, recorded_calls(instance, preset, "grad_block")
+    return instance.system, [args for _, args in recorded_calls(
+        instance, preset, ("grad_block",))]
 
 
 def solve_residuals(m, n, sp, preset):
     """The Gaussian instance of `first_instance` and the x of every
     `eval_all` call of its solve by `preset`."""
     instance = first_instance(m, n, sp)
-    return instance.system, [x for x, in recorded_calls(instance, preset,
-                                                         "eval_all")]
+    return instance.system, [x for _, (x,) in recorded_calls(
+        instance, preset, ("eval_all",))]
 
 
 def pair_shares(points, n):
@@ -298,6 +312,70 @@ def residual_solve_ms(m, n, sp, preset):
     return {"m": m, "n": n, "sp": sp, "preset": preset, "calls": len(points),
             "within_budget": within, "pairs_new": new,
             "ms_per_call": ms / len(points)}
+
+
+class CountingNumpy:
+    """numpy with a count of the cosines `cos` computes, to stand in for
+    the numpy module of `systems` while a replay runs."""
+
+    def __init__(self):
+        self.cosines = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, *args, **kwargs):
+        out = np.cos(*args, **kwargs)
+        self.cosines += out.size
+        return out
+
+
+def counted_cosines(system, calls):
+    """The cosines a fresh copy of the system computes over the calls,
+    replayed in order, per method."""
+    replica, counter, counts = fresh(system), CountingNumpy(), defaultdict(int)
+    systems.np = counter
+    try:
+        for method, args in calls:
+            before = counter.cosines
+            getattr(replica, method)(*args)
+            counts[method] += counter.cosines - before
+    finally:
+        systems.np = np
+    return counts
+
+
+def matrix_free_solves(m, n, sp, seed):
+    """The `eval_all` and `grad_block` calls of the MATRIX_FREE_REPS
+    `dct-matfree` solves of a seed, replayed: ms per call, each solve's
+    calls of one method in order on a fresh system, the median of
+    RESIDUAL_REPLAYS replays, and the cosines of the solves."""
+    solves = []
+    for rep in range(MATRIX_FREE_REPS):
+        instance = first_instance(m, n, sp, gen.DCT, True, seed, rep)
+        solves.append((instance.system, recorded_calls(
+            instance, MATRIX_FREE_PRESET, ("eval_all", "grad_block"), seed,
+            rep)))
+    report = {"m": m, "n": n, "sp": sp, "seed": seed,
+              "preset": MATRIX_FREE_PRESET, "solves": len(solves)}
+    for method, key in (("eval_all", "residual"), ("grad_block", "block")):
+        def replay():
+            for system, calls in solves:
+                replica = fresh(system)
+                for name, args in calls:
+                    if name == method:
+                        getattr(replica, method)(*args)
+
+        count = sum(name == method for _, calls in solves for name, _ in calls)
+        report[f"{key}_calls"] = count
+        report[f"{key}_ms_per_call"] = median_ms(
+            [replay] * RESIDUAL_REPLAYS) / count
+    counts = [counted_cosines(system, calls) for system, calls in solves]
+    report["residual_cosines"] = sum(c["eval_all"] for c in counts)
+    report["block_cosines"] = sum(c["grad_block"] for c in counts)
+    report["cosines_per_solve"] = (report["residual_cosines"]
+                                   + report["block_cosines"]) / len(solves)
+    return report
 
 
 def eval_ms(m, n, sp, supports):
@@ -364,6 +442,9 @@ def main(argv=None):
               "grad_block_matrix_free_solve": [
                   solve_ms(*MATRIX_FREE_SOLVE, preset)
                   for preset in cli.SOLVER_NAMES],
+              "matrix_free_solves": [matrix_free_solves(*MATRIX_FREE_SOLVE,
+                                                        seed)
+                                     for seed in SEEDS],
               "eval_all": eval_ms(*EVALS),
               "eval_all_solve": [residual_solve_ms(*RESIDUAL_SOLVE, preset)
                                  for preset in RESIDUAL_PRESETS],
@@ -381,6 +462,12 @@ def main(argv=None):
         print(f"grad_block_matrix_free_solve ({r['m']}, {r['n']}) "
               f"{r['preset']}, {r['steps']} steps, {r['pairs_shared']:.0%} "
               f"of pairs shared: {r['ms_per_step']:.3f} ms per step")
+    for r in report["matrix_free_solves"]:
+        print(f"matrix_free_solves ({r['m']}, {r['n']}) seed {r['seed']}, "
+              f"{r['solves']} {r['preset']} solves: "
+              f"{r['residual_ms_per_call']:.3f} ms per residual, "
+              f"{r['block_ms_per_call']:.3f} ms per block, "
+              f"{r['cosines_per_solve'] / 1e6:.3f}M cosines per solve")
     for r in report["eval_all"]:
         print(f"eval_all ({r['m']}, {r['n']}) at |S| = {r['support']}: "
               f"{r['ms']:.3f} ms")

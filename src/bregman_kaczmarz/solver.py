@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -115,9 +116,9 @@ class RunRecord:
 
 
 def abnbk_step(dual, primal, F, system, prior, config, rng, k):
-    """One dual update of the block iteration from the dual iterate `dual`,
-    its mirror image `primal` and the residual F = F(primal), at step `k`;
-    returns (next dual, block, alpha).
+    """One step of the block iteration from the dual iterate `dual`, its
+    mirror image `primal` and the residual F = F(primal), at step `k`;
+    returns the next (dual, primal, F), the block and alpha.
 
     Precondition: F is nonzero.  Rows with vanishing gradient are dropped
     from the block before weighting; a DegenerateDirection from the
@@ -153,7 +154,9 @@ def abnbk_step(dual, primal, F, system, prior, config, rng, k):
             and isinstance(config.stepsize, sel.Constant)):
         smax_sq = np.linalg.norm(grads, 2) ** 2
         direction = direction * (norms_sq.sum() / smax_sq)
-    return dual - alpha * direction, block, float(alpha)
+    dual = dual - alpha * direction
+    primal = prior.conj_grad(dual)
+    return dual, primal, system.eval_all(primal), block, float(alpha)
 
 
 def run(system, prior, config, x0_star, truth=None):
@@ -163,7 +166,8 @@ def run(system, prior, config, x0_star, truth=None):
     only when `truth` is given, and only for the rows kept: without
     history they are computed once, for the last row.  Identical (config,
     x0_star, instance) inputs reproduce the record bit-exactly apart from
-    timings.
+    timings, at one BLAS thread count: with another, the block products
+    may round differently in their last bits.
     """
     dual = np.array(x0_star, dtype=float)
     if dual.shape != (system.n,):
@@ -171,7 +175,7 @@ def run(system, prior, config, x0_star, truth=None):
     rng = np.random.default_rng(config.seed)
     primal = prior.conj_grad(dual)
     F = system.eval_all(primal)
-    res0_sq = float(F @ F)
+    res0_sq = float(F.dot(F))
     duals = [dual] if config.keep_iterates else None
     blocks = [] if config.keep_iterates else None
     primals = [primal] if config.keep_iterates else None
@@ -192,7 +196,7 @@ def run(system, prior, config, x0_star, truth=None):
     k = 0
     status = MAX_ITERS
     message = ""
-    if not np.isfinite(res0_sq):
+    if not math.isfinite(res0_sq):
         status = DEGENERATE
         message = "non-finite residual at the start"
     elif res0_sq == 0.0:
@@ -201,18 +205,16 @@ def run(system, prior, config, x0_star, truth=None):
     while status == MAX_ITERS and k < config.max_iters:
         t0 = time.perf_counter_ns()
         try:
-            dual, block, alpha = abnbk_step(dual, primal, F, system, prior,
-                                            config, rng, k)
+            dual, primal, F, block, alpha = abnbk_step(
+                dual, primal, F, system, prior, config, rng, k)
         except (sel.ZeroGradientRow, sel.AllResidualsZero) as exc:
             status = DEGENERATE
             message = str(exc)
             break
-        primal = prior.conj_grad(dual)
-        F = system.eval_all(primal)
         elapsed = time.perf_counter_ns() - t0
         k += 1
-        res_sq = float(F @ F)
-        if not np.isfinite(res_sq):
+        res_sq = float(F.dot(F))
+        if not math.isfinite(res_sq):
             status = DEGENERATE
             message = f"non-finite residual at k={k}"
             break

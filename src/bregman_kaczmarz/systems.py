@@ -6,29 +6,29 @@ the workhorse of the experiments.  F depends on A_i only through its
 symmetric part, so the dense storage holds symmetric slabs (`symmetrize`
 makes them): a gradient row reads the |S| support rows of its slab, S
 the support of x.  The residuals are one product of the weights x_j x_k
-with the entries A_i[j, k] of the pairs j <= k of S, which a dense system
-holds from one residual to the next within a budget of n^2 // 12 pairs,
-a twelfth of the tensor: the next residual moves the pairs its support
-shares with the one held and gathers only the others.  Beyond the budget
-the residuals read about half of the support rows of every slab, at cost
-m*|S|*n/2, and leave the held pairs as they are.  A matrix-free variant
-backs the partial-cosine family and computes only the cosines that meet
-the support; it holds the support rows of its last gradient block,
-within a bound, so that the next block computes only the rows it does
-not share with it.  `eval_points` (F_i at many points) and `grad_block` (many
-gradient rows at one point) loop `eval_component` and `grad_component`
-unless a system overrides them, as both built-in ones do.  `jvp` takes
-one pair (x, d) or stacks X, D of P pairs, shape (P, n), and gives
-J(X_p) D_p for all of them in one call without forming J(x); the base
-class goes pair by pair.  Both storages share one quadratic base, which
-computes `eval_points` from a storage's A_i, `grad_block` from products
-of x_S with the support rows of the symmetric slabs and `jvp` from rows
-of those slabs, working through the pairs in chunks that share their
-support work.  Both storages replace what they hold as they are
-called, a dense system its pairs on a residual and a matrix-free one its
-rows on a gradient block, so neither may be shared between threads; the
-held values stay valid only while A, from the first residual on, or xi
-does not change.
+with the entries sym(A_i)[j, k] of the pairs j <= k of S, which a system
+holds from one residual to the next within a budget of pairs: the next
+residual moves the pairs its support shares with the one held and forms
+only the others, which each storage supplies, the dense one by a gather
+and the matrix-free one by cosines.  Beyond the budget each storage
+loops over the support rows and leaves the held pairs as they are.  A
+matrix-free variant backs the partial-cosine family and computes only
+the cosines that meet the support; its gradient blocks read the support
+rows of their slabs from a bounded pool, so that a row computed once is
+reused while it stays among the recently used.  `eval_points` (F_i at
+many points) and `grad_block` (many gradient rows at one point) loop
+`eval_component` and `grad_component` unless a system overrides them, as
+both built-in ones do.  `jvp` takes one pair (x, d) or stacks X, D of P
+pairs, shape (P, n), and gives J(X_p) D_p for all of them in one call
+without forming J(x); the base class goes pair by pair.  Both storages
+share one quadratic base, which computes `eval_points` from a storage's
+A_i, `eval_all` from the held pairs, `grad_block` from products of x_S
+with the support rows of the symmetric slabs and `jvp` from rows of
+those slabs, working through the pairs in chunks that share their
+support work.  Both storages replace what they hold as they are called,
+the pairs on a residual and the matrix-free pool on a gradient block, so
+neither may be shared between threads; the held values stay valid only
+while A, from the first residual on, or xi does not change.
 """
 
 from __future__ import annotations
@@ -39,17 +39,20 @@ import numpy as np
 # reads, counted in slabs: a block of them holds at most _GRAD_SLABS n^2
 # doubles, gathered (dense) or computed (matrix-free)
 _GRAD_SLABS = 4
-# the support rows a matrix-free system holds from one gradient block to
-# the next, counted in slabs: at most _HELD_SLABS n^2 doubles, a little
-# above the largest block of the greedy presets on the cosine family
-# (15.2 n^2 at (200, 100)); a larger block goes in chunks of _GRAD_SLABS
-# and leaves the held rows as they are
-_HELD_SLABS = 16
-# the support pairs (j, k), j <= k, a dense system holds from one residual
-# vector to the next: at most n^2 // _PAIR_SHARE pairs, m n^2 / 12
+# the support rows sym(A_i)[j, :] a matrix-free system holds in its pool,
+# counted in slabs: at most _POOL_SLABS n^2 doubles, a little above the
+# largest block of the greedy presets on the cosine family (15.2 n^2 at
+# (200, 100)); a larger block goes in chunks of fresh rows and leaves the
+# pool as it is
+_POOL_SLABS = 16
+# the support pairs (j, k), j <= k, a system holds from one residual vector
+# to the next: a dense one at most n^2 // _PAIR_SHARE pairs, m n^2 / 12
 # doubles, a twelfth of the stored tensor (4.5 MB and |S| <= 60 at
-# (300, 150)); a residual at a larger support reads the rows of A instead
+# (300, 150)); a matrix-free one at most _PAIR_ROWS n pairs, four times the
+# m n doubles of its xi (|S| <= 27 at (200, 100)); a residual at a larger
+# support loops over the support rows instead
 _PAIR_SHARE = 12
+_PAIR_ROWS = 4
 
 
 def _positions(held, keys, size):
@@ -58,20 +61,6 @@ def _positions(held, keys, size):
     where = np.full(size, -1)
     where[held] = np.arange(held.size)
     return where[keys]
-
-
-def _move(buffer, src, dst, rows):
-    """Copy row src[k] of buffer to row dst[k] for every k, in place, for
-    increasing src and dst, at most `rows` rows at a time: first the rows
-    that move to a lower position, in increasing order, then those that
-    move to a higher one, in decreasing order, so that no row is
-    overwritten before it has been copied."""
-    lower = np.flatnonzero(dst < src)
-    higher = np.flatnonzero(dst > src)[::-1]
-    for moving in (lower, higher):
-        for s in range(0, moving.size, rows):
-            k = moving[s:s + rows]
-            buffer[dst[k]] = buffer[src[k]]
 
 
 def _move_runs(flat, src, dst, width):
@@ -95,17 +84,6 @@ def _move_runs(flat, src, dst, width):
     for k in lower + higher:
         a, b, size = src[k], dst[k], sizes[k]
         flat[b:b + size] = flat[a:a + size]
-
-
-def _chunks(at, width, rows):
-    """The index array at in pieces of rows // width entries, so that a
-    piece of slabs with width <= rows rows each covers at most `rows`
-    rows; nothing when width is 0."""
-    if width == 0:
-        return
-    step = rows // width
-    for s in range(0, at.size, step):
-        yield at[s:s + step]
 
 
 class NonlinearSystem:
@@ -188,12 +166,16 @@ def symmetrize(A):
 class _Quadratic(NonlinearSystem):
     """F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i, whatever the storage of
     the A_i.  A subclass supplies `matrix(i)`, which gives A_i with i
-    checked; `_support_rows(idx, S)`, which gives the support rows
-    sym(A_i)[S, :] of each slab i of idx, shape (|idx|, |S|, n); and
-    `_sym_rows(j, cols)`, which gives row j of every symmetric part
-    sym(A_i) = 0.5 (A_i + A_i^T) at the columns cols, shape (m, len(cols)).
-    `jvp` reads only the entries with j in the support Ux of the x and a
-    column in the support Ud of the d of its pairs.
+    checked; `_support_rows(I, J)`, which gives the row sym(A_i)[j, :] for
+    every pair (i, j) of the broadcast of the index arrays I and J, shape
+    broadcast + (n,); `_sym_rows(j, cols)`, which gives row j of every
+    symmetric part sym(A_i) = 0.5 (A_i + A_i^T) at the columns cols, shape
+    (m, len(cols)); `_pair_budget()`, the most support pairs it holds; and
+    `_row_residuals(x)`, F(x) at a support beyond that budget.  `jvp`
+    reads only the entries with j in the support Ux of the x and a column
+    in the support Ud of the d of its pairs.  A residual within the budget
+    is one product with the pairs `_held_pairs` holds, that of a fresh
+    system bit for bit whatever came before.
     """
 
     def __init__(self, name, coef, b, c):
@@ -207,12 +189,70 @@ class _Quadratic(NonlinearSystem):
         self.c = c
         self.m = m
         self.n = n
+        # the support of the last residual within the budget, the buffer
+        # of its pairs (made by the first) and the pair indices of one size
+        self._pairs = (np.empty(0, dtype=int), None)
+        self._pair_index = (np.empty(0, dtype=int), np.empty(0, dtype=int),
+                            np.zeros(1, dtype=int))
 
     def eval_points(self, i, X):
         """F_i at each row of X, by one product X A_i^T."""
         X = np.asarray(X, dtype=float)
         A = self.matrix(i)
         return 0.5 * ((X @ A.T) * X).sum(axis=1) + X @ self.b[i] + self.c[i]
+
+    def eval_all(self, x):
+        # 0.5 <x, A_i x> = sum over the pairs j <= k of S of w_jk A_i[j, k],
+        # w_jk = x_j x_k halved where j = k: one product of the weights
+        # with the held pairs; it subtracts no term, so one overflowing
+        # square gives +-inf, not the NaN of inf - inf
+        x = np.asarray(x, dtype=float)
+        S = np.flatnonzero(x)
+        if S.size * (S.size + 1) // 2 > self._pair_budget():
+            return self._row_residuals(x)
+        k, j, first = self._pair_index
+        if first.size != S.size + 1:
+            # the pairs by k, then by j: those of k start at row k (k + 1) / 2
+            first = np.arange(S.size + 1)
+            first = first * (first + 1) // 2
+            k = np.repeat(np.arange(S.size), np.arange(1, S.size + 1))
+            j = np.arange(first[-1]) - first[k]
+            self._pair_index = (k, j, first)
+        xS = x[S]
+        w = xS[j] * xS[k]
+        w[first[1:] - 1] *= 0.5                 # the pairs j = k
+        return w @ self._held_pairs(S, k, j, first) + self.b @ x + self.c
+
+    def _held_pairs(self, S, k, j, first):
+        """sym(A_i)[S[j_p], S[k_p]] for every i in row p of a (P, m) view of
+        the buffer, P = |S| (|S| + 1) / 2, (k, j) the pair indices of
+        `np.tril_indices(|S|)` and first[t] the row of the pair (0, t),
+        held until the next residual within the budget: by k, then by j, so
+        that a new support index above all the others only appends pairs.
+        The pairs of the support the buffer holds keep their order, so they
+        move within it in runs; the pairs of each new support index come
+        from its `_sym_rows`.  Until the pairs are rebuilt the system holds
+        none, so a call that fails leaves no stale pairs."""
+        held, buffer = self._pairs
+        if buffer is None:
+            buffer = np.empty(self._pair_budget() * self.m)
+            self._pairs = (held, buffer)
+        pairs = buffer[:k.size * self.m].reshape(k.size, self.m)
+        if np.array_equal(held, S):
+            return pairs
+        self._pairs = (np.empty(0, dtype=int), buffer)
+        at = _positions(held, S, self.n)
+        at_k, at_j = at[k], at[j]
+        dst = np.flatnonzero((at_k >= 0) & (at_j >= 0))
+        src = at_k[dst] * (at_k[dst] + 1) // 2 + at_j[dst]
+        _move_runs(buffer, src, dst, self.m)
+        for t in np.flatnonzero(at < 0).tolist():
+            # sym(A_i)[S[t], S[u]] for every u, sym(A_i)[S[u], S[t]] too
+            row = self._sym_rows(S[t], S)
+            pairs[first[t]:first[t + 1]] = row[:, :t + 1].T
+            pairs[first[t + 1:-1] + t] = row[:, t + 1:].T
+        self._pairs = (S, buffer)
+        return pairs
 
     def jvp(self, x, d):
         """J(x) d, or row p J(X_p) D_p for stacks: row i of J(x) d is
@@ -244,12 +284,19 @@ class _Quadratic(NonlinearSystem):
         return rows
 
     def _products(self, idx, S, xS):
-        """x_S sym(A_i)[S, :] for i in idx, shape (|idx|, n), in chunks."""
-        rows = np.empty((idx.size, self.n))
-        step = _GRAD_SLABS * self.n // max(S.size, 1)
-        for s in range(0, idx.size, step):
-            np.matmul(xS, self._support_rows(idx[s:s + step], S),
-                      out=rows[s:s + step])
+        """x_S sym(A_i)[S, :] for i in idx, shape (|idx|, n)."""
+        return self._chunked(xS, idx.size,
+                             lambda a: self._support_rows(idx[a, None], S))
+
+    def _chunked(self, xS, count, support_rows):
+        """x_S times support_rows(a), the (|a|, |S|, n) support rows of the
+        slabs of the slice a of a block of `count` slabs, for
+        _GRAD_SLABS n // |S| slabs at a time; shape (count, n)."""
+        rows = np.empty((count, self.n))
+        step = _GRAD_SLABS * self.n // max(xS.size, 1)
+        for s in range(0, count, step):
+            a = slice(s, s + step)
+            np.matmul(xS, support_rows(a), out=rows[a])
         return rows
 
     def _jvp_chunk(self, X, D, out):
@@ -279,28 +326,18 @@ class QuadraticSystem(_Quadratic):
     support rows A_i[S, :] of its slab, S the support of x, at cost
     |S|*n; `eval_all` is one product of the held pairs, at cost
     m*|S|*(|S| + 1)/2, plus the moves of the pairs it keeps and a gather
-    of m*|S| entries for each support index new since the residual
-    before, or beyond the budget a read, for each j in S, of the part of
-    row j of every A_i right of the diagonal, at cost about m*|S|*n/2;
-    and `jvp` reads the stored entries A[:, j, Ud] for each j in Ux, at
-    cost m*|Ux|*|Ud| per pair.
-
-    The system holds A_i[j, k] for every i and every pair j <= k of the
-    support of its last residual within the budget, at most
-    n^2 // _PAIR_SHARE pairs (m*n^2/12 doubles, |S| <= 60 at (300, 150)),
-    in one buffer allocated with the system: the pairs by k,
-    then by j, so that a new support index above all the others only
-    appends pairs.  The next residual within the budget moves the pairs
-    its support keeps, which keep their order, as runs within the buffer
-    and gathers the pairs of each new support index from its row of
-    every slab; the consecutive residuals of the single-row presets share
-    about 97% of their pairs.  A residual beyond the budget reads the
-    rows of A and leaves the held pairs as they are.  The residual is
-    the product of the weights with the pairs in that order, so it is
-    that of a fresh system bit for bit, whatever came before, and within
-    rounding of the loop over rows of A.  The held pairs assume that A
-    does not change after the first residual; since every residual may
-    replace them, a system must not be shared between threads.
+    A[:, S[t], S] of m*|S| entries for each support index new since the
+    residual before, or beyond the budget of n^2 // _PAIR_SHARE pairs
+    (m*n^2/12 doubles, |S| <= 60 at (300, 150)) a read, for each j in S,
+    of the part of row j of every A_i right of the diagonal, at cost about
+    m*|S|*n/2, which leaves the held pairs as they are; and `jvp` reads
+    the stored entries A[:, j, Ud] for each j in Ux, at cost m*|Ux|*|Ud|
+    per pair.  The consecutive residuals of the single-row presets share
+    about 97% of their pairs.  A residual within the budget is that of a
+    fresh system bit for bit and within rounding of the loop over rows of
+    A.  The held pairs assume that A does not change after the first
+    residual; since every residual may replace them, a system must not be
+    shared between threads.
     """
 
     def __init__(self, A, b, c):
@@ -310,13 +347,6 @@ class QuadraticSystem(_Quadratic):
             raise ValueError(f"A must be (m, n, n), got {A.shape}")
         super().__init__("A", A, b, c)
         self.A = A
-        # the support of the last residual within the budget and the
-        # buffer of its pairs, whose pages cost nothing until touched, and
-        # the pair indices of one support size
-        self._pairs = (np.empty(0, dtype=int),
-                       np.empty(n * n // _PAIR_SHARE * self.m))
-        self._pair_index = (np.empty(0, dtype=int), np.empty(0, dtype=int),
-                            np.zeros(1, dtype=int))
 
     def matrix(self, i):
         """A_i, shape (n, n), a view of the stored slab."""
@@ -329,58 +359,12 @@ class QuadraticSystem(_Quadratic):
     def eval_component(self, i, x):
         return float(self.eval_points(i, [x])[0])
 
-    def _support_rows(self, idx, S):
+    def _support_rows(self, I, J):
         # A_i x = x_S A_i[S, :] for a symmetric slab: one gather
-        return self.A[idx[:, None], S]
+        return self.A[I, J]
 
-    def eval_all(self, x):
-        # 0.5 <x, A_i x> = sum over the pairs j <= k of S of w_jk A_i[j, k],
-        # w_jk = x_j x_k halved where j = k: one product of the weights
-        # with the held pairs; it subtracts no term, so one overflowing
-        # square gives +-inf, not the NaN of inf - inf
-        x = np.asarray(x, dtype=float)
-        S = np.flatnonzero(x)
-        if S.size * (S.size + 1) // 2 > self.n * self.n // _PAIR_SHARE:
-            return self._row_residuals(x)
-        k, j, first = self._pair_index
-        if first.size != S.size + 1:
-            # the pairs by k, then by j: those of k start at row k (k + 1) / 2
-            first = np.arange(S.size + 1)
-            first = first * (first + 1) // 2
-            k = np.repeat(np.arange(S.size), np.arange(1, S.size + 1))
-            j = np.arange(first[-1]) - first[k]
-            self._pair_index = (k, j, first)
-        xS = x[S]
-        w = xS[j] * xS[k]
-        w[first[1:] - 1] *= 0.5                 # the pairs j = k
-        return w @ self._held_pairs(S, k, j, first) + self.b @ x + self.c
-
-    def _held_pairs(self, S, k, j, first):
-        """A_i[S[j_p], S[k_p]] for every i in row p of a (P, m) view of the
-        buffer, P = |S| (|S| + 1) / 2, (k, j) the pair indices of
-        `np.tril_indices(|S|)` and first[t] the row of the pair (0, t),
-        held until the next residual within the budget.  The pairs of the
-        support the buffer holds keep their order, so they move within it
-        in runs; the pairs of each new support index are gathered from its
-        row of every slab.  Until the pairs are rebuilt the system holds
-        none, so a call that fails leaves no stale pairs."""
-        held, buffer = self._pairs
-        pairs = buffer[:k.size * self.m].reshape(k.size, self.m)
-        if np.array_equal(held, S):
-            return pairs
-        self._pairs = (np.empty(0, dtype=int), buffer)
-        at = _positions(held, S, self.n)
-        at_k, at_j = at[k], at[j]
-        dst = np.flatnonzero((at_k >= 0) & (at_j >= 0))
-        src = at_k[dst] * (at_k[dst] + 1) // 2 + at_j[dst]
-        _move_runs(buffer, src, dst, self.m)
-        for t in np.flatnonzero(at < 0).tolist():
-            # A_i[S[t], S[u]] for every u, A_i[S[u], S[t]] of a symmetric slab
-            row = self.A[:, S[t], S]
-            pairs[first[t]:first[t + 1]] = row[:, :t + 1].T
-            pairs[first[t + 1:-1] + t] = row[:, t + 1:].T
-        self._pairs = (S, buffer)
-        return pairs
+    def _pair_budget(self):
+        return self.n * self.n // _PAIR_SHARE
 
     def _row_residuals(self, x):
         """F(x) from the rows of A: for each j in S, the part of row j of
@@ -402,26 +386,29 @@ class DCTQuadraticSystem(_Quadratic):
 
     Column j of A_i is cos(2*pi*j*xi_i) elementwise (j = 0..n-1), so only
     the frequency vectors xi_i need to be stored.  Entries are computed on
-    demand and only where they meet the support S of x: m*|S|^2 cosines
-    per residual vector, 2*n*|S| per gradient row (its support rows and
-    columns) and 2*|Ud| per j in Ux for a row of J(x) d over a whole
-    chunk of pairs, against n^2 per row for a materialized A_i.
+    demand and only where they meet the support S of x, against n^2 per
+    row for a materialized A_i: 2*m*|S| cosines per support index new to
+    a residual within the budget of _PAIR_ROWS n held pairs, m*|S|^2 for
+    a residual beyond it, 2*n per support row sym(A_i)[j, :] (row and
+    column j of A_i) of a gradient row and 2*|Ud| per j in Ux for a row of
+    J(x) d over a whole chunk of pairs.  Every cosine sum is the one
+    `symmetrize` forms, so the held pairs, the gradient rows and the
+    residuals within the budget are those of `to_dense()` bit for bit,
+    whatever came before.
 
-    A gradient block of 2 to _HELD_SLABS n support rows keeps them,
-    sym(A_i)[S, :] for its slabs i and S, until the next such block: that
-    one keeps the row of every pair (i, j) both share, moved within one
-    buffer, and computes only the others.  The consecutive blocks of a
-    greedy-block solve share about 60% of their pairs (62% for abnbk-c
-    and 63% for abnbk-a over their seed-1 solves at (200, 100));
-    single-row steps share almost none, so a single row, like a block
-    beyond the bound, is computed afresh and leaves the held rows as they
-    are.  The rows are a function of the pair alone, the sums `to_dense()` stores, so a gradient row is that
-    of `to_dense()` bit for bit whatever came before.  The held rows take
-    at most _HELD_SLABS n^2 doubles, and a block adds to them at most a
-    chunk of moved or computed rows, so the rows of two blocks are never
-    held at once.  They assume that xi is never changed; since every
-    gradient block may replace them, a system must not be shared between
-    threads.
+    A gradient block of 2 or more rows with at most _POOL_SLABS n support
+    rows reads them from a pool of _POOL_SLABS n rows, allocated on the
+    first such block and keyed by (slab i, support index j): the block
+    computes only the rows of the keys the pool lacks, into the slots of
+    the least recently used keys, and gathers each chunk of _GRAD_SLABS n
+    of its rows, in the layout of `_support_rows`, for one product with
+    x_S.  Single-row steps share almost no keys, so a single row, like a
+    larger block, is computed afresh and leaves the pool as it is.  A key
+    is marked held only once its row is written, so a call that fails
+    leaves no stale rows.  The pool holds _POOL_SLABS n^2 doubles and a
+    table of m n slots.  The held values assume that xi is never changed;
+    since every residual and gradient block may replace them, a system
+    must not be shared between threads.
     """
 
     def __init__(self, xi, b, c):
@@ -430,14 +417,9 @@ class DCTQuadraticSystem(_Quadratic):
             raise ValueError(f"xi must be (m, n), got {xi.shape}")
         super().__init__("xi", xi, b, c)
         self.xi = xi
-        self._release()
-
-    def _release(self):
-        """Hold nothing.  One attribute, the sorted slabs, the support and
-        the (|slabs| |S|, n) buffer of the held rows, so that it is never
-        half replaced."""
-        self._held = (np.empty(0, dtype=int), np.empty(0, dtype=int),
-                      np.empty((0, self.n)))
+        # the pool: its rows, the slot of every key i n + j (-1 if none),
+        # the key of every slot and the block that last used it
+        self._pool = None
 
     @staticmethod
     def _cosines(xi, cols):
@@ -450,60 +432,56 @@ class DCTQuadraticSystem(_Quadratic):
                         np.asarray(cols, dtype=float), order="C")
         return np.cos(out, out=out)
 
-    def _values(self, rows, x):
-        """F_i(x) for the rows of an index array."""
-        S = np.flatnonzero(x)
-        xS = x[S]
-        C = self._cosines(self.xi[:, S][rows], S)      # A_i[S, S]
-        return 0.5 * (C @ xS * xS).sum(axis=1) + self.b[rows] @ x + self.c[rows]
-
     def _products(self, idx, S, xS):
-        # a block of 2 to _HELD_SLABS n support rows: one product with the
-        # held rows of its distinct slabs; a single row or a larger block:
-        # the chunks of the base class, of fresh rows
-        if not 1 < idx.size <= _HELD_SLABS * self.n // max(S.size, 1):
+        # a block of 2 or more rows with at most _POOL_SLABS n support rows:
+        # its rows from the pool; a single row or a larger block: the
+        # chunks of the base class, of fresh rows
+        if idx.size < 2 or not 0 < idx.size * S.size <= _POOL_SLABS * self.n:
             return super()._products(idx, S, xS)
         slabs, at = np.unique(idx, return_inverse=True)
-        return np.matmul(xS, self._held_support_rows(slabs, S))[at]
+        slots = self._pooled(slabs[:, None] * self.n + S)
+        rows = self._pool[0]
+        return self._chunked(xS, slabs.size, lambda a: rows[slots[a]])[at]
 
-    def _held_support_rows(self, slabs, S):
-        """`_support_rows(slabs, S)` for sorted distinct slabs, held until
-        the next call in the buffer of the last ones.  Both layouts sort
-        the pairs (i, j) by slab and then by support index, so the rows of
-        the shared pairs move within the buffer in order, which grows or
-        shrinks in place; the other rows are computed in chunks of at most
-        _GRAD_SLABS n.  Until the buffer is rebuilt the system holds
-        nothing, so a call that fails leaves no stale rows."""
-        held_slabs, held_S, buffer = self._held
-        self._release()
-        at_slab = _positions(held_slabs, slabs, self.m)
-        at_col = _positions(held_S, S, self.n)
-        old, kept = np.flatnonzero(at_slab >= 0), np.flatnonzero(at_col >= 0)
-        src = (at_slab[old, None] * held_S.size + at_col[kept]).ravel()
-        dst = (old[:, None] * S.size + kept).ravel()
-        size = slabs.size * S.size
-        # no view of the buffer outlives the call that made it, so it can
-        # be resized in place
-        buffer.resize((max(len(buffer), size), self.n), refcheck=False)
-        _move(buffer, src, dst, _GRAD_SLABS * self.n)
-        buffer.resize((size, self.n), refcheck=False)
-        rows = buffer.reshape(slabs.size, S.size, self.n)
-        new, fresh = np.flatnonzero(at_slab < 0), np.flatnonzero(at_col < 0)
-        for a in _chunks(new, S.size, _GRAD_SLABS * self.n):
-            rows[a] = self._support_rows(slabs[a], S)
-        for a in _chunks(old, fresh.size, _GRAD_SLABS * self.n):
-            rows[np.ix_(a, fresh)] = self._support_rows(slabs[a], S[fresh])
-        self._held = (slabs, S, buffer)
-        return rows
+    def _pooled(self, keys):
+        """The pool slot of each key i n + j of the int array keys, at most
+        _POOL_SLABS n distinct keys, with sym(A_i)[j, :] in it: the rows of
+        the keys the pool lacks are computed into the slots of the least
+        recently used keys, none of this call's (a slot never used counts
+        as the least recent, the lowest first), n at a time, so that their
+        temporaries stay within 3 n^2 doubles."""
+        if self._pool is None:
+            size = _POOL_SLABS * self.n
+            self._pool = (np.empty((size, self.n)),
+                          np.full(self.m * self.n, -1, dtype=np.int32),
+                          np.full(size, -1), np.arange(size) - size)
+        rows, slot_of, key_of, used = self._pool
+        slots = slot_of[keys]
+        clock = used.max() + 1
+        used[slots[slots >= 0]] = clock
+        new = keys[slots < 0]
+        if new.size:
+            free = np.argpartition(used, new.size - 1)[:new.size]
+            old = key_of[free]
+            slot_of[old[old >= 0]] = -1
+            key_of[free] = -1
+            for s in range(0, new.size, self.n):
+                rows[free[s:s + self.n]] = self._support_rows(
+                    *np.divmod(new[s:s + self.n], self.n))
+            slot_of[new] = free
+            key_of[free] = new
+            used[free] = clock
+            slots = slot_of[keys]
+        return slots
 
-    def _support_rows(self, idx, S):
-        # 0.5 (A_i[S, :] + A_i[:, S]^T): 2 n |S| cosines a slab, summed as
+    def _support_rows(self, I, J):
+        # 0.5 (A_i[j, :] + A_i[:, j]^T): 2 n cosines a pair, summed as
         # `symmetrize` sums them
-        xi = self.xi[idx]
-        rows = self._cosines(xi[:, S], np.arange(self.n))
+        rows = self._cosines(self.xi[I, J], np.arange(self.n))
+        xi = self.xi[I]
         xi *= 2.0 * np.pi       # a copy: the products `_cosines` forms
-        cols = np.einsum("ik,j->ijk", xi, S.astype(float), order="C")
-        rows += np.cos(cols, out=cols)      # A_i[:, S]^T laid out as rows
+        cols = np.einsum("...k,...->...k", xi, np.asarray(J, dtype=float))
+        rows += np.cos(cols, out=cols)      # A_i[:, j]^T laid out as rows
         rows *= 0.5
         return rows
 
@@ -519,11 +497,28 @@ class DCTQuadraticSystem(_Quadratic):
         rows *= 0.5
         return rows
 
+    def _pair_budget(self):
+        return _PAIR_ROWS * self.n
+
+    def _row_residuals(self, x):
+        """F(x) from the support rows: for each j = S[s], the pairs (j, k)
+        of S with k >= j, from 2*m*(|S| - s) cosines, m*|S|^2 in all, with
+        (m, |S|) temporaries; nothing is held."""
+        S = np.flatnonzero(x)
+        xS = x[S]
+        u = np.empty((self.m, S.size))
+        for s, j in enumerate(S.tolist()):
+            v = xS[s:].copy()
+            v[0] *= 0.5                         # the pair (j, j)
+            u[:, s] = self._sym_rows(j, S[s:]) @ v
+        return u @ xS + self.b @ x + self.c
+
     def eval_component(self, i, x):
         """F_i(x); for an index array i, the array of F_i(x) over its
-        entries in one vectorized call (eval_all passes every row)."""
-        values = self._values(self._rows(np.atleast_1d(i)),
-                              np.asarray(x, dtype=float))
+        entries (eval_all passes every row): the rows of the residual
+        vector."""
+        rows = self._rows(np.atleast_1d(i))
+        values = super().eval_all(x)[rows]
         return float(values[0]) if np.ndim(i) == 0 else values
 
     def eval_all(self, x):

@@ -27,6 +27,7 @@ def bench(monkeypatch):
     monkeypatch.setattr(module, "EVALS", (30, 12, 0.4, (2, 5)))
     monkeypatch.setattr(module, "MATRIX_FREE_BLOCK", (30, 12, 0.4, 9, (2,)))
     monkeypatch.setattr(module, "MATRIX_FREE_SOLVE", (30, 12, 0.2))
+    monkeypatch.setattr(module, "MATRIX_FREE_REPS", 2)
     monkeypatch.setattr(module, "RESIDUAL_SOLVE", (30, 12, 0.2))
     monkeypatch.setattr(module, "RESIDUAL_REPLAYS", 1)
     monkeypatch.setattr(module, "JVP_PAIRS", 9)
@@ -84,6 +85,17 @@ def test_bench_diagnose_main(bench, tmp_path):
         assert solve["rows"] == sum(idx.size for idx, _ in calls)
         assert solve["pairs_shared"] == bench.shared_pairs(calls)
         assert 0 <= solve["pairs_shared"] <= 1 and solve["ms_per_step"] > 0
+    # the replayed dct-matfree solves of each seed: one residual at the
+    # start and one a step, one block a step, and the cosines of both
+    for solve, seed in zip(report["matrix_free_solves"], bench.SEEDS, strict=True):
+        assert (solve["m"], solve["n"], solve["seed"]) == (30, 12, seed)
+        assert solve["solves"] == 2 and solve["preset"] == "abnbk-a"
+        steps = solve["block_calls"]
+        assert solve["residual_calls"] == steps + 2 and steps >= 2
+        assert solve["residual_ms_per_call"] > 0 and solve["block_ms_per_call"] > 0
+        assert solve["residual_cosines"] > 0 and solve["block_cosines"] > 0
+        assert (solve["residual_cosines"] + solve["block_cosines"]
+                == 2 * solve["cosines_per_solve"])
     assert [(r["m"], r["n"], r["support"]) for r in report["eval_all"]] == [
         (30, 12, 2), (30, 12, 5)]
     assert all(r["ms"] > 0 for r in report["eval_all"])
@@ -116,6 +128,23 @@ def test_shared_pairs(bench):
     # pairs 4 + 4 + 4; shared 0, (2, 4), all 4
     assert bench.shared_pairs(calls) == 5 / 12
     assert bench.shared_pairs([]) == 0
+
+
+def test_counted_cosines(bench):
+    # on a fresh matrix-free system, a residual at |S| = 3 within the
+    # budget computes the 2 m |S| cosines of each support index, and again
+    # nothing; a single gradient row the 2 n |S| of its support rows; the
+    # replay leaves the module's numpy in place
+    m, n = 9, 12
+    rng = np.random.default_rng(0)
+    system = bench.DCTQuadraticSystem(rng.random((m, n)),
+                                      rng.standard_normal((m, n)), np.zeros(m))
+    x = np.zeros(n)
+    x[[1, 4, 7]] = 1.0
+    calls = [("eval_all", (x,)), ("eval_all", (x,)), ("grad_block", ([3], x))]
+    assert bench.counted_cosines(system, calls) == {"eval_all": 2 * m * 9,
+                                                    "grad_block": 2 * n * 3}
+    assert bench.systems.np is np
 
 
 def test_pair_shares(bench):

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import (CORRUPTIONS, RowByRow, affine_system, random_quadratic,
                       set_meta)
 
-from bregman_kaczmarz import diagnostics, systems
+from bregman_kaczmarz import cli, diagnostics, systems
 from bregman_kaczmarz.generators import (DCT, GAUSSIAN, GeneratorSpec,
                                          ProblemInstance, generate,
                                          load_instance, save_instance)
+from bregman_kaczmarz.priors import SparsePrior
+from bregman_kaczmarz.solver import run
 from bregman_kaczmarz.systems import DCTQuadraticSystem, QuadraticSystem
 
 
@@ -128,19 +131,40 @@ def call_bytes(calls):
     return peaks, kept
 
 
-def held_bytes(sys):
-    """The bytes of the support rows a matrix-free system holds."""
-    return sys._held[2].nbytes
+def pool_bytes(sys):
+    """The bytes of the pool of a matrix-free system: its rows, the slot of
+    every key, the key of every slot and when each slot was last used."""
+    return 0 if sys._pool is None else sum(a.nbytes for a in sys._pool)
+
+
+def pool_bound_bytes(sys):
+    """The bytes of the pool of at most _POOL_SLABS n rows and its tables."""
+    rows = systems._POOL_SLABS * sys.n
+    return rows * sys.n * 8 + sys.m * sys.n * 4 + 2 * rows * 8
+
+
+def check_pool(sys):
+    """Every key the pool holds has its own slot, and the row in that slot
+    is sym(A_i)[j, :] of a fresh system bit for bit."""
+    if sys._pool is None:
+        return
+    rows, slot_of, key_of, _ = sys._pool
+    keys = np.flatnonzero(slot_of >= 0)
+    np.testing.assert_array_equal(key_of[slot_of[keys]], keys)
+    assert np.count_nonzero(key_of >= 0) == keys.size
+    fresh = DCTQuadraticSystem(sys.xi, sys.b, sys.c)
+    np.testing.assert_array_equal(rows[slot_of[keys]],
+                                  fresh._support_rows(*np.divmod(keys, sys.n)))
 
 
 def held_pair_bytes(sys):
-    """The bytes of the buffer of support pairs a dense system holds."""
-    return sys._pairs[1].nbytes
+    """The bytes of the buffer of support pairs a system holds."""
+    return 0 if sys._pairs[1] is None else sys._pairs[1].nbytes
 
 
 def pair_budget_bytes(sys):
-    """The bytes of the most support pairs a dense system may hold."""
-    return sys.m * (sys.n * sys.n // systems._PAIR_SHARE) * 8
+    """The bytes of the most support pairs a system may hold."""
+    return sys.m * sys._pair_budget() * 8
 
 
 def kernel_checks(make, dense):
@@ -266,14 +290,16 @@ class TestSupportKernel(kernel_checks(random_quadratic, lambda sys: sys)):
         sparse[[2, 11, 17]] = rng.standard_normal(3)
         d = rng.standard_normal(n)
         peaks = peak_bytes([
-            lambda: sys.eval_all(x), lambda: sys.grad_block([0, 7, 39], x),
+            lambda: sys.eval_all(x), lambda: sys.eval_all(sparse),
+            lambda: sys.grad_block([0, 7, 39], x),
             lambda: sys.jacobian(x), lambda: sys.grad_component(5, x),
             lambda: sys.jvp(sparse, d), lambda: sys.jvp(x, d)])
         assert max(peaks) < m * n * n * 8 / 4
 
         # over a long sequence of residuals, below the budget and above it,
-        # the system keeps the one buffer of support pairs it was built
-        # with, at the budget, and little else
+        # the system keeps the one buffer of support pairs its first
+        # residual within the budget allocated, at the budget, and little
+        # else
         calls = [lambda v=sparse_vector(n, size, False, 1.0, rng):
                  sys.eval_all(v) for size in rng.integers(16, size=40)]
         buffer = sys._pairs[1]
@@ -293,9 +319,10 @@ class TestMatrixFreeKernel(kernel_checks(random_cosine,
     def test_no_tensor_beyond_storage(self, rng):
         # no per-row n x n matrix: above what the system held when it
         # began, a call allocates at most a few (|B|, n, |S|) blocks of
-        # cosines; after any call the system holds at most the support
-        # rows of one block, _HELD_SLABS n^2 doubles, and over a long
-        # sequence of calls what it holds does not grow
+        # cosines, and a residual at a dense x a few (m, n) arrays, not
+        # the m n^2 of all its pairs; the system holds one pool within its
+        # bound and one buffer of pairs at its budget, allocated once, and
+        # over a long sequence of calls nothing else
         m, n, support = 40, 30, 3
         warm = random_cosine(m, n, seed=1)
         warm.jacobian(rng.standard_normal(n))
@@ -305,6 +332,7 @@ class TestMatrixFreeKernel(kernel_checks(random_cosine,
         x[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
         d = rng.standard_normal(n)
         block = [0, 7, 39]
+        sys.grad_block([1, 2], x)       # the pool, allocated by a block
         peaks, _ = call_bytes([lambda: sys.eval_all(x),
                                lambda: sys.grad_block(block, x),
                                lambda: sys.jacobian(x),
@@ -312,22 +340,27 @@ class TestMatrixFreeKernel(kernel_checks(random_cosine,
                                lambda: sys.jvp(x, d)])
         for rows, peak in zip([m, len(block), m, 1, m], peaks):
             assert peak < 3 * rows * n * support * 8 + 16 * 1024
+        dense_x = rng.standard_normal(n)
+        peaks, _ = call_bytes([lambda: sys.eval_all(dense_x)])
+        assert peaks[0] < 4 * m * n * 8 + 16 * 1024 < m * n * n * 8
 
-        bound = systems._HELD_SLABS * n * n * 8
+        held = sys._pool + (sys._pairs[1],)
         calls = []
         for _ in range(40):
             idx = rng.choice(m, size=rng.integers(m + 1), replace=False)
             v = sparse_vector(n, rng.integers(n + 1), False, 1.0, rng)
             calls.append(lambda idx=idx, v=v: sys.grad_block(idx, v))
+            calls.append(lambda v=v: sys.eval_all(v))
         calls.append(lambda: sys.jacobian(rng.standard_normal(n)))
         _, kept = call_bytes(calls * 3)
-        assert max(kept) <= bound + 16 * 1024
-        passes = kept[len(calls) - 1::len(calls)]
-        assert max(passes) <= passes[0] + 1024
-        assert held_bytes(sys) <= bound
+        assert max(kept) <= 16 * 1024
+        assert all(a is b for a, b in zip(sys._pool + (sys._pairs[1],), held))
+        assert pool_bytes(sys) == pool_bound_bytes(sys)
+        assert held_pair_bytes(sys) == pair_budget_bytes(sys)
         arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
         assert arrays == {"xi", "b", "c"}
-        assert set(vars(sys)) - arrays == {"m", "n", "_held"}
+        assert set(vars(sys)) - arrays == {"m", "n", "_pairs", "_pair_index",
+                                           "_pool"}
 
     def test_eval_component_over_index_array(self, rng):
         # an index array gives its rows of F in one call, bit-equal to the
@@ -529,9 +562,9 @@ def test_grad_block_bit_equal_to_row_formula_dense_and_matrix_free(
     idx = rng.choice(m, size=rows, replace=False)
     sparse = np.zeros(n)
     sparse[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
-    # the matrix-free block at the sparse x is held, so the second call
-    # copies every row from the first
-    assert not matrix_free or rows * support <= systems._HELD_SLABS * n
+    # the matrix-free block at the sparse x is pooled, so the second call
+    # reads every row the first computed
+    assert not matrix_free or rows * support <= systems._POOL_SLABS * n
     for x in (rng.standard_normal(n), sparse, sparse, np.zeros(n)):
         S = np.flatnonzero(x)
         expected = [x[S] @ dense.matrix(i)[S] + sys.b[i] for i in idx]
@@ -540,8 +573,8 @@ def test_grad_block_bit_equal_to_row_formula_dense_and_matrix_free(
 
 SEQUENCE_M, SEQUENCE_N = 40, 12
 # blocks that overlap, are disjoint, repeat a row or an earlier block or
-# are empty or a single row, at supports that grow and shrink, x = 0, a NaN entry (the
-# flag) and a whole Jacobian at a dense x, above the hold bound
+# are empty or a single row, at supports that grow and shrink, x = 0, a
+# NaN entry (the flag) and a whole Jacobian at a dense x, above the pool
 SEQUENCE_CALLS = [([0, 1, 2, 3], {1}, False), ([2, 3, 4, 5], {1, 4, 7}, False),
                   ([20, 21], {4, 7}, False), ([8, 0, 8], {1, 4, 7}, False),
                   ([8, 0, 8], {1, 4, 7}, False), ([], {2}, False),
@@ -553,10 +586,13 @@ SEQUENCE_CALLS = [([0, 1, 2, 3], {1}, False), ([2, 3, 4, 5], {1, 4, 7}, False),
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_matrix_free_rows_pure_over_call_sequences(seed, data):
     # every call of a sequence on one matrix-free system gives the rows of
-    # a fresh system and of to_dense() bit for bit, whatever it holds from
-    # the calls before, and what it holds stays within the bound
+    # a fresh system and of to_dense() bit for bit, whatever its pool holds
+    # from the calls before, also when the pool is so small (n or 2n rows)
+    # that the blocks evict each other's rows; the pool stays within its
+    # bound and holds the true row of every key it holds
     m, n = SEQUENCE_M, SEQUENCE_N
-    assert m * n > systems._HELD_SLABS * n
+    slabs = data.draw(st.sampled_from([1, 2, systems._POOL_SLABS]))
+    assert m * n > systems._POOL_SLABS * n
     drawn = data.draw(st.lists(st.tuples(
         st.lists(st.integers(0, m - 1), max_size=m),
         st.sets(st.integers(0, n - 1)), st.booleans()), max_size=8))
@@ -564,68 +600,95 @@ def test_matrix_free_rows_pure_over_call_sequences(seed, data):
     sys = random_cosine(m, n, seed)
     dense = sys.to_dense()
     rng = np.random.default_rng(seed)
-    for block, support, nan in calls:
-        idx = np.array(block, dtype=int)
-        S = sorted(support)
-        x = np.zeros(n)
-        x[S] = rng.standard_normal(len(S))
-        if nan and S:
-            x[S[0]] = np.nan
-        rows = sys.grad_block(idx, x)
-        np.testing.assert_array_equal(
-            rows, random_cosine(m, n, seed).grad_block(idx, x))
-        np.testing.assert_array_equal(rows, dense.grad_block(idx, x))
-        assert held_bytes(sys) <= systems._HELD_SLABS * n * n * 8
+    with patch.object(systems, "_POOL_SLABS", slabs):
+        for block, support, nan in calls:
+            idx = np.array(block, dtype=int)
+            S = sorted(support)
+            x = np.zeros(n)
+            x[S] = rng.standard_normal(len(S))
+            if nan and S:
+                x[S[0]] = np.nan
+            rows = sys.grad_block(idx, x)
+            np.testing.assert_array_equal(
+                rows, random_cosine(m, n, seed).grad_block(idx, x))
+            np.testing.assert_array_equal(rows, dense.grad_block(idx, x))
+            assert pool_bytes(sys) <= pool_bound_bytes(sys)
+            check_pool(sys)
 
 
-def test_matrix_free_shared_rows_move_over_several_chunks(rng):
-    # from the first block to the second, the shared rows of slabs 1-7
-    # move to lower positions of the held buffer and those of slabs 9-19
-    # to higher ones, more rows each way than one chunk of moves
-    # (_GRAD_SLABS n rows) takes, and back again in the third block
+def counted(sys):
+    """A list that `sys._support_rows` appends the number of rows of each
+    call to, so that it counts the rows the system computes."""
+    computed, support_rows = [], sys._support_rows
+
+    def count(I, J):
+        rows = support_rows(I, J)
+        computed.append(rows.size // sys.n)
+        return rows
+    sys._support_rows = count
+    return computed
+
+
+def test_matrix_free_pool_keeps_the_recently_used_rows(rng):
+    # blocks of 80 keys in a pool of 192 rows, whose rows are computed in
+    # chunks of n = 12: A, then B, fill 160 slots; A again computes
+    # nothing; C takes the 32 free slots and 48 of B's, the least recently
+    # used (not A's, the oldest computed), so A again computes nothing and
+    # B again the 48 rows it lost; a block that repeats its slabs computes
+    # each row once; every block gives the rows of to_dense()
     m, n = 40, 12
-    assert 7 * 8 > systems._GRAD_SLABS * n
+    assert systems._POOL_SLABS * n == 192
     sys = random_cosine(m, n, seed=6)
     dense = sys.to_dense()
-    for block, support in ((range(20), range(2, 10)),
-                           (range(1, 21), range(1, 10)),
-                           (range(20), range(2, 10))):
-        idx = np.array(block)
-        x = np.zeros(n)
-        x[support] = rng.standard_normal(len(support))
-        assert idx.size * len(support) <= systems._HELD_SLABS * n
-        np.testing.assert_array_equal(sys.grad_block(idx, x),
-                                      dense.grad_block(idx, x))
+    computed = counted(sys)
+    x = np.zeros(n)
+    x[2:10] = rng.standard_normal(8)
+    A, B, C = np.arange(10), np.arange(10, 20), np.arange(20, 30)
+    for block, rows in ((A, 80), (B, 80), (A, 0), (C, 80), (A, 0), (B, 48),
+                        (np.repeat(np.arange(30, 34), 3), 32)):
+        computed.clear()
+        np.testing.assert_array_equal(sys.grad_block(block, x),
+                                      dense.grad_block(block, x))
+        assert computed == [n] * (rows // n) + [rows % n] * (rows % n > 0)
+        check_pool(sys)
 
 
 def test_matrix_free_rows_after_a_failed_block(rng):
-    # a block that fails while computing its rows leaves the system holding
-    # nothing, not keys without rows, and a single row leaves the held
-    # rows as they are; the next blocks give the rows of to_dense()
+    # a block that fails while computing its rows, after a first chunk of
+    # them is written, leaves no key held over a row it never wrote, and a
+    # single row leaves the pool as it is; the next blocks give the rows of
+    # to_dense()
     m, n = 40, 12
     sys = random_cosine(m, n, seed=5)
     dense = sys.to_dense()
     x = np.zeros(n)
     x[[1, 4, 7]] = rng.standard_normal(3)
-    first, second, third = [0, 1, 2, 3], [2, 3, 4, 5], [3, 4, 5, 6]
+    first, second, third = np.arange(8), np.arange(4, 30), np.arange(2, 12)
+    assert (second.size - 4) * 3 > n        # more than one chunk
     sys.grad_block(first, x)
-    held = sys._held
+    pool = [a.copy() for a in sys._pool]
     np.testing.assert_array_equal(sys.grad_component(9, x),
                                   dense.grad_component(9, x))
-    assert sys._held is held
-    support_rows = sys._support_rows
+    for before, after in zip(pool, sys._pool):
+        np.testing.assert_array_equal(before, after)
+    support_rows, calls = sys._support_rows, []
 
-    def fail_once(idx, S):
-        sys._support_rows = support_rows
-        raise MemoryError
+    def fail_second(I, J):
+        calls.append(len(I))
+        if len(calls) == 2:
+            sys._support_rows = support_rows
+            raise MemoryError
+        return support_rows(I, J)
 
-    sys._support_rows = fail_once
+    sys._support_rows = fail_second
     with pytest.raises(MemoryError):
         sys.grad_block(second, x)
-    assert held_bytes(sys) == 0
-    for block in (third, second):
+    check_pool(sys)
+    assert not (sys._pool[1][second[:, None] * n + [1, 4, 7]] >= 0)[4:].any()
+    for block in (third, second, first):
         np.testing.assert_array_equal(sys.grad_block(block, x),
                                       dense.grad_block(block, x))
+        check_pool(sys)
 
 
 PAIRS_M, PAIRS_N = 30, 20
@@ -642,18 +705,25 @@ PAIR_CALLS = [({1}, None), ({1, 4, 7}, None), ({1, 3, 4, 7, 19}, None),
 
 @given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_dense_pairs_pure_over_call_sequences(seed, data):
-    # every residual of a sequence on one dense system is that of a fresh
-    # system bit for bit, whatever pairs it holds from the calls before,
-    # and within RTOL of the loop over the rows of A (the same infinities
-    # where a square overflows); what it holds stays within the budget
+    # every residual of a sequence on one system of either storage is that
+    # of a fresh system bit for bit, whatever pairs it holds from the calls
+    # before, and within RTOL of the storage's loop over support rows (the
+    # same infinities where a square overflows); a matrix-free residual
+    # within its budget is also that of to_dense() bit for bit, with
+    # to_dense() holding the pairs of the same supports; what a system
+    # holds stays within its budget
     m, n = PAIRS_M, PAIRS_N
     sizes = [len(support) for support, _ in PAIR_CALLS]
     assert 12 * 13 // 2 > n * n // systems._PAIR_SHARE >= 5 * 6 // 2
-    assert 12 in sizes and 5 in sizes
+    assert 20 * 21 // 2 > systems._PAIR_ROWS * n >= 12 * 13 // 2
+    assert 12 in sizes and 5 in sizes and 20 in sizes
     drawn = data.draw(st.lists(st.tuples(st.sets(st.integers(0, n - 1)),
                                          st.none()), max_size=8))
     calls = data.draw(st.permutations(PAIR_CALLS + drawn))
     sys = random_quadratic(m, n, seed)
+    cosine = random_cosine(m, n, seed)
+    dense = cosine.to_dense()
+    dense._pair_budget = cosine._pair_budget
     rng = np.random.default_rng(seed)
     for support, special in calls:
         S = sorted(support)
@@ -662,19 +732,25 @@ def test_dense_pairs_pure_over_call_sequences(seed, data):
         if special is not None and S:
             x[S[0]] = special
         with np.errstate(over="ignore", invalid="ignore"):
-            F = sys.eval_all(x)
+            F, G = sys.eval_all(x), cosine.eval_all(x)
             np.testing.assert_array_equal(
                 F, random_quadratic(m, n, seed).eval_all(x))
-            loop = sys._row_residuals(x)
-            scale = dense_reference(sys, x)[1]
-        if special is None or not S:
-            assert np.all(abs(F - loop) <= RTOL * scale)
-        elif np.isnan(special):
-            assert not np.isfinite(F).any()
-        else:
-            assert np.isinf(F).all()
-            np.testing.assert_array_equal(F, loop)
+            np.testing.assert_array_equal(
+                G, random_cosine(m, n, seed).eval_all(x))
+            if len(S) * (len(S) + 1) // 2 <= cosine._pair_budget():
+                np.testing.assert_array_equal(G, dense.eval_all(x))
+            loops = [sys._row_residuals(x), cosine._row_residuals(x)]
+            scales = [dense_reference(sys, x)[1], dense_reference(dense, x)[1]]
+        for values, loop, scale in zip((F, G), loops, scales):
+            if special is None or not S:
+                assert np.all(abs(values - loop) <= RTOL * scale)
+            elif np.isnan(special):
+                assert not np.isfinite(values).any()
+            else:
+                assert np.isinf(values).all()
+                np.testing.assert_array_equal(values, loop)
         assert held_pair_bytes(sys) <= pair_budget_bytes(sys)
+        assert held_pair_bytes(cosine) <= pair_budget_bytes(cosine)
 
 
 def test_dense_pairs_after_a_failed_gather(rng):
@@ -729,6 +805,29 @@ class TestDCTSystem:
         for i in range(3):
             np.testing.assert_allclose(sys.grad_component(i, x),
                                        dense.grad_component(i, x), rtol=1e-12)
+
+    @pytest.mark.parametrize("preset", ["nbk", "abnbk-a"])
+    def test_matrix_free_solve_reproduces_dense_solve(self, preset):
+        # both storages hold the pairs of every support within their
+        # budgets and compute them to the same bits, so a generated
+        # matrix-free instance has the offsets of the dense one of its
+        # spec, and a solve whose supports stay within both budgets has
+        # its history, bit for bit apart from the timings
+        spec = GeneratorSpec(DCT, 60, 30, 0.1, seed=3)
+        free, dense = (generate(spec, matrix_free=flag) for flag in (True, False))
+        np.testing.assert_array_equal(free.system.c, dense.system.c)
+        prior = SparsePrior(cli.DEFAULT_LAMBDA)
+        config = cli.preset_config(preset, seed=5)
+        config.keep_iterates = True
+        records = [run(inst.system, prior, config, cli.initial_dual(30, 7),
+                       truth=inst.truth) for inst in (free, dense)]
+        budget = min(free.system._pair_budget(), dense.system._pair_budget())
+        supports = [np.count_nonzero(x) for x in records[0].primals]
+        assert len(supports) > 2
+        assert max(supports) * (max(supports) + 1) // 2 <= budget
+        assert [r.status for r in records] == ["converged"] * 2
+        history = [np.array(r.rows)[:, :-1] for r in records]
+        np.testing.assert_array_equal(history[0], history[1])
 
 
 class TestSerialization:
