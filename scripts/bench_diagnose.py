@@ -13,7 +13,7 @@ through `cli.main` REPEATS times, S being the solver seed of the
 repetition (`cli.derived_seeds`).  A `Tracer` from perfbench/tracing.py
 times the call, `solver.run`, `diagnostics.estimate_eta`,
 `contraction_audit` and `check_gradients`, and the instance's
-`eval_all`, `grad_block`, `jvp` and `eval_points`, patched once
+`eval_all`, `grad_block`, `remainders` and `eval_points`, patched once
 `load_instance` returns.  Each audit keeps its exit code (0 or 3 valid,
 4 refused), iterations, eta and grad_dev, and per span the calls and the
 median ms over the repeats.  Kernels are also timed alone, each as the
@@ -43,9 +43,9 @@ for each seed, the MATRIX_FREE_REPS `abnbk-a` solves of the
 fresh system, in ms per call over the median of RESIDUAL_REPLAYS
 replays, and the cosines each solve computes, counted over one more
 replay of both in their order; and on a Gaussian and a matrix-free
-cosine instance, one stacked `jvp` of JVP_PAIRS pairs at the audited
-shape, each x the truth with noise of scale 1e-3 on its support and
-d = x - truth, as in a local-start audit.
+cosine instance, one stacked `remainders` of REMAINDER_PAIRS pairs
+(x, truth) at the audited shape, each x the truth with noise of scale
+1e-3 on its support, as in a local-start audit.
 
 A before/after comparison is this script run at both commits.  The
 output holds the numpy version, BLAS name and BLAS thread variables;
@@ -97,7 +97,7 @@ MATRIX_FREE_REPS = 6
 RESIDUAL_SOLVE = (300, 150, 0.1)                    # m, n, sp
 RESIDUAL_PRESETS = ("nbk", "mrnbk")
 RESIDUAL_REPLAYS = 5
-JVP_PAIRS = 256
+REMAINDER_PAIRS = 256
 LOCAL_START = "1e-3"
 REPEATS = 5
 KERNEL_REPEATS = 50
@@ -116,7 +116,7 @@ MODULE_SPANS = (
     (diagnostics, "contraction_audit", None),
     (diagnostics, "check_gradients", keep("grad_dev", float)),
 )
-SYSTEM_SPANS = ("eval_all", "grad_block", "jvp", "eval_points")
+SYSTEM_SPANS = ("eval_all", "grad_block", "remainders", "eval_points")
 
 
 def diagnose(argv):
@@ -394,15 +394,15 @@ def eval_ms(m, n, sp, supports):
     return results
 
 
-def jvp_ms(m, n, sp, pairs, kind=gen.GAUSSIAN, matrix_free=False):
-    """One stacked `jvp` of `pairs` local-start pairs (x, x - truth)."""
+def remainders_ms(m, n, sp, pairs, kind=gen.GAUSSIAN, matrix_free=False):
+    """One stacked `remainders` of `pairs` local-start pairs (x, truth)."""
     instance = first_instance(m, n, sp, kind, matrix_free)
-    truth = instance.truth
+    truth = np.tile(instance.truth, (pairs, 1))
     rng = np.random.default_rng(SEEDS[0])
     noise = float(LOCAL_START) * rng.standard_normal((pairs, n))
     X = truth + noise * (truth != 0)
     return {"m": m, "n": n, "sp": sp, "pairs": pairs,
-            "ms": median_ms(repeated(instance.system.jvp, X, X - truth))}
+            "ms": median_ms(repeated(instance.system.remainders, X, truth))}
 
 
 def main(argv=None):
@@ -448,8 +448,9 @@ def main(argv=None):
               "eval_all": eval_ms(*EVALS),
               "eval_all_solve": [residual_solve_ms(*RESIDUAL_SOLVE, preset)
                                  for preset in RESIDUAL_PRESETS],
-              "jvp": jvp_ms(*SHAPE, JVP_PAIRS),
-              "jvp_matrix_free": jvp_ms(*SHAPE, JVP_PAIRS, gen.DCT, True)}
+              "remainders": remainders_ms(*SHAPE, REMAINDER_PAIRS),
+              "remainders_matrix_free": remainders_ms(
+                  *SHAPE, REMAINDER_PAIRS, gen.DCT, True)}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for r in results:
         print(f"{r['storage']:<11} seed {r['seed']}: {r['valid']}/"
@@ -476,7 +477,7 @@ def main(argv=None):
               f"{r['calls']} calls, {r['within_budget']:.0%} within the "
               f"budget, {r['pairs_new']:.1%} of pairs new: "
               f"{r['ms_per_call']:.3f} ms per call")
-    for key in ("jvp", "jvp_matrix_free"):
+    for key in ("remainders", "remainders_matrix_free"):
         r = report[key]
         print(f"{key} ({r['m']}, {r['n']}) x {r['pairs']} pairs: "
               f"{r['ms']:.3f} ms")

@@ -57,18 +57,16 @@ def estimate_eta(system, pairs, X, F):
         |F_i(x1) - F_i(x2) - <grad F_i(x1), x1 - x2>| / |F_i(x1) - F_i(x2)|.
 
     Each row (i1, i2) of the (P, 2) int array `pairs` indexes rows of the
-    point stack X, whose residuals are the rows of F.  Rows with zero (or NaN) denominator are skipped;
-    raises NoValidPairs if none survive, and HypothesisViolated if a
-    surviving ratio is NaN or infinite.  The linear terms are one stacked
-    `system.jvp(X1, X1 - X2)`, so neither F nor a Jacobian is evaluated.
+    point stack X, whose residuals are the rows of F.  Rows with zero (or
+    NaN) denominator are skipped; raises NoValidPairs if none survive, and
+    HypothesisViolated if a surviving ratio is NaN or infinite.  The
+    numerators are one stacked `system.remainders(X1, X2)`, so neither F
+    nor a Jacobian is evaluated, and a quadratic gives them without the
+    cancellation of F_i(x1) - F_i(x2) against the linear term.
     """
     i1, i2 = pairs.T
-    X1 = X[i1]
-    diff = F[i1] - F[i2]
-    num = system.jvp(X1, X1 - X[i2])
-    num -= diff                     # in place: each array is (P, m)
-    np.abs(num, out=num)
-    den = np.abs(diff, out=diff)
+    num = np.abs(system.remainders(X[i1], X[i2]))
+    den = np.abs(F[i1] - F[i2])
     valid = den > 0.0
     count = int(valid.sum())
     if count == 0:

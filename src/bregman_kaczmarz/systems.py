@@ -18,15 +18,18 @@ rows of their slabs from a bounded pool, so that a row computed once is
 reused while it stays among the recently used.  `eval_points` (F_i at
 many points) and `grad_block` (many gradient rows at one point) loop
 `eval_component` and `grad_component` unless a system overrides them, as
-both built-in ones do.  `jvp` takes one pair (x, d) or stacks X, D of P
-pairs, shape (P, n), and gives J(X_p) D_p for all of them in one call
-without forming J(x); the base class goes pair by pair.  Both storages
-share one quadratic base, which computes `eval_points` from a storage's
-A_i, `eval_all` from the held pairs, `grad_block` from products of x_S
-with the support rows of the symmetric slabs and `jvp` from rows of
+both built-in ones do.  `remainders` takes two stacks X1, X2 of P points,
+shape (P, n), and gives the linearization errors F(x2) - F(x1) -
+J(x1) (x2 - x1) of all P pairs in one call; the base class goes pair by
+pair through `eval_all` and `jacobian`.  Both storages share one
+quadratic base, which computes `eval_points` from a storage's A_i,
+`eval_all` from the held pairs, `grad_block` from products of x_S with
+the support rows of the symmetric slabs, and the remainders, which for a
+quadratic are the forms 0.5 <d, sym(A_i) d> at d = x2 - x1, from rows of
 those slabs, working through the pairs in chunks that share their
-support work.  Both storages replace what they hold as they are called,
-the pairs on a residual and the matrix-free pool on a gradient block, so
+support work; beyond its budget a matrix-free residual is the same form
+at x.  Both storages replace what they hold as they are called, the
+pairs on a residual and the matrix-free pool on a gradient block, so
 neither may be shared between threads; the held values stay valid only
 while A, from the first residual on, or xi does not change.
 """
@@ -119,22 +122,23 @@ class NonlinearSystem:
     def jacobian(self, x):
         return self.grad_block(np.arange(self.m), x)
 
-    def jvp(self, x, d):
-        """The Jacobian-vector product J(x) d, length m; for stacks X, D of
-        shape (P, n), the (P, m) array whose row p is J(X_p) D_p."""
-        X, D, single = self._stacks(x, d)
-        out = np.array([self.jacobian(xp) @ dp for xp, dp in zip(X, D)])
-        out = out.reshape(len(X), self.m)
-        return out[0] if single else out
+    def remainders(self, X1, X2):
+        """F(x2) - F(x1) - J(x1) (x2 - x1) for the rows x1, x2 of two stacks
+        of shape (P, n), as a (P, m) array: the error of the linearization
+        at x1, found without evaluating the cancelling difference where a
+        system knows its second-order terms."""
+        X1 = np.asarray(X1, dtype=float)
+        X2 = np.asarray(X2, dtype=float)
+        if X1.ndim != 2 or X1.shape != X2.shape or X1.shape[1] != self.n:
+            raise ValueError(f"remainders needs two stacks of one shape (P, n) "
+                             f"with n = {self.n}; got {X1.shape} and {X2.shape}")
+        return self._remainders(X1, X2)
 
-    def _stacks(self, x, d):
-        """x and d as (P, n) stacks, and whether they were single vectors."""
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(d, dtype=float)
-        if x.shape != d.shape or x.ndim not in (1, 2) or x.shape[-1] != self.n:
-            raise ValueError(f"jvp needs x and d of one shape, (n,) or (P, n) "
-                             f"with n = {self.n}; got {x.shape} and {d.shape}")
-        return np.atleast_2d(x), np.atleast_2d(d), x.ndim == 1
+    def _remainders(self, X1, X2):
+        # pair by pair, from the residuals and the Jacobian at x1
+        out = [self.eval_all(x2) - self.eval_all(x1)
+               - self.jacobian(x1) @ (x2 - x1) for x1, x2 in zip(X1, X2)]
+        return np.array(out).reshape(len(X1), self.m)
 
     def _check_index(self, i):
         if not 0 <= i < self.m:
@@ -169,13 +173,14 @@ class _Quadratic(NonlinearSystem):
     checked; `_support_rows(I, J)`, which gives the row sym(A_i)[j, :] for
     every pair (i, j) of the broadcast of the index arrays I and J, shape
     broadcast + (n,); `_sym_rows(j, cols)`, which gives row j of every
-    symmetric part sym(A_i) = 0.5 (A_i + A_i^T) at the columns cols, shape
-    (m, len(cols)); `_pair_budget()`, the most support pairs it holds; and
-    `_row_residuals(x)`, F(x) at a support beyond that budget.  `jvp`
-    reads only the entries with j in the support Ux of the x and a column
-    in the support Ud of the d of its pairs.  A residual within the budget
-    is one product with the pairs `_held_pairs` holds, that of a fresh
-    system bit for bit whatever came before.
+    symmetric part sym(A_i) = 0.5 (A_i + A_i^T) at the columns cols as a
+    new (m, len(cols)) array; and `_pair_budget()`, the most support pairs it holds.
+    A residual within the budget is one product with the pairs
+    `_held_pairs` holds, that of a fresh system bit for bit whatever came
+    before; beyond it, `_row_residuals(x)` is the form of `_forms` at x
+    plus the linear terms, unless a storage overrides it.  `_forms`, and
+    with it `remainders`, reads each entry sym(A_i)[j, k], j <= k, of the
+    union support of a chunk of pairs once.
     """
 
     def __init__(self, name, coef, b, c):
@@ -231,8 +236,9 @@ class _Quadratic(NonlinearSystem):
         that a new support index above all the others only appends pairs.
         The pairs of the support the buffer holds keep their order, so they
         move within it in runs; the pairs of each new support index come
-        from its `_sym_rows`.  Until the pairs are rebuilt the system holds
-        none, so a call that fails leaves no stale pairs."""
+        from its `_sym_rows`, those of two new ones from the row of the
+        lower.  Until the pairs are rebuilt the system holds none, so a
+        call that fails leaves no stale pairs."""
         held, buffer = self._pairs
         if buffer is None:
             buffer = np.empty(self._pair_budget() * self.m)
@@ -246,31 +252,47 @@ class _Quadratic(NonlinearSystem):
         dst = np.flatnonzero((at_k >= 0) & (at_j >= 0))
         src = at_k[dst] * (at_k[dst] + 1) // 2 + at_j[dst]
         _move_runs(buffer, src, dst, self.m)
-        for t in np.flatnonzero(at < 0).tolist():
-            # sym(A_i)[S[t], S[u]] for every u, sym(A_i)[S[u], S[t]] too
-            row = self._sym_rows(S[t], S)
-            pairs[first[t]:first[t + 1]] = row[:, :t + 1].T
-            pairs[first[t + 1:-1] + t] = row[:, t + 1:].T
+        kept = np.flatnonzero(at >= 0)
+        for k, t in enumerate(np.flatnonzero(at < 0).tolist()):
+            # sym(A_i)[S[u], S[t]] for the t - k kept u < t and every u >= t:
+            # the pairs of the k new u < t came with the row of u
+            low = kept[:t - k]
+            row = self._sym_rows(S[t], np.concatenate((S[low], S[t:])))
+            pairs[first[t] + low] = row[:, :low.size].T
+            pairs[first[t:-1] + t] = row[:, low.size:].T
         self._pairs = (S, buffer)
         return pairs
 
-    def jvp(self, x, d):
-        """J(x) d, or row p J(X_p) D_p for stacks: row i of J(x) d is
-        <x, A_i d> + <b_i, d>, where only the entries A_i[j, k] with x_j
-        and d_k nonzero count.
+    def _remainders(self, X1, X2):
+        return self._forms(X2 - X1)
 
-        The pairs go in chunks of max(1, m n // (m + n)), so that the
-        temporaries of a chunk, its (P, m) products and D[:, Ud], hold at
-        most m*n doubles.  For a chunk, Ux and Ud are the unions of the
-        supports of its x and d rows, and each j in Ux costs one product
-        of D[:, Ud] with `_sym_rows(j, Ud)` over all its pairs.
-        """
-        X, D, single = self._stacks(x, d)
-        out = np.empty((len(X), self.m))
+    def _row_residuals(self, x):
+        """F(x) at a support beyond the budget, from `_forms`; nothing is
+        held."""
+        return self._forms(x[None])[0] + self.b @ x + self.c
+
+    def _forms(self, D):
+        """0.5 <d, sym(A_i) d> for every row d of the (P, n) stack D, shape
+        (P, m): for each j in the union support U of a chunk of rows, one
+        product of D[:, U[t:]], j = U[t], with `_sym_rows(j, U[t:])`, its
+        (j, j) column halved, so that each pair j <= k of U is read once.
+
+        The rows go in chunks of max(1, m n // (m + n)), so that the
+        temporaries of a chunk, its (P, m) products and D[:, U], hold at
+        most m*n doubles."""
+        out = np.zeros((len(D), self.m))
         step = max(1, self.m * self.n // (self.m + self.n))
-        for s in range(0, len(X), step):
-            self._jvp_chunk(X[s:s + step], D[s:s + step], out[s:s + step])
-        return out[0] if single else out
+        for s in range(0, len(D), step):
+            chunk, forms = D[s:s + step], out[s:s + step]
+            U = np.flatnonzero((chunk != 0.0).any(axis=0))
+            DU, w = chunk[:, U], np.empty_like(forms)
+            for t, j in enumerate(U.tolist()):
+                rows = self._sym_rows(j, U[t:])
+                rows[:, 0] *= 0.5                   # the pair (j, j)
+                np.matmul(DU[:, t:], rows.T, out=w)
+                w *= DU[:, t, None]
+                forms += w
+        return out
 
     def grad_block(self, idx, x):
         """Rows x_S sym(A_i)[S, :] + b_i for i in idx, S the support of x:
@@ -299,20 +321,6 @@ class _Quadratic(NonlinearSystem):
             np.matmul(xS, support_rows(a), out=rows[a])
         return rows
 
-    def _jvp_chunk(self, X, D, out):
-        """Write J(X_p) D_p into row p of out; the temporaries die here."""
-        Ux = np.flatnonzero((X != 0.0).any(axis=0))
-        Ud = np.flatnonzero((D != 0.0).any(axis=0))
-        DU = D[:, Ud]
-        w = np.empty_like(out)
-        out[:] = 0.0
-        for j in Ux.tolist():
-            np.matmul(DU, self._sym_rows(j, Ud).T, out=w)   # (A_i d_p)_j
-            w *= X[:, j, None]
-            out += w
-        np.matmul(D, self.b.T, out=w)
-        out += w
-
 
 class QuadraticSystem(_Quadratic):
     """F_i(x) = 0.5 <x, A_i x> + <b_i, x> + c_i with dense storage.
@@ -326,13 +334,14 @@ class QuadraticSystem(_Quadratic):
     support rows A_i[S, :] of its slab, S the support of x, at cost
     |S|*n; `eval_all` is one product of the held pairs, at cost
     m*|S|*(|S| + 1)/2, plus the moves of the pairs it keeps and a gather
-    A[:, S[t], S] of m*|S| entries for each support index new since the
-    residual before, or beyond the budget of n^2 // _PAIR_SHARE pairs
-    (m*n^2/12 doubles, |S| <= 60 at (300, 150)) a read, for each j in S,
-    of the part of row j of every A_i right of the diagonal, at cost about
-    m*|S|*n/2, which leaves the held pairs as they are; and `jvp` reads
-    the stored entries A[:, j, Ud] for each j in Ux, at cost m*|Ux|*|Ud|
-    per pair.  The consecutive residuals of the single-row presets share
+    of m entries for each pair new since the residual before, or beyond
+    the budget of n^2 // _PAIR_SHARE pairs (m*n^2/12 doubles, |S| <= 60
+    at (300, 150)) a read, for each j in S, of the part of row j of every
+    A_i right of the diagonal, at cost about m*|S|*n/2, which leaves the
+    held pairs as they are; and `remainders` gathers A[:, j, U[t:]] for
+    each j = U[t] of the union support U of a chunk of pairs,
+    m*|U|*(|U| + 1)/2 entries, at a cost of as many multiply-adds per
+    pair.  The consecutive residuals of the single-row presets share
     about 97% of their pairs.  A residual within the budget is that of a
     fresh system bit for bit and within rounding of the loop over rows of
     A.  The held pairs assume that A does not change after the first
@@ -387,14 +396,15 @@ class DCTQuadraticSystem(_Quadratic):
     Column j of A_i is cos(2*pi*j*xi_i) elementwise (j = 0..n-1), so only
     the frequency vectors xi_i need to be stored.  Entries are computed on
     demand and only where they meet the support S of x, against n^2 per
-    row for a materialized A_i: 2*m*|S| cosines per support index new to
-    a residual within the budget of _PAIR_ROWS n held pairs, m*|S|^2 for
-    a residual beyond it, 2*n per support row sym(A_i)[j, :] (row and
-    column j of A_i) of a gradient row and 2*|Ud| per j in Ux for a row of
-    J(x) d over a whole chunk of pairs.  Every cosine sum is the one
-    `symmetrize` forms, so the held pairs, the gradient rows and the
-    residuals within the budget are those of `to_dense()` bit for bit,
-    whatever came before.
+    row for a materialized A_i: 2*m cosines per pair j <= k of S new to a
+    residual within the budget of _PAIR_ROWS n held pairs (m*|S|*(|S| + 1)
+    for a fresh support), as many for a residual beyond it, 2*n per
+    support row sym(A_i)[j, :] (row and column j of A_i) of a gradient row
+    and m*|U|*(|U| + 1) for the remainders of a chunk of pairs of union
+    support U.  Every cosine sum is the one `symmetrize` forms, so the
+    held pairs, the gradient rows, the remainders and the residuals within
+    the budget are those of `to_dense()` bit for bit, whatever came
+    before.
 
     A gradient block of 2 or more rows with at most _POOL_SLABS n support
     rows reads them from a pool of _POOL_SLABS n rows, allocated on the
@@ -499,19 +509,6 @@ class DCTQuadraticSystem(_Quadratic):
 
     def _pair_budget(self):
         return _PAIR_ROWS * self.n
-
-    def _row_residuals(self, x):
-        """F(x) from the support rows: for each j = S[s], the pairs (j, k)
-        of S with k >= j, from 2*m*(|S| - s) cosines, m*|S|^2 in all, with
-        (m, |S|) temporaries; nothing is held."""
-        S = np.flatnonzero(x)
-        xS = x[S]
-        u = np.empty((self.m, S.size))
-        for s, j in enumerate(S.tolist()):
-            v = xS[s:].copy()
-            v[0] *= 0.5                         # the pair (j, j)
-            u[:, s] = self._sym_rows(j, S[s:]) @ v
-        return u @ xS + self.b @ x + self.c
 
     def eval_component(self, i, x):
         """F_i(x); for an index array i, the array of F_i(x) over its

@@ -438,8 +438,9 @@ class TestDiagnose:
     def test_refusal_names_the_pair_that_set_eta(self, instance_path, tmp_path,
                                                  capsys, solver):
         # the ratio at the printed pair and row, recomputed from eval_all
-        # and jvp along the audited run, is the printed eta; from this
-        # start mrnbk's is an (x_k, truth) pair, abnbk-a's a consecutive one
+        # and the gradient row along the audited run, is the printed eta;
+        # from this start mrnbk's is an (x_k, truth) pair, abnbk-a's a
+        # consecutive one
         rc = cli.main(["diagnose", str(instance_path), "--solver", solver,
                        "--seed", "0", "--out", str(tmp_path / "d")])
         assert rc == cli.EXIT_VALIDATION
@@ -467,8 +468,8 @@ class TestDiagnose:
         sys = inst.system
         f1, f2 = sys.eval_all(x1)[row], sys.eval_all(x2)[row]
         d = x1 - x2
-        ratio = abs(f1 - f2 - sys.jvp(x1, d)[row]) / abs(f1 - f2)
         g = sys.grad_component(row, x1)
+        ratio = abs(f1 - f2 - g @ d) / abs(f1 - f2)
         bound = 1e-12 * (abs(f1) + abs(f2) + abs(g * d).sum()) / abs(f1 - f2)
         assert abs(ratio - est.eta) <= bound
 

@@ -139,8 +139,9 @@ class TestEtaEstimate:
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     def test_pair_and_row_attain_eta(self, rng, matrix_free):
-        # the ratio at the reported (pair, row), from eval_all and a 1-D
-        # jvp, is eta within the rounding bound of assert_matches_row_loop
+        # the ratio at the reported (pair, row), from eval_all and the
+        # gradient row, is eta within the rounding bound of
+        # assert_matches_row_loop
         _, pairs, inst = recorded_trajectory(matrix_free, rng)
         sys = inst.system
         est = diag.estimate_eta(sys, *stacked(sys, pairs))
@@ -148,7 +149,7 @@ class TestEtaEstimate:
         i, d = est.row, x1 - x2
         f1, f2 = sys.eval_all(x1)[i], sys.eval_all(x2)[i]
         g = sys.grad_component(i, x1)
-        r = abs(f1 - f2 - sys.jvp(x1, d)[i]) / abs(f1 - f2)
+        r = abs(f1 - f2 - g @ d) / abs(f1 - f2)
         e = 1e-12 * (abs(f1) + abs(f2) + float(abs(g * d).sum())) / abs(f1 - f2)
         assert abs(r - est.eta) <= e
 
@@ -177,12 +178,13 @@ class TestEtaEstimate:
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     def test_no_evaluation_and_no_jacobian(self, rng, matrix_free):
-        # F comes with the stack; the linear terms are one stacked jvp
+        # F comes with the stack; the numerators are one stacked call of
+        # remainders
         _, pairs, inst = recorded_trajectory(matrix_free, rng)
         args = stacked(inst.system, pairs)
-        counts = count_calls(inst.system, ["eval_all", "jacobian", "jvp"])
+        counts = count_calls(inst.system, ["eval_all", "jacobian", "remainders"])
         diag.estimate_eta(inst.system, *args)
-        assert counts == {"eval_all": 0, "jacobian": 0, "jvp": 1}
+        assert counts == {"eval_all": 0, "jacobian": 0, "remainders": 1}
 
     def test_trajectory_pairs_requires_iterates(self, rng):
         inst = generate(GeneratorSpec("gaussian", 10, 6, 0.5, seed=4))
@@ -370,14 +372,17 @@ class TestAuditRun:
 
     def test_refused_audit_builds_no_block_jacobian(self):
         # F again only at the truth, no grad_block beyond the run's, one
-        # stacked jvp, and only the run's mirror maps, one per iterate
+        # stacked remainders, and only the run's mirror maps, one per
+        # iterate
         inst, prior, config, x0 = self.audit_inputs(local=False)
         steps = slv.run(inst.system, prior, config, x0).iterations
-        counts = count_calls(inst.system, ["eval_all", "grad_block", "jvp"])
+        counts = count_calls(inst.system, ["eval_all", "grad_block",
+                                           "remainders"])
         maps = count_calls(prior, ["conj_grad"])
         with pytest.raises(diag.HypothesisViolated):
             diag.audit_run(inst, prior, config, x0)
-        assert counts == {"eval_all": steps + 2, "grad_block": steps, "jvp": 1}
+        assert counts == {"eval_all": steps + 2, "grad_block": steps,
+                          "remainders": 1}
         assert maps == {"conj_grad": steps + 1}
 
     def test_refusal_carries_record_and_estimate(self):
@@ -393,12 +398,13 @@ class TestAuditRun:
 
     def test_valid_audit_builds_each_block_jacobian_once(self):
         inst, prior, config, x0 = self.audit_inputs(local=True)
-        counts = count_calls(inst.system, ["eval_all", "grad_block", "jvp"])
+        counts = count_calls(inst.system, ["eval_all", "grad_block",
+                                           "remainders"])
         maps = count_calls(prior, ["conj_grad"])
         record, est, audit = diag.audit_run(inst, prior, config, x0)
         steps = record.iterations
         assert counts == {"eval_all": steps + 2, "grad_block": 2 * steps,
-                          "jvp": 1}
+                          "remainders": 1}
         assert maps == {"conj_grad": steps + 1}
         # the run's residuals give the estimate F evaluated afresh gives
         pairs = trajectory_points(record, inst.truth)

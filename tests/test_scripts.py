@@ -30,7 +30,7 @@ def bench(monkeypatch):
     monkeypatch.setattr(module, "MATRIX_FREE_REPS", 2)
     monkeypatch.setattr(module, "RESIDUAL_SOLVE", (30, 12, 0.2))
     monkeypatch.setattr(module, "RESIDUAL_REPLAYS", 1)
-    monkeypatch.setattr(module, "JVP_PAIRS", 9)
+    monkeypatch.setattr(module, "REMAINDER_PAIRS", 9)
     monkeypatch.setattr(module, "REPEATS", 1)
     monkeypatch.setattr(module, "KERNEL_REPEATS", 1)
     return module
@@ -56,7 +56,7 @@ def test_bench_diagnose_main(bench, tmp_path):
         calls = {name: span["calls"] for name, span in a["spans"].items()}
         assert calls["diagnose"] == calls["run"] == calls["estimate_eta"] == 1
         assert calls["eval_all"] == steps + 2
-        assert calls["jvp"] == 1
+        assert calls["remainders"] == 1
         if a["valid"]:
             assert a["exit_code"] in (cli.EXIT_OK, cli.EXIT_DEGENERATE)
             assert calls["grad_block"] == 2 * steps + trials
@@ -111,9 +111,9 @@ def test_bench_diagnose_main(bench, tmp_path):
             bench.pair_shares(points, 12)
         assert 0 < solve["within_budget"] <= 1 and 0 <= solve["pairs_new"] <= 1
         assert solve["ms_per_call"] > 0
-    for key in ("jvp", "jvp_matrix_free"):
-        jvp = report[key]
-        assert (jvp["m"], jvp["n"], jvp["pairs"]) == (40, 20, 9) and jvp["ms"] > 0
+    for key in ("remainders", "remainders_matrix_free"):
+        r = report[key]
+        assert (r["m"], r["n"], r["pairs"]) == (40, 20, 9) and r["ms"] > 0
 
 
 def test_shared_pairs(bench):
@@ -132,9 +132,9 @@ def test_shared_pairs(bench):
 
 def test_counted_cosines(bench):
     # on a fresh matrix-free system, a residual at |S| = 3 within the
-    # budget computes the 2 m |S| cosines of each support index, and again
-    # nothing; a single gradient row the 2 n |S| of its support rows; the
-    # replay leaves the module's numpy in place
+    # budget computes the 2 m cosines of each of its |S| (|S| + 1) / 2
+    # pairs once, and again nothing; a single gradient row the 2 n |S| of
+    # its support rows; the replay leaves the module's numpy in place
     m, n = 9, 12
     rng = np.random.default_rng(0)
     system = bench.DCTQuadraticSystem(rng.random((m, n)),
@@ -142,7 +142,7 @@ def test_counted_cosines(bench):
     x = np.zeros(n)
     x[[1, 4, 7]] = 1.0
     calls = [("eval_all", (x,)), ("eval_all", (x,)), ("grad_block", ([3], x))]
-    assert bench.counted_cosines(system, calls) == {"eval_all": 2 * m * 9,
+    assert bench.counted_cosines(system, calls) == {"eval_all": m * 3 * 4,
                                                     "grad_block": 2 * n * 3}
     assert bench.systems.np is np
 

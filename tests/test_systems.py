@@ -89,12 +89,36 @@ def sparse_vector(n, support, negative_zeros, scale, rng):
     return v
 
 
-def check_jvp(sys, dense, x, d):
-    """jvp against the full Jacobian of the dense tensor times d, within the
-    sum of absolute term values."""
-    J = dense.grad_block(np.arange(sys.m), x)
-    J_scale = dense_reference(dense, x)[3]
-    assert np.all(abs(sys.jvp(x, d) - J @ d) <= RTOL * (J_scale @ abs(d)))
+# the remainder tests carry `jvp` in their names for the Jacobian-vector
+# product J(x1) (x2 - x1), the linear term a remainder takes off
+# F(x2) - F(x1)
+def form_reference(dense, X1, X2):
+    """The remainders F(x2) - F(x1) - J(x1) (x2 - x1) of a quadratic, the
+    forms 0.5 d^T A_i d at d = x2 - x1 by full contraction, and the sums
+    of absolute term values that bound their rounding error."""
+    D = X2 - X1
+    forms = 0.5 * np.einsum("ijk,pj,pk->pi", dense.A, D, D)
+    scale = 0.5 * np.einsum("ijk,pj,pk->pi", abs(dense.A), abs(D), abs(D))
+    return forms, scale
+
+
+def cancellation_scale(dense, X1, X2):
+    """For each pair and row, |F_i(x1)| + |F_i(x2)| + sum_k |g_k d_k| in
+    sums of absolute term values, g the gradient row at x1 and d = x2 - x1:
+    the terms a remainder taken as F(x2) - F(x1) - J(x1) d cancels."""
+    scales = []
+    for x1, x2 in zip(X1, X2):
+        _, F1_scale, _, J_scale = dense_reference(dense, x1)
+        scales.append(F1_scale + dense_reference(dense, x2)[1]
+                      + J_scale @ abs(x2 - x1))
+    return np.array(scales).reshape(len(X1), dense.m)
+
+
+def check_remainders(sys, dense, X1, X2):
+    """remainders against the forms of the dense tensor, within the sum of
+    absolute term values."""
+    forms, scale = form_reference(dense, X1, X2)
+    assert np.all(abs(sys.remainders(X1, X2) - forms) <= RTOL * scale)
 
 
 def peak_bytes(calls):
@@ -208,29 +232,33 @@ def kernel_checks(make, dense):
         @given(**SIZES, **SUPPORTS, d_support=st.integers(0, 10))
         def test_jvp_matches_dense_reference(self, m, n, seed, support,
                                              negative_zeros, scale, d_support):
+            # both orders of a pair of sparse points
             sys = make(m, n, seed)
             rng = np.random.default_rng(seed)
-            check_jvp(sys, dense(sys),
-                      sparse_vector(n, support, negative_zeros, scale, rng),
-                      sparse_vector(n, d_support, negative_zeros, scale, rng))
+            x1 = sparse_vector(n, support, negative_zeros, scale, rng)
+            x2 = sparse_vector(n, d_support, negative_zeros, scale, rng)
+            check_remainders(sys, dense(sys), np.array([x1, x2]),
+                             np.array([x2, x1]))
 
         @pytest.mark.parametrize("seed", range(3))
         def test_jvp_cases(self, seed):
-            # x = 0 and d = 0 exactly, disjoint supports and a dense x
-            # against the reference
+            # equal points give 0 exactly, wherever they stand; disjoint
+            # supports, points that differ off the support of x1 and dense
+            # points against the reference
             sys = make(7, 6, seed)
             ref, n = dense(sys), sys.n
             rng = np.random.default_rng(seed)
-            d = rng.standard_normal(n)
-            np.testing.assert_array_equal(sys.jvp(np.zeros(n), d),
-                                          sys.b @ d)
-            np.testing.assert_array_equal(
-                sys.jvp(rng.standard_normal(n), np.zeros(n)), np.zeros(sys.m))
+            X = np.array([np.zeros(n), np.full(n, -0.0),
+                          rng.standard_normal(n)])
+            np.testing.assert_array_equal(sys.remainders(X, X.copy()),
+                                          np.zeros((3, sys.m)))
             half = rng.permutation(n)[: n // 2]
-            x, d = np.zeros(n), rng.standard_normal(n)
-            x[half], d[half] = rng.standard_normal(half.size), 0.0
-            check_jvp(sys, ref, x, d)
-            check_jvp(sys, ref, rng.standard_normal(n), d)
+            x1, x2 = np.zeros(n), rng.standard_normal(n)
+            x1[half], x2[half] = rng.standard_normal(half.size), 0.0
+            x3 = x1.copy()
+            x3[x1 == 0.0] = rng.standard_normal(n - half.size)
+            check_remainders(sys, ref, np.array([x1, x1, rng.standard_normal(n)]),
+                             np.array([x2, x3, rng.standard_normal(n)]))
 
         @given(**SIZES)
         def test_zero_gives_offsets_exactly(self, m, n, seed):
@@ -282,7 +310,7 @@ class TestSupportKernel(kernel_checks(random_quadratic, lambda sys: sys)):
         # numpy's one-time allocations happen here, not under the trace
         warm = random_quadratic(m, n, seed=1)
         warm.jacobian(rng.standard_normal(n))
-        warm.jvp(rng.standard_normal(n), rng.standard_normal(n))
+        warm.remainders(rng.standard_normal((1, n)), rng.standard_normal((1, n)))
         sys = random_quadratic(m, n, seed=2)
         x = rng.standard_normal(n)
         x[::3] = 0.0
@@ -293,7 +321,8 @@ class TestSupportKernel(kernel_checks(random_quadratic, lambda sys: sys)):
             lambda: sys.eval_all(x), lambda: sys.eval_all(sparse),
             lambda: sys.grad_block([0, 7, 39], x),
             lambda: sys.jacobian(x), lambda: sys.grad_component(5, x),
-            lambda: sys.jvp(sparse, d), lambda: sys.jvp(x, d)])
+            lambda: sys.remainders(sparse[None], 2 * sparse[None]),
+            lambda: sys.remainders(x[None], d[None])])
         assert max(peaks) < m * n * n * 8 / 4
 
         # over a long sequence of residuals, below the budget and above it,
@@ -326,7 +355,7 @@ class TestMatrixFreeKernel(kernel_checks(random_cosine,
         m, n, support = 40, 30, 3
         warm = random_cosine(m, n, seed=1)
         warm.jacobian(rng.standard_normal(n))
-        warm.jvp(rng.standard_normal(n), rng.standard_normal(n))
+        warm.remainders(rng.standard_normal((1, n)), rng.standard_normal((1, n)))
         sys = random_cosine(m, n, seed=2)
         x = np.zeros(n)
         x[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
@@ -337,7 +366,7 @@ class TestMatrixFreeKernel(kernel_checks(random_cosine,
                                lambda: sys.grad_block(block, x),
                                lambda: sys.jacobian(x),
                                lambda: sys.grad_component(5, x),
-                               lambda: sys.jvp(x, d)])
+                               lambda: sys.remainders(x[None], d[None])])
         for rows, peak in zip([m, len(block), m, 1, m], peaks):
             assert peak < 3 * rows * n * support * 8 + 16 * 1024
         dense_x = rng.standard_normal(n)
@@ -487,57 +516,70 @@ def stacked_pairs(n, count, rng):
 @pytest.mark.parametrize("case", ["dense", "matrix-free", "affine", "base"])
 @pytest.mark.parametrize("count", [0, 1, 3, 17, 1000])
 def test_stacked_jvp_rows_match_single_pairs(case, count, rng):
-    # row p of a stacked call is J(X_p) D_p: against the 1-D call and the
-    # dense reference, over one chunk and several (a (9, 6) system of
-    # either storage takes 9 * 6 // (9 + 6) = 3 pairs a chunk, so 3 pairs
-    # are one full chunk and 1000 are 334)
+    # row p of a stacked call is the remainder of the pair p: against a
+    # call on that pair alone and the dense forms, over one chunk and
+    # several (a (9, 6) system of either storage takes 9 * 6 // (9 + 6)
+    # = 3 pairs a chunk, so 3 pairs are one full chunk and 1000 are 334);
+    # the base loop within the terms its differences cancel; equal points
+    # and the affine system give 0 exactly
     sys, dense = eval_points_cases()[case]
     X, D = stacked_pairs(sys.n, count, rng)
-    out = sys.jvp(X, D)
+    X2 = X + D
+    out = sys.remainders(X, X2)
     assert out.shape == (count, sys.m)
-    for x, d, row in zip(X, D, out):
-        one = sys.jvp(x, d)
-        assert one.shape == (sys.m,)
-        J = dense.grad_block(np.arange(sys.m), x)
-        tol = RTOL * (dense_reference(dense, x)[3] @ abs(d))
-        assert np.all(abs(row - one) <= tol)
-        assert np.all(abs(row - J @ d) <= tol)
+    forms, tol = form_reference(dense, X, X2)
+    tol *= RTOL
+    if case == "base":
+        tol += RTOL * cancellation_scale(dense, X, X2)
+    for p, row in enumerate(out):
+        assert np.all(abs(row - sys.remainders(X[p:p + 1], X2[p:p + 1])[0])
+                      <= tol[p])
+    assert np.all(abs(out - forms) <= tol)
+    np.testing.assert_array_equal(out[(D == 0.0).all(axis=1)], 0.0)
+    if case == "affine":
+        np.testing.assert_array_equal(out, 0.0)
 
 
 def test_matrix_free_jvp_bit_equal_to_dense_storage(rng):
     # both storages run one chunk kernel, and the matrix-free rows of the
     # symmetric slabs are those of to_dense() bit for bit, so the stacked
-    # products are too
+    # remainders are too
     sys = random_cosine(40, 30, seed=3)
     X, D = stacked_pairs(sys.n, 100, rng)
-    np.testing.assert_array_equal(sys.jvp(X, D), sys.to_dense().jvp(X, D))
+    np.testing.assert_array_equal(sys.remainders(X, X + D),
+                                  sys.to_dense().remainders(X, X + D))
 
 
 @pytest.mark.parametrize("case", ["dense", "matrix-free", "base"])
 def test_jvp_shapes_checked(case):
+    # only two (P, n) stacks of one shape: no single points, stacks of
+    # different lengths or widths, or 3-D stacks
     sys = eval_points_cases()[case][0]
     x = np.ones(sys.n)
-    for bad in ((x, np.ones((1, sys.n))), (x[:-1], x[:-1]),
+    for bad in ((x, x), (x[None], np.ones((2, sys.n))),
+                (x[None, :-1], x[None, :-1]),
                 (np.ones((2, 1, sys.n)), np.ones((2, 1, sys.n)))):
-        with pytest.raises(ValueError, match="jvp needs"):
-            sys.jvp(*bad)
+        with pytest.raises(ValueError, match="remainders needs"):
+            sys.remainders(*bad)
 
 
 @pytest.mark.parametrize("make", [random_quadratic, random_cosine])
 def test_stacked_jvp_memory_does_not_grow_with_pairs(make, rng):
-    # beyond its (P, m) result a stacked call holds one chunk's
-    # temporaries: as much for 400 pairs as for 200, less than the
-    # dense tensor, and for the cosines within the bound a single pair
-    # may reach, 3 m n |S| 8 bytes
+    # beyond its (P, m) result and the (P, n) differences x2 - x1 of its
+    # pairs, a stacked call holds one chunk's temporaries: as much for
+    # 400 pairs as for 200, less than the dense tensor, and for the
+    # cosines within the bound a single pair may reach, 3 m n |S| 8 bytes
     m, n, support, count = 40, 30, 3, 400
     X = np.zeros((count, n))
     for x in X:
         x[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
     D = np.where(rng.random((count, n)) < 0.2, rng.standard_normal((count, n)), 0.0)
-    make(m, n, seed=1).jvp(X, D)
+    X2 = X + D
+    make(m, n, seed=1).remainders(X, X2)
     sys = make(m, n, seed=2)
-    peaks = peak_bytes([lambda: sys.jvp(X[:200], D[:200]), lambda: sys.jvp(X, D)])
-    held = [peak - P * m * 8 for P, peak in zip((200, count), peaks)]
+    peaks = peak_bytes([lambda: sys.remainders(X[:200], X2[:200]),
+                        lambda: sys.remainders(X, X2)])
+    held = [peak - P * (m + n) * 8 for P, peak in zip((200, count), peaks)]
     assert held[1] <= held[0] + 16 * 1024
     assert held[0] < m * n * n * 8
     if make is random_cosine:
@@ -1027,7 +1069,7 @@ class TestSymmetricContract:
         assert sys.A is A
         x, d = rng.standard_normal(4), rng.standard_normal(4)
         sys.eval_all(x), sys.eval_points(2, [x, d]), sys.grad_block([0, 3], x)
-        sys.jvp(x, d)
+        sys.remainders(x[None], d[None])
         assert A.tobytes() == before
 
     def test_non_symmetric_tensor_fails_gradient_check(self, rng):
