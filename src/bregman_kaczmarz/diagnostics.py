@@ -60,9 +60,11 @@ def estimate_eta(system, pairs, X, F):
     point stack X, whose residuals are the rows of F.  Rows with zero (or
     NaN) denominator are skipped; raises NoValidPairs if none survive, and
     HypothesisViolated if a surviving ratio is NaN or infinite.  The
-    numerators are one stacked `system.remainders(X1, X2)`, so neither F
-    nor a Jacobian is evaluated, and a quadratic gives them without the
-    cancellation of F_i(x1) - F_i(x2) against the linear term.
+    numerators are one stacked `system.remainders(X1, X2)`.  A quadratic
+    system gives them as forms, without evaluating F or a Jacobian and
+    without the cancellation of F_i(x1) - F_i(x2) against the linear term;
+    the base class evaluates F at both points of every pair and the
+    Jacobian at x1.
     """
     i1, i2 = pairs.T
     num = np.abs(system.remainders(X[i1], X[i2]))

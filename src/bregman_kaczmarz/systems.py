@@ -253,10 +253,10 @@ class _Quadratic(NonlinearSystem):
         src = at_k[dst] * (at_k[dst] + 1) // 2 + at_j[dst]
         _move_runs(buffer, src, dst, self.m)
         kept = np.flatnonzero(at >= 0)
-        for k, t in enumerate(np.flatnonzero(at < 0).tolist()):
-            # sym(A_i)[S[u], S[t]] for the t - k kept u < t and every u >= t:
-            # the pairs of the k new u < t came with the row of u
-            low = kept[:t - k]
+        for new, t in enumerate(np.flatnonzero(at < 0).tolist()):
+            # sym(A_i)[S[u], S[t]] for the t - new kept u < t and every
+            # u >= t: the pairs of the new u < t came with the row of u
+            low = kept[:t - new]
             row = self._sym_rows(S[t], np.concatenate((S[low], S[t:])))
             pairs[first[t] + low] = row[:, :low.size].T
             pairs[first[t:-1] + t] = row[:, low.size:].T
@@ -264,26 +264,27 @@ class _Quadratic(NonlinearSystem):
         return pairs
 
     def _remainders(self, X1, X2):
-        return self._forms(X2 - X1)
+        return self._forms(len(X1), lambda a: X2[a] - X1[a])
 
     def _row_residuals(self, x):
         """F(x) at a support beyond the budget, from `_forms`; nothing is
         held."""
-        return self._forms(x[None])[0] + self.b @ x + self.c
+        return self._forms(1, lambda a: x[None])[0] + self.b @ x + self.c
 
-    def _forms(self, D):
-        """0.5 <d, sym(A_i) d> for every row d of the (P, n) stack D, shape
-        (P, m): for each j in the union support U of a chunk of rows, one
-        product of D[:, U[t:]], j = U[t], with `_sym_rows(j, U[t:])`, its
-        (j, j) column halved, so that each pair j <= k of U is read once.
+    def _forms(self, count, stack):
+        """0.5 <d, sym(A_i) d> for every row d of a (count, n) stack D,
+        shape (count, m), with stack(a) the rows of the slice a of D: for
+        each j in the union support U of a chunk of rows, one product of
+        D[:, U[t:]], j = U[t], with `_sym_rows(j, U[t:])`, its (j, j)
+        column halved, so that each pair j <= k of U is read once.
 
         The rows go in chunks of max(1, m n // (m + n)), so that the
-        temporaries of a chunk, its (P, m) products and D[:, U], hold at
-        most m*n doubles."""
-        out = np.zeros((len(D), self.m))
+        temporaries of a chunk, its rows of D, its (P, m) products and
+        D[:, U], hold at most about 2 m n doubles."""
+        out = np.zeros((count, self.m))
         step = max(1, self.m * self.n // (self.m + self.n))
-        for s in range(0, len(D), step):
-            chunk, forms = D[s:s + step], out[s:s + step]
+        for s in range(0, count, step):
+            chunk, forms = stack(slice(s, s + step)), out[s:s + step]
             U = np.flatnonzero((chunk != 0.0).any(axis=0))
             DU, w = chunk[:, U], np.empty_like(forms)
             for t, j in enumerate(U.tolist()):

@@ -565,10 +565,10 @@ def test_jvp_shapes_checked(case):
 
 @pytest.mark.parametrize("make", [random_quadratic, random_cosine])
 def test_stacked_jvp_memory_does_not_grow_with_pairs(make, rng):
-    # beyond its (P, m) result and the (P, n) differences x2 - x1 of its
-    # pairs, a stacked call holds one chunk's temporaries: as much for
-    # 400 pairs as for 200, less than the dense tensor, and for the
-    # cosines within the bound a single pair may reach, 3 m n |S| 8 bytes
+    # beyond its (P, m) result a stacked call holds one chunk's
+    # temporaries: as much for 400 pairs as for 200, less than the
+    # dense tensor, and for the cosines within the bound a single pair
+    # may reach, 3 m n |S| 8 bytes
     m, n, support, count = 40, 30, 3, 400
     X = np.zeros((count, n))
     for x in X:
@@ -579,7 +579,7 @@ def test_stacked_jvp_memory_does_not_grow_with_pairs(make, rng):
     sys = make(m, n, seed=2)
     peaks = peak_bytes([lambda: sys.remainders(X[:200], X2[:200]),
                         lambda: sys.remainders(X, X2)])
-    held = [peak - P * (m + n) * 8 for P, peak in zip((200, count), peaks)]
+    held = [peak - P * m * 8 for P, peak in zip((200, count), peaks)]
     assert held[1] <= held[0] + 16 * 1024
     assert held[0] < m * n * n * 8
     if make is random_cosine:
