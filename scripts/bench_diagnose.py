@@ -3,49 +3,17 @@
 
     python3 scripts/bench_diagnose.py [--out BENCH_diagnose.json]
 
-For seeds 1 and 7, repetitions 0 and 1, both storages (a dense Gaussian
-and a matrix-free cosine (200, 100, sp = 0.05) instance, saved to a
-temporary file) and every preset, the script runs
-
-    bkz diagnose FILE --solver PRESET --seed S --local-start 1e-3
-
-through `cli.main` REPEATS times, S being the solver seed of the
-repetition (`cli.derived_seeds`).  A `Tracer` from perfbench/tracing.py
-times the call, `solver.run`, `diagnostics.estimate_eta`,
-`contraction_audit` and `check_gradients`, and the instance's
-`eval_all`, `grad_block`, `remainders` and `eval_points`, patched once
-`load_instance` returns.  Each audit keeps its exit code (0 or 3 valid,
-4 refused), iterations, eta and grad_dev, and per span the calls and the
-median ms over the repeats.  Kernels are also timed alone, each as the
-median of KERNEL_REPEATS calls: on a Gaussian instance, `grad_block` at
-the block shapes of the benchmark, (300, 150) with 113 rows
-(`block-dense`) and (200, 100) with 20 rows (`diagnose`), each at a
-dense x and at an x with round(sp n) nonzeros, the support of a
-local-start audit, and `eval_all` at (300, 150) for supports |S| = 5, 42
-and 73, cold: each call on a fresh system, which holds no support pairs
-of an earlier residual; for `nbk` and `mrnbk`, the `eval_all` calls of
-their solves of repetition 0 of the first seed on the `row-sparse`
-instance (300, 150, sp = 0.1), replayed in order on a fresh system, in
-ms per call over the median of RESIDUAL_REPLAYS replays, with the share
-of calls whose support pairs fit the budget of held pairs and the share
-of the pairs of those calls that the pairs held before them lacked; on a
-matrix-free cosine instance, `grad_block` at (200, 100) with 72 rows at
-|S| = 8 (a `dct-matfree` block), cold: each call on a fresh system,
-which holds no support rows of an earlier block; for every preset, the
-`grad_block` calls of its solve of repetition 0 of the first seed on the
-`dct-matfree` instance (200, 100, sp = 0.05), replayed in order on a
-fresh system, in ms per step, so each block reuses the rows it shares
-with the one before as in the solve, with the share of the (slab,
-support index) pairs of the solve's blocks that the block before had;
-for each seed, the MATRIX_FREE_REPS `abnbk-a` solves of the
-`dct-matfree` workload (200, 100, sp = 0.05, repetitions 0 to 5), their
-`eval_all` and `grad_block` calls replayed in order, each solve on a
-fresh system, in ms per call over the median of RESIDUAL_REPLAYS
-replays, and the cosines each solve computes, counted over one more
-replay of both in their order; and on a Gaussian and a matrix-free
-cosine instance, one stacked `remainders` of REMAINDER_PAIRS pairs
-(x, truth) at the audited shape, each x the truth with noise of scale
-1e-3 on its support, as in a local-start audit.
+For seeds 1 and 7, every preset and the repetitions of the `diagnose`
+workload of perfbench/workloads.py, on a dense Gaussian and a matrix-free
+cosine instance of its shape, the script runs `bkz diagnose FILE --solver
+PRESET --seed S --local-start 1e-3` through `cli.main` REPEATS times, S
+the solver seed of the repetition.  Per audit it keeps the exit code (0
+or 3 valid, 4 refused), iterations, eta and grad_dev, and per span of
+MODULE_SPANS and SYSTEM_SPANS the calls and the median ms.  It also
+times the kernels of KERNELS alone: `cold_ms` one call at fixed inputs
+on a fresh system, which holds no support rows or pairs, and `replay`
+the calls of one method of recorded solves in order.  README.md
+describes each section of the report.
 
 A before/after comparison is this script run at both commits.  The
 output holds the numpy version, BLAS name and BLAS thread variables;
@@ -68,6 +36,7 @@ for var in BLAS_THREAD_VARS:
     os.environ.setdefault(var, "1")
 
 import argparse
+import dataclasses
 import json
 import statistics
 import tempfile
@@ -78,6 +47,7 @@ from io import StringIO
 
 import numpy as np
 from tracing import Tracer, aggregate
+from workloads import WORKLOADS
 
 from bregman_kaczmarz import cli, diagnostics, solver, systems
 from bregman_kaczmarz import generators as gen
@@ -85,22 +55,12 @@ from bregman_kaczmarz.priors import SparsePrior
 from bregman_kaczmarz.systems import DCTQuadraticSystem, QuadraticSystem
 
 SEEDS = (1, 7)
-REPS = (0, 1)
-SHAPE = (200, 100, 0.05)                                  # m, n, sp
 STORAGES = (("dense", gen.GAUSSIAN, False), ("matrix-free", gen.DCT, True))
-BLOCKS = ((300, 150, 0.4, 113), (200, 100, 0.05, 20))   # m, n, sp, rows
-EVALS = (300, 150, 0.4, (5, 42, 73))              # m, n, sp, supports |S|
-MATRIX_FREE_BLOCK = (200, 100, 0.05, 72, (8,))  # m, n, sp, rows, supports
-MATRIX_FREE_SOLVE = (200, 100, 0.05)                # m, n, sp
-MATRIX_FREE_PRESET = "abnbk-a"          # the preset of `dct-matfree`
-MATRIX_FREE_REPS = 6
-RESIDUAL_SOLVE = (300, 150, 0.1)                    # m, n, sp
-RESIDUAL_PRESETS = ("nbk", "mrnbk")
-RESIDUAL_REPLAYS = 5
 REMAINDER_PAIRS = 256
 LOCAL_START = "1e-3"
 REPEATS = 5
 KERNEL_REPEATS = 50
+REPLAYS = 5         # each replay is a whole solve of hundreds of calls
 
 
 def keep(key, value):
@@ -161,13 +121,17 @@ def measure(path, preset, seed, workdir):
                 **tracer.counts, spans=spans)
 
 
-def first_instance(m, n, sp, kind=gen.GAUSSIAN, matrix_free=False,
-                   seed=SEEDS[0], rep=0):
-    """The instance of repetition `rep` of `seed`, by default repetition 0
-    of the first seed, Gaussian unless `kind` says otherwise."""
+def shape(workload):
+    return {"m": workload.m, "n": workload.n, "sp": workload.sp}
+
+
+def first_instance(workload, seed=SEEDS[0], rep=0):
+    """The instance of repetition `rep` of `seed` of a workload, by default
+    repetition 0 of the first seed."""
     inst_seed, _, _ = cli.derived_seeds(seed, rep)
-    return gen.generate(gen.GeneratorSpec(kind, m, n, sp, seed=inst_seed),
-                        matrix_free=matrix_free)
+    return gen.generate(gen.GeneratorSpec(workload.kind, workload.m, workload.n,
+                                          workload.sp, seed=inst_seed),
+                        matrix_free=workload.matrix_free)
 
 
 def median_ms(calls):
@@ -179,11 +143,6 @@ def median_ms(calls):
     return statistics.median((s.end - s.start) / 1e6 for s in tracer.spans)
 
 
-def repeated(call, *args):
-    """KERNEL_REPEATS calls call(*args)."""
-    return [partial(call, *args)] * KERNEL_REPEATS
-
-
 def fresh(system):
     """A new system of the same arrays, holding no support rows or pairs."""
     if isinstance(system, DCTQuadraticSystem):
@@ -191,64 +150,62 @@ def fresh(system):
     return QuadraticSystem(system.A, system.b, system.c)
 
 
-def block_ms(m, n, sp, rows, supports=None, kind=gen.GAUSSIAN,
-             matrix_free=False):
-    """`grad_block` for `rows` rows at an x with each support size, by
-    default a dense x and round(sp n) nonzeros; a matrix-free call runs
-    on a fresh system."""
-    system = first_instance(m, n, sp, kind, matrix_free).system
+def cold_ms(system, method, *args):
+    """`method` at args, the median ms of KERNEL_REPEATS calls, each on a
+    fresh system."""
+    return median_ms(partial(getattr(fresh(system), method), *args)
+                     for _ in range(KERNEL_REPEATS))
+
+
+def cold(workload, method, rows=None, supports=None):
+    """`method` at an x with each support size, by default a dense x and
+    round(sp n) nonzeros, after a block of `rows` rows if given: one
+    `cold_ms` each, on the workload's first instance."""
+    system = first_instance(workload).system
     rng = np.random.default_rng(SEEDS[0])
-    idx = rng.choice(m, size=rows, replace=False)
-    results = []
-    for size in supports or (n, round(sp * n)):
-        x = np.zeros(n)
-        x[rng.choice(n, size=size, replace=False)] = rng.standard_normal(size)
-        calls = ((partial(fresh(system).grad_block, idx, x)
-                  for _ in range(KERNEL_REPEATS)) if matrix_free
-                 else repeated(system.grad_block, idx, x))
-        results.append({"m": m, "n": n, "sp": sp, "rows": rows,
-                        "support": size, "ms": median_ms(calls)})
-    return results
+    block = {} if rows is None else {"rows": rows}
+    head = [rng.choice(workload.m, size=rows, replace=False)] if block else []
+    for size in supports or (workload.n, round(workload.sp * workload.n)):
+        x = np.zeros(workload.n)
+        x[rng.choice(workload.n, size=size, replace=False)] = \
+            rng.standard_normal(size)
+        yield {**shape(workload), **block, "support": size,
+               "ms": cold_ms(system, method, *head, x)}
 
 
-def recorded_calls(instance, preset, methods, seed=SEEDS[0], rep=0):
-    """The (method, arguments) of every call of one of `methods` of a
-    fresh copy of the instance's system in its solve by `preset`, in
-    order, with the start and solver seeds of repetition `rep` of `seed`."""
+def recorded_calls(workload, preset, methods, seed=SEEDS[0], rep=0):
+    """The system of repetition `rep` of `seed` of a workload and the
+    (method, arguments) of every call of one of `methods` of a fresh copy
+    of it in its solve by `preset`, in order."""
+    instance = first_instance(workload, seed, rep)
     _, x0_seed, solver_seed = cli.derived_seeds(seed, rep)
-    system = fresh(instance.system)
-    calls = []
-
-    def recorder(method):
-        call = getattr(system, method)
-
-        def record(*args):
+    system, calls = fresh(instance.system), []
+    for method in methods:
+        def record(*args, method=method, call=getattr(system, method)):
             calls.append((method, tuple(np.array(arg) for arg in args)))
             return call(*args)
-        return record
-
-    for method in methods:
-        setattr(system, method, recorder(method))
+        setattr(system, method, record)
     solver.run(system, SparsePrior(cli.DEFAULT_LAMBDA),
                cli.preset_config(preset, seed=solver_seed),
                cli.initial_dual(system.n, x0_seed), truth=instance.truth)
-    return calls
+    return instance.system, calls
 
 
-def solve_blocks(m, n, sp, preset):
-    """The matrix-free instance of `first_instance` and the (block, x) of
-    every `grad_block` call of its solve by `preset`."""
-    instance = first_instance(m, n, sp, gen.DCT, True)
-    return instance.system, [args for _, args in recorded_calls(
-        instance, preset, ("grad_block",))]
+def rerun(solves, method):
+    """The calls of `method` in recorded solves, each solve's in order on
+    a fresh system."""
+    for system, calls in solves:
+        replica = fresh(system)
+        for name, args in calls:
+            if name == method:
+                getattr(replica, method)(*args)
 
 
-def solve_residuals(m, n, sp, preset):
-    """The Gaussian instance of `first_instance` and the x of every
-    `eval_all` call of its solve by `preset`."""
-    instance = first_instance(m, n, sp)
-    return instance.system, [x for _, (x,) in recorded_calls(
-        instance, preset, ("eval_all",))]
+def replay(solves, method):
+    """The calls of `method` in recorded solves: their count, and the ms
+    per call of the median of REPLAYS reruns."""
+    count = sum(name == method for _, calls in solves for name, _ in calls)
+    return count, median_ms([partial(rerun, solves, method)] * REPLAYS) / count
 
 
 def pair_shares(points, n):
@@ -281,45 +238,34 @@ def shared_pairs(calls):
     return shared / max(pairs, 1)
 
 
-def solve_ms(m, n, sp, preset):
-    """ms per step of the `grad_block` calls of a recorded solve, replayed
-    in order on a fresh system: the median of KERNEL_REPEATS replays."""
-    system, calls = solve_blocks(m, n, sp, preset)
-
-    def replay(replica):
-        for idx, x in calls:
-            replica.grad_block(idx, x)
-
-    ms = median_ms(partial(replay, fresh(system))
-                   for _ in range(KERNEL_REPEATS))
-    return {"m": m, "n": n, "sp": sp, "preset": preset, "steps": len(calls),
-            "rows": sum(idx.size for idx, _ in calls),
-            "pairs_shared": shared_pairs(calls), "ms_per_step": ms / len(calls)}
+def block_solves(workload):
+    """For every preset, its `grad_block` calls on the first instance,
+    replayed, with the share of pairs the block before had."""
+    for preset in cli.SOLVER_NAMES:
+        solve = recorded_calls(workload, preset, ("grad_block",))
+        calls = [args for _, args in solve[1]]
+        steps, ms = replay([solve], "grad_block")
+        yield {**shape(workload), "preset": preset, "steps": steps,
+               "rows": sum(idx.size for idx, _ in calls),
+               "pairs_shared": shared_pairs(calls), "ms_per_step": ms}
 
 
-def residual_solve_ms(m, n, sp, preset):
-    """ms per call of the `eval_all` calls of a recorded solve, replayed in
-    order on a fresh system: the median of RESIDUAL_REPLAYS replays."""
-    system, points = solve_residuals(m, n, sp, preset)
-
-    def replay(replica):
-        for x in points:
-            replica.eval_all(x)
-
-    ms = median_ms(partial(replay, fresh(system))
-                   for _ in range(RESIDUAL_REPLAYS))
-    within, new = pair_shares(points, n)
-    return {"m": m, "n": n, "sp": sp, "preset": preset, "calls": len(points),
-            "within_budget": within, "pairs_new": new,
-            "ms_per_call": ms / len(points)}
+def residual_solves(workload):
+    """For each preset of the workload, its `eval_all` calls on the first
+    instance, replayed, with the `pair_shares` of the calls."""
+    for preset in workload.presets:
+        solve = recorded_calls(workload, preset, ("eval_all",))
+        calls, ms = replay([solve], "eval_all")
+        within, new = pair_shares([x for _, (x,) in solve[1]], workload.n)
+        yield {**shape(workload), "preset": preset, "calls": calls,
+               "within_budget": within, "pairs_new": new, "ms_per_call": ms}
 
 
 class CountingNumpy:
     """numpy with a count of the cosines `cos` computes, to stand in for
     the numpy module of `systems` while a replay runs."""
 
-    def __init__(self):
-        self.cosines = 0
+    cosines = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -330,157 +276,103 @@ class CountingNumpy:
         return out
 
 
-def counted_cosines(system, calls):
-    """The cosines a fresh copy of the system computes over the calls,
-    replayed in order, per method."""
-    replica, counter, counts = fresh(system), CountingNumpy(), defaultdict(int)
-    systems.np = counter
+def counted_cosines(solves, method):
+    """The cosines the calls of `method` in recorded solves compute, rerun."""
+    systems.np = counter = CountingNumpy()
     try:
-        for method, args in calls:
-            before = counter.cosines
-            getattr(replica, method)(*args)
-            counts[method] += counter.cosines - before
+        rerun(solves, method)
     finally:
         systems.np = np
-    return counts
+    return counter.cosines
 
 
-def matrix_free_solves(m, n, sp, seed):
-    """The `eval_all` and `grad_block` calls of the MATRIX_FREE_REPS
-    `dct-matfree` solves of a seed, replayed: ms per call, each solve's
-    calls of one method in order on a fresh system, the median of
-    RESIDUAL_REPLAYS replays, and the cosines of the solves."""
-    solves = []
-    for rep in range(MATRIX_FREE_REPS):
-        instance = first_instance(m, n, sp, gen.DCT, True, seed, rep)
-        solves.append((instance.system, recorded_calls(
-            instance, MATRIX_FREE_PRESET, ("eval_all", "grad_block"), seed,
-            rep)))
-    report = {"m": m, "n": n, "sp": sp, "seed": seed,
-              "preset": MATRIX_FREE_PRESET, "solves": len(solves)}
-    for method, key in (("eval_all", "residual"), ("grad_block", "block")):
-        def replay():
-            for system, calls in solves:
-                replica = fresh(system)
-                for name, args in calls:
-                    if name == method:
-                        getattr(replica, method)(*args)
-
-        count = sum(name == method for _, calls in solves for name, _ in calls)
-        report[f"{key}_calls"] = count
-        report[f"{key}_ms_per_call"] = median_ms(
-            [replay] * RESIDUAL_REPLAYS) / count
-    counts = [counted_cosines(system, calls) for system, calls in solves]
-    report["residual_cosines"] = sum(c["eval_all"] for c in counts)
-    report["block_cosines"] = sum(c["grad_block"] for c in counts)
-    report["cosines_per_solve"] = (report["residual_cosines"]
-                                   + report["block_cosines"]) / len(solves)
-    return report
+def matrix_free_solves(workload):
+    """For each seed, the `eval_all` and `grad_block` calls of the
+    workload's solves, replayed, and the cosines of the solves."""
+    for seed in SEEDS:
+        for preset in workload.presets:
+            solves = [recorded_calls(workload, preset, ("eval_all", "grad_block"),
+                                     seed, rep) for rep in range(workload.reps)]
+            report = {**shape(workload), "seed": seed, "preset": preset,
+                      "solves": len(solves)}
+            for method, key in (("eval_all", "residual"), ("grad_block", "block")):
+                report[f"{key}_calls"], report[f"{key}_ms_per_call"] = \
+                    replay(solves, method)
+                report[f"{key}_cosines"] = counted_cosines(solves, method)
+            report["cosines_per_solve"] = (report["residual_cosines"]
+                                           + report["block_cosines"]) / len(solves)
+            yield report
 
 
-def eval_ms(m, n, sp, supports):
-    """Dense `eval_all` at an x with each support size, each call on a
-    fresh system."""
-    system = first_instance(m, n, sp).system
-    rng = np.random.default_rng(SEEDS[0])
-    results = []
-    for size in supports:
-        x = np.zeros(n)
-        x[rng.choice(n, size=size, replace=False)] = rng.standard_normal(size)
-        calls = (partial(fresh(system).eval_all, x)
-                 for _ in range(KERNEL_REPEATS))
-        results.append({"m": m, "n": n, "sp": sp, "support": size,
-                        "ms": median_ms(calls)})
-    return results
+# the kernel sections in report order: the function that fills a row, the
+# workload whose shape, presets and repetitions it takes, and what no
+# workload defines, the method, block rows and support sizes of a cold row
+KERNELS = (
+    ("grad_block", cold, "block-dense", "grad_block", 113),
+    ("grad_block", cold, "diagnose", "grad_block", 20),
+    ("grad_block_matrix_free", cold, "dct-matfree", "grad_block", 72, (8,)),
+    ("grad_block_matrix_free_solve", block_solves, "dct-matfree"),
+    ("matrix_free_solves", matrix_free_solves, "dct-matfree"),
+    ("eval_all", cold, "block-dense", "eval_all", None, (5, 42, 73)),
+    ("eval_all_solve", residual_solves, "row-sparse"),
+)
 
 
-def remainders_ms(m, n, sp, pairs, kind=gen.GAUSSIAN, matrix_free=False):
-    """One stacked `remainders` of `pairs` local-start pairs (x, truth)."""
-    instance = first_instance(m, n, sp, kind, matrix_free)
+def remainders_ms(workload):
+    """One stacked `remainders` of REMAINDER_PAIRS local-start pairs
+    (x, truth)."""
+    pairs, instance = REMAINDER_PAIRS, first_instance(workload)
     truth = np.tile(instance.truth, (pairs, 1))
     rng = np.random.default_rng(SEEDS[0])
-    noise = float(LOCAL_START) * rng.standard_normal((pairs, n))
+    noise = float(LOCAL_START) * rng.standard_normal((pairs, workload.n))
     X = truth + noise * (truth != 0)
-    return {"m": m, "n": n, "sp": sp, "pairs": pairs,
-            "ms": median_ms(repeated(instance.system.remainders, X, truth))}
+    return {**shape(workload), "pairs": pairs,
+            "ms": cold_ms(instance.system, "remainders", X, truth)}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=ROOT / "BENCH_diagnose.json", type=Path)
     args = parser.parse_args(argv)
-    m, n, sp = SHAPE
+    audited = WORKLOADS["diagnose"]
+    storages = [(storage, dataclasses.replace(audited, kind=kind,
+                                              matrix_free=matrix_free))
+                for storage, kind, matrix_free in STORAGES]
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for storage, kind, matrix_free in STORAGES:
+        for storage, workload in storages:
             for seed in SEEDS:
                 audits = []
-                for rep in REPS:
-                    inst_seed, _, solver_seed = cli.derived_seeds(seed, rep)
-                    instance = gen.generate(
-                        gen.GeneratorSpec(kind, m, n, sp, seed=inst_seed),
-                        matrix_free=matrix_free)
+                for rep in range(workload.reps):
                     path = tmp / f"{storage}-{seed}-{rep}.npz"
-                    gen.save_instance(path, instance)
+                    gen.save_instance(path, first_instance(workload, seed, rep))
+                    solver_seed = cli.derived_seeds(seed, rep)[2]
                     audits += [dict(rep=rep, **measure(path, preset, solver_seed,
                                                        tmp / "diag"))
-                               for preset in cli.SOLVER_NAMES]
+                               for preset in workload.presets]
                 results.append({
-                    "storage": storage, "kind": kind, "seed": seed,
+                    "storage": storage, "kind": workload.kind, "seed": seed,
                     "audits": audits,
                     "valid": sum(a["valid"] for a in audits),
                     "diagnose_ms": sum(a["spans"]["diagnose"]["ms"]
                                        for a in audits)})
+    kernels = defaultdict(list)
+    for section, fill, name, *extra in KERNELS:
+        kernels[section] += fill(WORKLOADS[name], *extra)
+    kernels["remainders"], kernels["remainders_matrix_free"] = (
+        remainders_ms(workload) for _, workload in storages)
     report = {"command": "python3 scripts/bench_diagnose.py",
-              "m": m, "n": n, "sp": sp, "local_start": float(LOCAL_START),
+              **shape(audited), "local_start": float(LOCAL_START),
               "repeats": REPEATS, "environment": environment(),
-              "results": results,
-              "grad_block": [r for shape in BLOCKS for r in block_ms(*shape)],
-              "grad_block_matrix_free": block_ms(*MATRIX_FREE_BLOCK, gen.DCT,
-                                                 True),
-              "grad_block_matrix_free_solve": [
-                  solve_ms(*MATRIX_FREE_SOLVE, preset)
-                  for preset in cli.SOLVER_NAMES],
-              "matrix_free_solves": [matrix_free_solves(*MATRIX_FREE_SOLVE,
-                                                        seed)
-                                     for seed in SEEDS],
-              "eval_all": eval_ms(*EVALS),
-              "eval_all_solve": [residual_solve_ms(*RESIDUAL_SOLVE, preset)
-                                 for preset in RESIDUAL_PRESETS],
-              "remainders": remainders_ms(*SHAPE, REMAINDER_PAIRS),
-              "remainders_matrix_free": remainders_ms(
-                  *SHAPE, REMAINDER_PAIRS, gen.DCT, True)}
+              "results": results, **kernels}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for r in results:
         print(f"{r['storage']:<11} seed {r['seed']}: {r['valid']}/"
               f"{len(r['audits'])} valid, {r['diagnose_ms']:.0f} ms")
-    for key in ("grad_block", "grad_block_matrix_free"):
-        for r in report[key]:
-            print(f"{key} ({r['m']}, {r['n']}) x {r['rows']} rows at "
-                  f"|S| = {r['support']}: {r['ms']:.3f} ms")
-    for r in report["grad_block_matrix_free_solve"]:
-        print(f"grad_block_matrix_free_solve ({r['m']}, {r['n']}) "
-              f"{r['preset']}, {r['steps']} steps, {r['pairs_shared']:.0%} "
-              f"of pairs shared: {r['ms_per_step']:.3f} ms per step")
-    for r in report["matrix_free_solves"]:
-        print(f"matrix_free_solves ({r['m']}, {r['n']}) seed {r['seed']}, "
-              f"{r['solves']} {r['preset']} solves: "
-              f"{r['residual_ms_per_call']:.3f} ms per residual, "
-              f"{r['block_ms_per_call']:.3f} ms per block, "
-              f"{r['cosines_per_solve'] / 1e6:.3f}M cosines per solve")
-    for r in report["eval_all"]:
-        print(f"eval_all ({r['m']}, {r['n']}) at |S| = {r['support']}: "
-              f"{r['ms']:.3f} ms")
-    for r in report["eval_all_solve"]:
-        print(f"eval_all_solve ({r['m']}, {r['n']}) {r['preset']}, "
-              f"{r['calls']} calls, {r['within_budget']:.0%} within the "
-              f"budget, {r['pairs_new']:.1%} of pairs new: "
-              f"{r['ms_per_call']:.3f} ms per call")
-    for key in ("remainders", "remainders_matrix_free"):
-        r = report[key]
-        print(f"{key} ({r['m']}, {r['n']}) x {r['pairs']} pairs: "
-              f"{r['ms']:.3f} ms")
+    for section, rows in kernels.items():
+        for r in rows if isinstance(rows, list) else [rows]:
+            print(section, json.dumps(r))
     print(f"wrote {args.out}")
 
 

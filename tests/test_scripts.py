@@ -2,6 +2,7 @@
 `bkz diagnose` pipeline or to the tracer the script borrows cannot break
 it unnoticed."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -22,17 +23,18 @@ def bench(monkeypatch):
     monkeypatch.setattr(os, "environ", os.environ.copy())
     monkeypatch.syspath_prepend(str(SCRIPTS))
     module = importlib.import_module("bench_diagnose")
-    monkeypatch.setattr(module, "SHAPE", (40, 20, 0.1))
-    monkeypatch.setattr(module, "BLOCKS", ((30, 12, 0.4, 7),))
-    monkeypatch.setattr(module, "EVALS", (30, 12, 0.4, (2, 5)))
-    monkeypatch.setattr(module, "MATRIX_FREE_BLOCK", (30, 12, 0.4, 9, (2,)))
-    monkeypatch.setattr(module, "MATRIX_FREE_SOLVE", (30, 12, 0.2))
-    monkeypatch.setattr(module, "MATRIX_FREE_REPS", 2)
-    monkeypatch.setattr(module, "RESIDUAL_SOLVE", (30, 12, 0.2))
-    monkeypatch.setattr(module, "RESIDUAL_REPLAYS", 1)
+    # tiny copies of the workloads, with room for the block rows and
+    # support sizes of KERNELS; the benchmark's own table stays as it is
+    tiny = {"row-sparse": dict(m=30, n=12, sp=0.2),
+            "block-dense": dict(m=120, n=75),
+            "dct-matfree": dict(m=80, n=12, sp=0.2, reps=2),
+            "diagnose": dict(m=40, n=20, sp=0.1)}
+    monkeypatch.setattr(module, "WORKLOADS", {
+        name: dataclasses.replace(w, **tiny[name])
+        for name, w in module.WORKLOADS.items()})
+    for name in ("REPEATS", "KERNEL_REPEATS", "REPLAYS"):
+        monkeypatch.setattr(module, name, 1)
     monkeypatch.setattr(module, "REMAINDER_PAIRS", 9)
-    monkeypatch.setattr(module, "REPEATS", 1)
-    monkeypatch.setattr(module, "KERNEL_REPEATS", 1)
     return module
 
 
@@ -69,9 +71,10 @@ def test_bench_diagnose_main(bench, tmp_path):
             assert "check_gradients" not in calls and "eval_points" not in calls
             assert "grad_dev" not in a
     assert [(r["m"], r["n"], r["rows"], r["support"])
-            for r in report["grad_block"]] == [(30, 12, 7, 12), (30, 12, 7, 5)]
+            for r in report["grad_block"]] == [(120, 75, 113, 75), (120, 75, 113, 30),
+                                               (40, 20, 20, 20), (40, 20, 20, 2)]
     assert [(r["m"], r["n"], r["rows"], r["support"])
-            for r in report["grad_block_matrix_free"]] == [(30, 12, 9, 2)]
+            for r in report["grad_block_matrix_free"]] == [(80, 12, 72, 8)]
     assert all(r["ms"] > 0 for key in ("grad_block", "grad_block_matrix_free")
                for r in report[key])
     # each preset's replayed solve holds the blocks the solver asked for,
@@ -79,8 +82,10 @@ def test_bench_diagnose_main(bench, tmp_path):
     solves = report["grad_block_matrix_free_solve"]
     assert [r["preset"] for r in solves] == list(cli.SOLVER_NAMES)
     for solve in solves:
-        _, calls = bench.solve_blocks(30, 12, 0.2, solve["preset"])
-        assert (solve["m"], solve["n"]) == (30, 12)
+        _, calls = bench.recorded_calls(bench.WORKLOADS["dct-matfree"],
+                                        solve["preset"], ("grad_block",))
+        calls = [args for _, args in calls]
+        assert (solve["m"], solve["n"]) == (80, 12)
         assert solve["steps"] == len(calls) > 1
         assert solve["rows"] == sum(idx.size for idx, _ in calls)
         assert solve["pairs_shared"] == bench.shared_pairs(calls)
@@ -88,7 +93,7 @@ def test_bench_diagnose_main(bench, tmp_path):
     # the replayed dct-matfree solves of each seed: one residual at the
     # start and one a step, one block a step, and the cosines of both
     for solve, seed in zip(report["matrix_free_solves"], bench.SEEDS, strict=True):
-        assert (solve["m"], solve["n"], solve["seed"]) == (30, 12, seed)
+        assert (solve["m"], solve["n"], solve["seed"]) == (80, 12, seed)
         assert solve["solves"] == 2 and solve["preset"] == "abnbk-a"
         steps = solve["block_calls"]
         assert solve["residual_calls"] == steps + 2 and steps >= 2
@@ -97,14 +102,16 @@ def test_bench_diagnose_main(bench, tmp_path):
         assert (solve["residual_cosines"] + solve["block_cosines"]
                 == 2 * solve["cosines_per_solve"])
     assert [(r["m"], r["n"], r["support"]) for r in report["eval_all"]] == [
-        (30, 12, 2), (30, 12, 5)]
+        (120, 75, 5), (120, 75, 42), (120, 75, 73)]
     assert all(r["ms"] > 0 for r in report["eval_all"])
     # each replayed single-row solve holds the residuals the solver asked
     # for, one at the start and one a step
     solves = report["eval_all_solve"]
-    assert [r["preset"] for r in solves] == list(bench.RESIDUAL_PRESETS)
+    assert [r["preset"] for r in solves] == list(bench.WORKLOADS["row-sparse"].presets)
     for solve in solves:
-        _, points = bench.solve_residuals(30, 12, 0.2, solve["preset"])
+        _, calls = bench.recorded_calls(bench.WORKLOADS["row-sparse"],
+                                        solve["preset"], ("eval_all",))
+        points = [x for _, (x,) in calls]
         assert (solve["m"], solve["n"]) == (30, 12)
         assert solve["calls"] == len(points) > 1
         assert (solve["within_budget"], solve["pairs_new"]) == \
@@ -141,9 +148,11 @@ def test_counted_cosines(bench):
                                       rng.standard_normal((m, n)), np.zeros(m))
     x = np.zeros(n)
     x[[1, 4, 7]] = 1.0
-    calls = [("eval_all", (x,)), ("eval_all", (x,)), ("grad_block", ([3], x))]
-    assert bench.counted_cosines(system, calls) == {"eval_all": m * 3 * 4,
-                                                    "grad_block": 2 * n * 3}
+    solves = [(system, [("eval_all", (x,)), ("eval_all", (x,)),
+                        ("grad_block", ([3], x))])]
+    assert {method: bench.counted_cosines(solves, method)
+            for method in ("eval_all", "grad_block")} == {
+        "eval_all": m * 3 * 4, "grad_block": 2 * n * 3}
     assert bench.systems.np is np
 
 
@@ -162,25 +171,16 @@ def test_pair_shares(bench):
     assert bench.pair_shares([], 12) == (0, 0)
 
 
-def test_bench_diagnose_times_dense_residuals_cold(bench, monkeypatch):
-    # every timed eval_all call at a fixed support runs on a system built
-    # for it, so no call reuses the pairs another one left
-    built = []
+@pytest.mark.parametrize("section", ["grad_block", "grad_block_matrix_free",
+                                     "eval_all"])
+def test_bench_diagnose_times_kernels_cold(bench, monkeypatch, section):
+    # every timed call at a fixed support runs on a system built for it,
+    # so no call reuses the rows or pairs another one left
+    built, fresh = [], bench.fresh
     monkeypatch.setattr(bench, "fresh",
-                        lambda system: built.append(system) or
-                        bench.QuadraticSystem(system.A, system.b, system.c))
+                        lambda system: built.append(system) or fresh(system))
     monkeypatch.setattr(bench, "KERNEL_REPEATS", 3)
-    results = bench.eval_ms(*bench.EVALS)
-    assert len(results) == 2 and len(built) == 6
-
-
-def test_bench_diagnose_times_matrix_free_blocks_cold(bench, monkeypatch):
-    # every timed matrix-free grad_block call runs on a system built for
-    # it, so no call reuses the rows another one left
-    built = []
-    monkeypatch.setattr(bench, "fresh",
-                        lambda system: built.append(system) or
-                        bench.DCTQuadraticSystem(system.xi, system.b, system.c))
-    monkeypatch.setattr(bench, "KERNEL_REPEATS", 3)
-    results = bench.block_ms(*bench.MATRIX_FREE_BLOCK, generators.DCT, True)
-    assert len(results) == 1 and len(built) == 3
+    results = [r for name, fill, workload, *extra in bench.KERNELS
+               if name == section
+               for r in fill(bench.WORKLOADS[workload], *extra)]
+    assert results and len(built) == 3 * len(results)
