@@ -63,8 +63,8 @@ def estimate_eta(system, pairs, X, F):
     numerators are one stacked `system.remainders(X1, X2)`.  A quadratic
     system gives them as forms, without evaluating F or a Jacobian and
     without the cancellation of F_i(x1) - F_i(x2) against the linear term;
-    the base class evaluates F at both points of every pair and the
-    Jacobian at x1.
+    the base class evaluates F once at each distinct point of the pairs
+    and the Jacobian once at each distinct x1.
     """
     i1, i2 = pairs.T
     num = np.abs(system.remainders(X[i1], X[i2]))

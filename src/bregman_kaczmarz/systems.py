@@ -21,7 +21,8 @@ many points) and `grad_block` (many gradient rows at one point) loop
 both built-in ones do.  `remainders` takes two stacks X1, X2 of P points,
 shape (P, n), and gives the linearization errors F(x2) - F(x1) -
 J(x1) (x2 - x1) of all P pairs in one call; the base class goes pair by
-pair through `eval_all` and `jacobian`.  Both storages share one
+pair through `eval_all`, once per distinct point, and `jacobian`, once
+per distinct x1.  Both storages share one
 quadratic base, which computes `eval_points` from a storage's A_i,
 `eval_all` from the held pairs, `grad_block` from products of x_S with
 the support rows of the symmetric slabs, and the remainders, which for a
@@ -135,10 +136,22 @@ class NonlinearSystem:
         return self._remainders(X1, X2)
 
     def _remainders(self, X1, X2):
-        # pair by pair, from the residuals and the Jacobian at x1
-        out = [self.eval_all(x2) - self.eval_all(x1)
-               - self.jacobian(x1) @ (x2 - x1) for x1, x2 in zip(X1, X2)]
-        return np.array(out).reshape(len(X1), self.m)
+        # pair by pair, from the residuals, found once per distinct point
+        # (told apart by its bits) of the two stacks, and the Jacobian,
+        # found once per distinct x1 and held while its pairs are formed
+        P = len(X1)
+        points = np.concatenate((X1, X2))
+        _, first, where = np.unique(points.view(np.uint64), axis=0,
+                                    return_index=True, return_inverse=True)
+        at1, at2 = where.reshape(2, P)
+        F = np.array([self.eval_all(points[k]) for k in first.tolist()])
+        out = np.empty((P, self.m))
+        held = None
+        for p in np.argsort(at1, kind="stable").tolist():
+            if at1[p] != held:
+                held, J = at1[p], self.jacobian(X1[p])
+            out[p] = F[at2[p]] - F[held] - J @ (X2[p] - X1[p])
+        return out
 
     def _check_index(self, i):
         if not 0 <= i < self.m:

@@ -1,4 +1,8 @@
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -160,12 +164,22 @@ def assert_bits_equal(actual, expected):
     assert actual.tobytes() == expected.tobytes()
 
 
+@contextmanager
+def pooled(workers):
+    """Draw every Gaussian tensor of two runs or more on a pool of up to
+    `workers` threads, in runs of 3 slabs however small the slabs are."""
+    with patch.multiple(generators, _cpus=lambda: workers, _RUN_SLABS=3,
+                        _POOLED_SLAB=1):
+        yield
+
+
 class TestStreamLayout:
     @given(spec=st.one_of(small_specs(GAUSSIAN), small_specs(DCT)),
            matrix_free=st.booleans())
     def test_rows_b_truth_and_offsets(self, spec, matrix_free):
         matrix_free = matrix_free and spec.kind == DCT
-        inst = generate(spec, matrix_free=matrix_free)
+        with pooled(workers=2):
+            inst = generate(spec, matrix_free=matrix_free)
         zero_c, truth, c = reference_instance(spec, matrix_free)
         tensor = "xi" if matrix_free else "A"
         for row, expected in zip(getattr(inst.system, tensor),
@@ -174,6 +188,49 @@ class TestStreamLayout:
         assert_bits_equal(inst.system.b, zero_c.b)
         assert_bits_equal(inst.truth, truth)
         assert_bits_equal(inst.system.c, c)
+
+
+class TestPool:
+    # slabs of 64^2 doubles go on the pool: m below the run length of 16,
+    # m not a multiple of it, and m a multiple of it
+    SPECS = [GeneratorSpec(GAUSSIAN, m, 64, 0.1, seed)
+             for m, seed in ((5, 1), (37, 2), (80, 3))]
+
+    def test_bits_do_not_depend_on_workers(self, monkeypatch):
+        # more workers than CPUs and a thread switch every microsecond,
+        # joined with a timeout: the instances equal those of one worker
+        workers = 2 * generators._cpus() + 1
+        monkeypatch.setattr(generators, "_cpus", lambda: 1)
+        serial = [generate(spec) for spec in self.SPECS]
+        monkeypatch.setattr(generators, "_cpus", lambda: workers)
+        runs, draw_slabs = [], generators._draw_slabs
+        monkeypatch.setattr(generators, "_draw_slabs", lambda A, seeds:
+                            runs.append(len(A)) or draw_slabs(A, seeds))
+        instances, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=lambda: instances.extend(
+                generate(spec) for spec in self.SPECS))
+            thread.start()
+            thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert sorted(runs) == sorted([5] + [16, 16, 5] + [16] * 5)
+        assert len(instances) == len(serial)
+        for inst, ref in zip(instances, serial):
+            for name in ("A", "b", "c"):
+                assert_bits_equal(getattr(inst.system, name),
+                                  getattr(ref.system, name))
+            assert_bits_equal(inst.truth, ref.truth)
+
+    def test_failed_draw_raises(self, monkeypatch):
+        def fail(A, seeds):
+            raise MemoryError("no room for the slabs")
+        monkeypatch.setattr(generators, "_cpus", lambda: 2)
+        monkeypatch.setattr(generators, "_draw_slabs", fail)
+        with pytest.raises(MemoryError, match="no room"):
+            generate(self.SPECS[2])
 
 
 class TestMemoryGuard:

@@ -540,6 +540,26 @@ def test_stacked_jvp_rows_match_single_pairs(case, count, rng):
         np.testing.assert_array_equal(out, 0.0)
 
 
+def test_base_remainders_evaluate_each_distinct_point_once(rng):
+    # the audit's pairs of a trajectory x_0, ..., x_T and its truth x_T+1,
+    # (x_k, x_k+1) and (x_k, x_T+1): T + 2 residual vectors and T + 1
+    # Jacobians for the 2T + 1 pairs, bit for bit the per-pair formula
+    inner, T = random_quadratic(9, 6, seed=4), 7
+    points = stacked_pairs(inner.n, T + 2, rng)[0]
+    pairs = np.array([(k, k + 1) for k in range(T)]
+                     + [(k, T + 1) for k in range(T + 1)])
+    X1, X2 = points[pairs[:, 0]], points[pairs[:, 1]]
+    sys, evals, grads = RowByRow(inner), [], []
+    sys.eval_component = lambda i, x: evals.append(i) or inner.eval_component(i, x)
+    sys.grad_component = lambda i, x: grads.append(i) or inner.grad_component(i, x)
+    out = sys.remainders(X1, X2)
+    assert len(evals) == (T + 2) * sys.m and len(grads) == (T + 1) * sys.m
+    ref = RowByRow(inner)
+    np.testing.assert_array_equal(out, [
+        ref.eval_all(x2) - ref.eval_all(x1) - ref.jacobian(x1) @ (x2 - x1)
+        for x1, x2 in zip(X1, X2)])
+
+
 def test_matrix_free_jvp_bit_equal_to_dense_storage(rng):
     # both storages run one chunk kernel, and the matrix-free rows of the
     # symmetric slabs are those of to_dense() bit for bit, so the stacked
