@@ -8,12 +8,12 @@ workload of perfbench/workloads.py, on a dense Gaussian and a matrix-free
 cosine instance of its shape, the script runs `bkz diagnose FILE --solver
 PRESET --seed S --local-start 1e-3` through `cli.main` REPEATS times, S
 the solver seed of the repetition.  Per audit it keeps the exit code (0
-or 3 valid, 4 refused), iterations, eta and grad_dev, and per span of
-MODULE_SPANS and SYSTEM_SPANS the calls and the median ms.  It also
-times the kernels of KERNELS alone: `cold_ms` one call at fixed inputs
-on a fresh system, which holds no support rows or pairs, and `replay`
-the calls of one method of recorded solves in order.  README.md
-describes each section of the report.
+or 3 valid, 4 refused), iterations, eta with the pair and row that set
+it, and grad_dev, and per span of MODULE_SPANS and SYSTEM_SPANS the
+calls and the median ms.  It also times the kernels of KERNELS alone:
+`cold_ms` one call at fixed inputs on a fresh system, which holds no
+support rows or pairs, and `replay` the calls of one method of recorded
+solves in order.  README.md describes each section of the report.
 
 A before/after comparison is this script run at both commits.  The
 output holds the numpy version, BLAS name and BLAS thread variables;
@@ -44,6 +44,7 @@ from collections import defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from io import StringIO
+from operator import attrgetter
 
 import numpy as np
 from tracing import Tracer, aggregate
@@ -63,18 +64,21 @@ KERNEL_REPEATS = 50
 REPLAYS = 5         # each replay is a whole solve of hundreds of calls
 
 
-def keep(key, value):
-    """A Tracer observer that stores value(result) under key."""
+def keep(**fields):
+    """A Tracer observer that stores field(result) under each key."""
     def observe(counts, args, kwargs, result):
-        counts[key] = value(result)
+        for key, field in fields.items():
+            counts[key] = field(result)
     return observe
 
 
 MODULE_SPANS = (
-    (solver, "run", keep("iterations", lambda record: record.iterations)),
-    (diagnostics, "estimate_eta", keep("eta", lambda est: est.eta)),
+    (solver, "run", keep(iterations=attrgetter("iterations"))),
+    (diagnostics, "estimate_eta", keep(eta=attrgetter("eta"),
+                                       pair=attrgetter("pair"),
+                                       row=attrgetter("row"))),
     (diagnostics, "contraction_audit", None),
-    (diagnostics, "check_gradients", keep("grad_dev", float)),
+    (diagnostics, "check_gradients", keep(grad_dev=float)),
 )
 SYSTEM_SPANS = ("eval_all", "grad_block", "remainders", "eval_points")
 
@@ -319,15 +323,16 @@ KERNELS = (
 
 
 def remainders_ms(workload):
-    """One stacked `remainders` of REMAINDER_PAIRS local-start pairs
-    (x, truth)."""
+    """One `remainders` of REMAINDER_PAIRS local-start pairs (x, truth),
+    over one stack of the local starts, then the truth."""
     pairs, instance = REMAINDER_PAIRS, first_instance(workload)
-    truth = np.tile(instance.truth, (pairs, 1))
+    truth = instance.truth
     rng = np.random.default_rng(SEEDS[0])
     noise = float(LOCAL_START) * rng.standard_normal((pairs, workload.n))
-    X = truth + noise * (truth != 0)
+    X = np.vstack((truth + noise * (truth != 0), truth))
+    index = np.column_stack((np.arange(pairs), np.full(pairs, pairs)))
     return {**shape(workload), "pairs": pairs,
-            "ms": cold_ms(instance.system, "remainders", X, truth)}
+            "ms": cold_ms(instance.system, "remainders", X, index)}
 
 
 def main(argv=None):

@@ -60,15 +60,14 @@ def estimate_eta(system, pairs, X, F):
     point stack X, whose residuals are the rows of F.  Rows with zero (or
     NaN) denominator are skipped; raises NoValidPairs if none survive, and
     HypothesisViolated if a surviving ratio is NaN or infinite.  The
-    numerators are one stacked `system.remainders(X1, X2)`.  A quadratic
-    system gives them as forms, without evaluating F or a Jacobian and
-    without the cancellation of F_i(x1) - F_i(x2) against the linear term;
-    the base class evaluates F once at each distinct point of the pairs
-    and the Jacobian once at each distinct x1.
+    numerators are one `system.remainders(X, pairs)`.  A quadratic system
+    gives them as forms, without evaluating F or a Jacobian and without
+    the cancellation of F_i(x1) - F_i(x2) against the linear term; the
+    base class evaluates F once at each row a pair uses and the Jacobian
+    once at each distinct i1.
     """
-    i1, i2 = pairs.T
-    num = np.abs(system.remainders(X[i1], X[i2]))
-    den = np.abs(F[i1] - F[i2])
+    num = np.abs(system.remainders(X, pairs))
+    den = np.abs(F[pairs[:, 0]] - F[pairs[:, 1]])
     valid = den > 0.0
     count = int(valid.sum())
     if count == 0:

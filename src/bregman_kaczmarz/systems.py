@@ -18,11 +18,11 @@ rows of their slabs from a bounded pool, so that a row computed once is
 reused while it stays among the recently used.  `eval_points` (F_i at
 many points) and `grad_block` (many gradient rows at one point) loop
 `eval_component` and `grad_component` unless a system overrides them, as
-both built-in ones do.  `remainders` takes two stacks X1, X2 of P points,
-shape (P, n), and gives the linearization errors F(x2) - F(x1) -
-J(x1) (x2 - x1) of all P pairs in one call; the base class goes pair by
-pair through `eval_all`, once per distinct point, and `jacobian`, once
-per distinct x1.  Both storages share one
+both built-in ones do.  `remainders` takes a (T, n) stack X and a (P, 2)
+int array of pairs (i1, i2) of its rows and gives the linearization
+errors F(x2) - F(x1) - J(x1) (x2 - x1) of all P pairs in one call; the
+base class goes pair by pair through `eval_all`, once per row a pair
+uses, and `jacobian`, once per distinct i1.  Both storages share one
 quadratic base, which computes `eval_points` from a storage's A_i,
 `eval_all` from the held pairs, `grad_block` from products of x_S with
 the support rows of the symmetric slabs, and the remainders, which for a
@@ -46,8 +46,9 @@ _GRAD_SLABS = 4
 # the support rows sym(A_i)[j, :] a matrix-free system holds in its pool,
 # counted in slabs: at most _POOL_SLABS n^2 doubles, a little above the
 # largest block of the greedy presets on the cosine family (15.2 n^2 at
-# (200, 100)); a larger block goes in chunks of fresh rows and leaves the
-# pool as it is
+# (200, 100)), and at most 8 m rows, eight times the m n doubles of xi
+# (`_pool_size`); a larger block goes in chunks of fresh rows and leaves
+# the pool as it is
 _POOL_SLABS = 16
 # the support pairs (j, k), j <= k, a system holds from one residual vector
 # to the next: a dense one at most n^2 // _PAIR_SHARE pairs, m n^2 / 12
@@ -65,6 +66,19 @@ def _positions(held, keys, size):
     where = np.full(size, -1)
     where[held] = np.arange(held.size)
     return where[keys]
+
+
+def _indices(idx, size):
+    """idx as an int array, every entry checked against [0, size); a float
+    or boolean array is refused, not truncated or read as a mask."""
+    idx = np.asarray(idx)
+    if idx.size:
+        if idx.dtype.kind not in "iu":
+            raise IndexError(f"indices must be integers, not {idx.dtype}")
+        for i in (idx.min(), idx.max()):
+            if not 0 <= i < size:
+                raise IndexError(f"index {i} out of range [0, {size})")
+    return idx.astype(int, copy=False)
 
 
 def _move_runs(flat, src, dst, width):
@@ -115,7 +129,7 @@ class NonlinearSystem:
 
     def grad_block(self, idx, x):
         """Rows of the Jacobian for the given indices, shape (|idx|, n)."""
-        idx = self._rows(idx)
+        idx = _indices(idx, self.m)
         x = np.asarray(x, dtype=float)
         rows = np.array([self.grad_component(i, x) for i in idx.tolist()])
         return rows.reshape(idx.size, self.n)
@@ -123,50 +137,28 @@ class NonlinearSystem:
     def jacobian(self, x):
         return self.grad_block(np.arange(self.m), x)
 
-    def remainders(self, X1, X2):
-        """F(x2) - F(x1) - J(x1) (x2 - x1) for the rows x1, x2 of two stacks
-        of shape (P, n), as a (P, m) array: the error of the linearization
-        at x1, found without evaluating the cancelling difference where a
-        system knows its second-order terms."""
-        X1 = np.asarray(X1, dtype=float)
-        X2 = np.asarray(X2, dtype=float)
-        if X1.ndim != 2 or X1.shape != X2.shape or X1.shape[1] != self.n:
-            raise ValueError(f"remainders needs two stacks of one shape (P, n) "
-                             f"with n = {self.n}; got {X1.shape} and {X2.shape}")
-        return self._remainders(X1, X2)
+    def remainders(self, X, pairs):
+        """The (P, m) linearization errors F(x2) - F(x1) - J(x1) (x2 - x1)
+        at the rows x1 = X[i1], x2 = X[i2] of the (T, n) stack X for each
+        row (i1, i2) of the (P, 2) int array pairs, found without evaluating
+        the cancelling difference where a system knows its curvature."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n or np.shape(pairs)[1:] != (2,):
+            raise ValueError(f"remainders needs a stack (T, {self.n}) and "
+                             f"pairs (P, 2); got {X.shape}, {np.shape(pairs)}")
+        return self._remainders(X, _indices(pairs, len(X)))
 
-    def _remainders(self, X1, X2):
-        # pair by pair, from the residuals, found once per distinct point
-        # (told apart by its bits) of the two stacks, and the Jacobian,
-        # found once per distinct x1 and held while its pairs are formed
-        P = len(X1)
-        points = np.concatenate((X1, X2))
-        _, first, where = np.unique(points.view(np.uint64), axis=0,
-                                    return_index=True, return_inverse=True)
-        at1, at2 = where.reshape(2, P)
-        F = np.array([self.eval_all(points[k]) for k in first.tolist()])
-        out = np.empty((P, self.m))
-        held = None
-        for p in np.argsort(at1, kind="stable").tolist():
-            if at1[p] != held:
-                held, J = at1[p], self.jacobian(X1[p])
-            out[p] = F[at2[p]] - F[held] - J @ (X2[p] - X1[p])
+    def _remainders(self, X, pairs):
+        # pair by pair, from the residuals at each row a pair uses and the
+        # Jacobian at each distinct i1, held while its pairs are formed
+        F = {k: self.eval_all(X[k]) for k in np.unique(pairs).tolist()}
+        out, held = np.empty((len(pairs), self.m)), None
+        for p in np.argsort(pairs[:, 0], kind="stable").tolist():
+            i1, i2 = pairs[p].tolist()
+            if i1 != held:
+                held, J = i1, self.jacobian(X[i1])
+            out[p] = F[i2] - F[i1] - J @ (X[i2] - X[i1])
         return out
-
-    def _check_index(self, i):
-        if not 0 <= i < self.m:
-            raise IndexError(f"component index {i} out of range [0, {self.m})")
-
-    def _rows(self, idx):
-        """idx as an int array, every entry checked against [0, m); a float
-        or boolean block is refused, not truncated or read as a mask."""
-        idx = np.asarray(idx)
-        if idx.size:
-            if idx.dtype.kind not in "iu":
-                raise IndexError(f"block indices must be integers, not {idx.dtype}")
-            self._check_index(idx.min())
-            self._check_index(idx.max())
-        return idx.astype(int, copy=False)
 
 
 def symmetrize(A):
@@ -187,13 +179,14 @@ class _Quadratic(NonlinearSystem):
     every pair (i, j) of the broadcast of the index arrays I and J, shape
     broadcast + (n,); `_sym_rows(j, cols)`, which gives row j of every
     symmetric part sym(A_i) = 0.5 (A_i + A_i^T) at the columns cols as a
-    new (m, len(cols)) array; and `_pair_budget()`, the most support pairs it holds.
-    A residual within the budget is one product with the pairs
+    new (m, len(cols)) array; and `_pair_budget()`, the most support pairs
+    it holds.  A residual within the budget is one product with the pairs
     `_held_pairs` holds, that of a fresh system bit for bit whatever came
     before; beyond it, `_row_residuals(x)` is the form of `_forms` at x
     plus the linear terms, unless a storage overrides it.  `_forms`, and
-    with it `remainders`, reads each entry sym(A_i)[j, k], j <= k, of the
-    union support of a chunk of pairs once.
+    with it `remainders`, which forms the differences X[i2] - X[i1] of a
+    chunk of pairs by index, reads each entry sym(A_i)[j, k], j <= k, of
+    the union support of the chunk once.
     """
 
     def __init__(self, name, coef, b, c):
@@ -276,8 +269,9 @@ class _Quadratic(NonlinearSystem):
         self._pairs = (S, buffer)
         return pairs
 
-    def _remainders(self, X1, X2):
-        return self._forms(len(X1), lambda a: X2[a] - X1[a])
+    def _remainders(self, X, pairs):
+        return self._forms(len(pairs),
+                           lambda a: X[pairs[a, 1]] - X[pairs[a, 0]])
 
     def _row_residuals(self, x):
         """F(x) at a support beyond the budget, from `_forms`; nothing is
@@ -312,7 +306,7 @@ class _Quadratic(NonlinearSystem):
         """Rows x_S sym(A_i)[S, :] + b_i for i in idx, S the support of x:
         one stacked product of x_S with the `_support_rows` of
         _GRAD_SLABS n // |S| slabs at a time; at x = 0 the rows are b[idx]."""
-        idx = self._rows(idx)
+        idx = _indices(idx, self.m)
         x = np.asarray(x, dtype=float)
         S = np.flatnonzero(x)
         rows = self._products(idx, S, x[S])
@@ -373,7 +367,7 @@ class QuadraticSystem(_Quadratic):
 
     def matrix(self, i):
         """A_i, shape (n, n), a view of the stored slab."""
-        self._check_index(i)
+        _indices(i, self.m)
         return self.A[i]
 
     def _sym_rows(self, j, cols):
@@ -420,8 +414,8 @@ class DCTQuadraticSystem(_Quadratic):
     the budget are those of `to_dense()` bit for bit, whatever came
     before.
 
-    A gradient block of 2 or more rows with at most _POOL_SLABS n support
-    rows reads them from a pool of _POOL_SLABS n rows, allocated on the
+    A gradient block of 2 or more rows with at most `_pool_size()` support
+    rows reads them from a pool of that many rows, allocated on the
     first such block and keyed by (slab i, support index j): the block
     computes only the rows of the keys the pool lacks, into the slots of
     the least recently used keys, and gathers each chunk of _GRAD_SLABS n
@@ -429,10 +423,10 @@ class DCTQuadraticSystem(_Quadratic):
     x_S.  Single-row steps share almost no keys, so a single row, like a
     larger block, is computed afresh and leaves the pool as it is.  A key
     is marked held only once its row is written, so a call that fails
-    leaves no stale rows.  The pool holds _POOL_SLABS n^2 doubles and a
-    table of m n slots.  The held values assume that xi is never changed;
-    since every residual and gradient block may replace them, a system
-    must not be shared between threads.
+    leaves no stale rows.  The pool holds min(_POOL_SLABS n, 8 m) n
+    doubles and a table of m n slots.  The held values assume that xi
+    is never changed; since every residual and gradient block may replace
+    them, a system must not be shared between threads.
     """
 
     def __init__(self, xi, b, c):
@@ -457,25 +451,28 @@ class DCTQuadraticSystem(_Quadratic):
         return np.cos(out, out=out)
 
     def _products(self, idx, S, xS):
-        # a block of 2 or more rows with at most _POOL_SLABS n support rows:
-        # its rows from the pool; a single row or a larger block: the
+        # a block of 2 or more rows with at most `_pool_size()` support
+        # rows: its rows from the pool; a single row or a larger block: the
         # chunks of the base class, of fresh rows
-        if idx.size < 2 or not 0 < idx.size * S.size <= _POOL_SLABS * self.n:
+        if idx.size < 2 or not 0 < idx.size * S.size <= self._pool_size():
             return super()._products(idx, S, xS)
         slabs, at = np.unique(idx, return_inverse=True)
         slots = self._pooled(slabs[:, None] * self.n + S)
         rows = self._pool[0]
         return self._chunked(xS, slabs.size, lambda a: rows[slots[a]])[at]
 
+    def _pool_size(self):
+        return min(_POOL_SLABS * self.n, 8 * self.m)
+
     def _pooled(self, keys):
         """The pool slot of each key i n + j of the int array keys, at most
-        _POOL_SLABS n distinct keys, with sym(A_i)[j, :] in it: the rows of
+        `_pool_size()` distinct keys, with sym(A_i)[j, :] in it: the rows of
         the keys the pool lacks are computed into the slots of the least
         recently used keys, none of this call's (a slot never used counts
         as the least recent, the lowest first), n at a time, so that their
         temporaries stay within 3 n^2 doubles."""
         if self._pool is None:
-            size = _POOL_SLABS * self.n
+            size = self._pool_size()
             self._pool = (np.empty((size, self.n)),
                           np.full(self.m * self.n, -1, dtype=np.int32),
                           np.full(size, -1), np.arange(size) - size)
@@ -511,7 +508,7 @@ class DCTQuadraticSystem(_Quadratic):
 
     def matrix(self, i):
         """Materialize A_i, shape (n, n) (n^2 cosines)."""
-        self._check_index(i)
+        _indices(i, self.m)
         return self._cosines(self.xi[i], np.arange(self.n))
 
     def _sym_rows(self, j, cols):
@@ -528,7 +525,7 @@ class DCTQuadraticSystem(_Quadratic):
         """F_i(x); for an index array i, the array of F_i(x) over its
         entries (eval_all passes every row): the rows of the residual
         vector."""
-        rows = self._rows(np.atleast_1d(i))
+        rows = _indices(np.atleast_1d(i), self.m)
         values = super().eval_all(x)[rows]
         return float(values[0]) if np.ndim(i) == 0 else values
 

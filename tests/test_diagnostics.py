@@ -178,13 +178,16 @@ class TestEtaEstimate:
 
     @pytest.mark.parametrize("matrix_free", [False, True])
     def test_no_evaluation_and_no_jacobian(self, rng, matrix_free):
-        # F comes with the stack; the numerators are one stacked call of
-        # remainders
+        # F comes with the stack; the numerators are one call of
+        # remainders on the stack and pairs as given, no row gathered
         _, pairs, inst = recorded_trajectory(matrix_free, rng)
         args = stacked(inst.system, pairs)
+        seen, remainders = [], inst.system.remainders
+        inst.system.remainders = lambda *a: seen.append(a) or remainders(*a)
         counts = count_calls(inst.system, ["eval_all", "jacobian", "remainders"])
         diag.estimate_eta(inst.system, *args)
         assert counts == {"eval_all": 0, "jacobian": 0, "remainders": 1}
+        assert seen[0][0] is args[1] and seen[0][1] is args[0]
 
     def test_trajectory_pairs_requires_iterates(self, rng):
         inst = generate(GeneratorSpec("gaussian", 10, 6, 0.5, seed=4))

@@ -59,6 +59,7 @@ def test_bench_diagnose_main(bench, tmp_path):
         assert calls["diagnose"] == calls["run"] == calls["estimate_eta"] == 1
         assert calls["eval_all"] == steps + 2
         assert calls["remainders"] == 1
+        assert 0 <= a["pair"] <= 2 * steps and 0 <= a["row"] < 40
         if a["valid"]:
             assert a["exit_code"] in (cli.EXIT_OK, cli.EXIT_DEGENERATE)
             assert calls["grad_block"] == 2 * steps + trials

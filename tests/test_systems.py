@@ -89,9 +89,15 @@ def sparse_vector(n, support, negative_zeros, scale, rng):
     return v
 
 
-# the remainder tests carry `jvp` in their names for the Jacobian-vector
-# product J(x1) (x2 - x1), the linear term a remainder takes off
-# F(x2) - F(x1)
+def by_index(X1, X2):
+    """The point stack and index pairs `remainders` takes for the pairs
+    (X1[p], X2[p]): the rows of X1, then those of X2, pair p the rows
+    (p, P + p)."""
+    P = len(X1)
+    pairs = np.column_stack((np.arange(P), np.arange(P, 2 * P)))
+    return np.concatenate((X1, X2)), pairs
+
+
 def form_reference(dense, X1, X2):
     """The remainders F(x2) - F(x1) - J(x1) (x2 - x1) of a quadratic, the
     forms 0.5 d^T A_i d at d = x2 - x1 by full contraction, and the sums
@@ -118,7 +124,8 @@ def check_remainders(sys, dense, X1, X2):
     """remainders against the forms of the dense tensor, within the sum of
     absolute term values."""
     forms, scale = form_reference(dense, X1, X2)
-    assert np.all(abs(sys.remainders(X1, X2) - forms) <= RTOL * scale)
+    assert np.all(abs(sys.remainders(*by_index(X1, X2)) - forms)
+                  <= RTOL * scale)
 
 
 def peak_bytes(calls):
@@ -162,8 +169,9 @@ def pool_bytes(sys):
 
 
 def pool_bound_bytes(sys):
-    """The bytes of the pool of at most _POOL_SLABS n rows and its tables."""
-    rows = systems._POOL_SLABS * sys.n
+    """The bytes of the pool of at most min(_POOL_SLABS n, 8 m) rows and its
+    tables."""
+    rows = min(systems._POOL_SLABS * sys.n, 8 * sys.m)
     return rows * sys.n * 8 + sys.m * sys.n * 4 + 2 * rows * 8
 
 
@@ -230,8 +238,9 @@ def kernel_checks(make, dense):
             assert np.all(abs(sys.jacobian(x) - J) <= RTOL * J_scale)
 
         @given(**SIZES, **SUPPORTS, d_support=st.integers(0, 10))
-        def test_jvp_matches_dense_reference(self, m, n, seed, support,
-                                             negative_zeros, scale, d_support):
+        def test_remainders_match_dense_reference(self, m, n, seed, support,
+                                                  negative_zeros, scale,
+                                                  d_support):
             # both orders of a pair of sparse points
             sys = make(m, n, seed)
             rng = np.random.default_rng(seed)
@@ -241,7 +250,7 @@ def kernel_checks(make, dense):
                              np.array([x2, x1]))
 
         @pytest.mark.parametrize("seed", range(3))
-        def test_jvp_cases(self, seed):
+        def test_remainder_cases(self, seed):
             # equal points give 0 exactly, wherever they stand; disjoint
             # supports, points that differ off the support of x1 and dense
             # points against the reference
@@ -250,8 +259,8 @@ def kernel_checks(make, dense):
             rng = np.random.default_rng(seed)
             X = np.array([np.zeros(n), np.full(n, -0.0),
                           rng.standard_normal(n)])
-            np.testing.assert_array_equal(sys.remainders(X, X.copy()),
-                                          np.zeros((3, sys.m)))
+            np.testing.assert_array_equal(
+                sys.remainders(*by_index(X, X.copy())), np.zeros((3, sys.m)))
             half = rng.permutation(n)[: n // 2]
             x1, x2 = np.zeros(n), rng.standard_normal(n)
             x1[half], x2[half] = rng.standard_normal(half.size), 0.0
@@ -310,7 +319,8 @@ class TestSupportKernel(kernel_checks(random_quadratic, lambda sys: sys)):
         # numpy's one-time allocations happen here, not under the trace
         warm = random_quadratic(m, n, seed=1)
         warm.jacobian(rng.standard_normal(n))
-        warm.remainders(rng.standard_normal((1, n)), rng.standard_normal((1, n)))
+        warm.remainders(*by_index(rng.standard_normal((1, n)),
+                                  rng.standard_normal((1, n))))
         sys = random_quadratic(m, n, seed=2)
         x = rng.standard_normal(n)
         x[::3] = 0.0
@@ -321,8 +331,8 @@ class TestSupportKernel(kernel_checks(random_quadratic, lambda sys: sys)):
             lambda: sys.eval_all(x), lambda: sys.eval_all(sparse),
             lambda: sys.grad_block([0, 7, 39], x),
             lambda: sys.jacobian(x), lambda: sys.grad_component(5, x),
-            lambda: sys.remainders(sparse[None], 2 * sparse[None]),
-            lambda: sys.remainders(x[None], d[None])])
+            lambda: sys.remainders(*by_index(sparse[None], 2 * sparse[None])),
+            lambda: sys.remainders(*by_index(x[None], d[None]))])
         assert max(peaks) < m * n * n * 8 / 4
 
         # over a long sequence of residuals, below the budget and above it,
@@ -355,18 +365,19 @@ class TestMatrixFreeKernel(kernel_checks(random_cosine,
         m, n, support = 40, 30, 3
         warm = random_cosine(m, n, seed=1)
         warm.jacobian(rng.standard_normal(n))
-        warm.remainders(rng.standard_normal((1, n)), rng.standard_normal((1, n)))
+        warm.remainders(*by_index(rng.standard_normal((1, n)),
+                                  rng.standard_normal((1, n))))
         sys = random_cosine(m, n, seed=2)
         x = np.zeros(n)
         x[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
-        d = rng.standard_normal(n)
+        pair = by_index(x[None], rng.standard_normal((1, n)))
         block = [0, 7, 39]
         sys.grad_block([1, 2], x)       # the pool, allocated by a block
         peaks, _ = call_bytes([lambda: sys.eval_all(x),
                                lambda: sys.grad_block(block, x),
                                lambda: sys.jacobian(x),
                                lambda: sys.grad_component(5, x),
-                               lambda: sys.remainders(x[None], d[None])])
+                               lambda: sys.remainders(*pair)])
         for rows, peak in zip([m, len(block), m, 1, m], peaks):
             assert peak < 3 * rows * n * support * 8 + 16 * 1024
         dense_x = rng.standard_normal(n)
@@ -453,6 +464,19 @@ def test_index_out_of_range_rejected(matrix_free, method, bad):
         getattr(sys, method)(*args)
 
 
+@pytest.mark.parametrize("matrix_free", [False, True])
+def test_scalar_index_must_be_an_integer(matrix_free):
+    # a float or boolean row is refused, not read as row 1 or as a new axis
+    sys = (random_cosine if matrix_free else random_quadratic)(4, 3, 0)
+    x = np.ones(3)
+    for bad in (True, 1.0, np.float64(1.0)):
+        for call in (lambda: sys.matrix(bad), lambda: sys.eval_component(bad, x),
+                     lambda: sys.grad_component(bad, x),
+                     lambda: sys.eval_points(bad, x[None])):
+            with pytest.raises(IndexError):
+                call()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_rows_checked_in_one_place(kind):
     # every system, the base loop too, rejects a bad row before reading
@@ -515,7 +539,7 @@ def stacked_pairs(n, count, rng):
 
 @pytest.mark.parametrize("case", ["dense", "matrix-free", "affine", "base"])
 @pytest.mark.parametrize("count", [0, 1, 3, 17, 1000])
-def test_stacked_jvp_rows_match_single_pairs(case, count, rng):
+def test_stacked_remainders_match_single_pairs(case, count, rng):
     # row p of a stacked call is the remainder of the pair p: against a
     # call on that pair alone and the dense forms, over one chunk and
     # several (a (9, 6) system of either storage takes 9 * 6 // (9 + 6)
@@ -525,14 +549,15 @@ def test_stacked_jvp_rows_match_single_pairs(case, count, rng):
     sys, dense = eval_points_cases()[case]
     X, D = stacked_pairs(sys.n, count, rng)
     X2 = X + D
-    out = sys.remainders(X, X2)
+    out = sys.remainders(*by_index(X, X2))
     assert out.shape == (count, sys.m)
     forms, tol = form_reference(dense, X, X2)
     tol *= RTOL
     if case == "base":
         tol += RTOL * cancellation_scale(dense, X, X2)
     for p, row in enumerate(out):
-        assert np.all(abs(row - sys.remainders(X[p:p + 1], X2[p:p + 1])[0])
+        assert np.all(abs(row - sys.remainders(*by_index(X[p:p + 1],
+                                                         X2[p:p + 1]))[0])
                       <= tol[p])
     assert np.all(abs(out - forms) <= tol)
     np.testing.assert_array_equal(out[(D == 0.0).all(axis=1)], 0.0)
@@ -542,49 +567,76 @@ def test_stacked_jvp_rows_match_single_pairs(case, count, rng):
 
 def test_base_remainders_evaluate_each_distinct_point_once(rng):
     # the audit's pairs of a trajectory x_0, ..., x_T and its truth x_T+1,
-    # (x_k, x_k+1) and (x_k, x_T+1): T + 2 residual vectors and T + 1
-    # Jacobians for the 2T + 1 pairs, bit for bit the per-pair formula
+    # (x_k, x_k+1) and (x_k, x_T+1), over a stack with one more row that
+    # no pair uses: F at the T + 2 rows the pairs use and the Jacobian at
+    # the T + 1 distinct i1, no more than a dedupe of the points by their
+    # bits finds, since no two rows are equal; bit for bit the per-pair
+    # formula
     inner, T = random_quadratic(9, 6, seed=4), 7
-    points = stacked_pairs(inner.n, T + 2, rng)[0]
+    X = stacked_pairs(inner.n, T + 3, rng)[0]
+    assert len({x.tobytes() for x in X}) == T + 3
     pairs = np.array([(k, k + 1) for k in range(T)]
                      + [(k, T + 1) for k in range(T + 1)])
-    X1, X2 = points[pairs[:, 0]], points[pairs[:, 1]]
     sys, evals, grads = RowByRow(inner), [], []
     sys.eval_component = lambda i, x: evals.append(i) or inner.eval_component(i, x)
     sys.grad_component = lambda i, x: grads.append(i) or inner.grad_component(i, x)
-    out = sys.remainders(X1, X2)
-    assert len(evals) == (T + 2) * sys.m and len(grads) == (T + 1) * sys.m
+    out = sys.remainders(X, pairs)
+    assert len(evals) == np.unique(pairs).size * sys.m == (T + 2) * sys.m
+    assert len(grads) == np.unique(pairs[:, 0]).size * sys.m == (T + 1) * sys.m
     ref = RowByRow(inner)
     np.testing.assert_array_equal(out, [
         ref.eval_all(x2) - ref.eval_all(x1) - ref.jacobian(x1) @ (x2 - x1)
-        for x1, x2 in zip(X1, X2)])
+        for x1, x2 in X[pairs]])
 
 
-def test_matrix_free_jvp_bit_equal_to_dense_storage(rng):
+def test_matrix_free_remainders_bit_equal_to_dense_storage(rng):
     # both storages run one chunk kernel, and the matrix-free rows of the
     # symmetric slabs are those of to_dense() bit for bit, so the stacked
     # remainders are too
     sys = random_cosine(40, 30, seed=3)
     X, D = stacked_pairs(sys.n, 100, rng)
-    np.testing.assert_array_equal(sys.remainders(X, X + D),
-                                  sys.to_dense().remainders(X, X + D))
+    args = by_index(X, X + D)
+    np.testing.assert_array_equal(sys.remainders(*args),
+                                  sys.to_dense().remainders(*args))
 
 
 @pytest.mark.parametrize("case", ["dense", "matrix-free", "base"])
-def test_jvp_shapes_checked(case):
-    # only two (P, n) stacks of one shape: no single points, stacks of
-    # different lengths or widths, or 3-D stacks
+def test_remainders_shapes_checked(case):
+    # only a (T, n) stack and (P, 2) pairs: no single point, stack of
+    # another width or 3-D stack, and no single pair, pairs of another
+    # width or 3-D pairs
     sys = eval_points_cases()[case][0]
-    x = np.ones(sys.n)
-    for bad in ((x, x), (x[None], np.ones((2, sys.n))),
-                (x[None, :-1], x[None, :-1]),
-                (np.ones((2, 1, sys.n)), np.ones((2, 1, sys.n)))):
+    X, pairs = np.ones((3, sys.n)), np.array([[0, 1]])
+    for bad in ((X[0], pairs), (X[:, :-1], pairs), (X[:, None], pairs),
+                (X, pairs[0]), (X, np.array([[0, 1, 2]])), (X, pairs[None]),
+                (X, [])):
         with pytest.raises(ValueError, match="remainders needs"):
             sys.remainders(*bad)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_remainders_pairs_checked(kind):
+    # the pairs index rows of the stack: a negative, out-of-range, float
+    # or boolean index is refused before any row of the storage is read,
+    # not wrapped, truncated or read as a mask; unsigned pairs are read as
+    # the same rows, and no pairs give shape (0, m)
+    sys, reads = watched(kind, 4, 3, 0)
+    X = np.arange(9.0).reshape(3, 3)
+    for bad in ([[0, -1]], [[3, 0]], [[0, 1], [2, 5]], [[0.0, 1.0]],
+                [[True, False]], np.array([[0, 1]], dtype=object)):
+        with pytest.raises(IndexError):
+            sys.remainders(X, bad)
+    assert reads.keys == []
+    pairs = np.array([[0, 2], [2, 1]])
+    np.testing.assert_array_equal(sys.remainders(X, pairs.astype(np.uint8)),
+                                  sys.remainders(X, pairs))
+    for empty in (np.zeros((0, 2), dtype=int), np.zeros((0, 2))):
+        assert sys.remainders(X, empty).shape == (0, 4)
+        assert sys.remainders(X[:0], empty).shape == (0, 4)
+
+
 @pytest.mark.parametrize("make", [random_quadratic, random_cosine])
-def test_stacked_jvp_memory_does_not_grow_with_pairs(make, rng):
+def test_stacked_remainders_memory_does_not_grow_with_pairs(make, rng):
     # beyond its (P, m) result a stacked call holds one chunk's
     # temporaries: as much for 400 pairs as for 200, less than the
     # dense tensor, and for the cosines within the bound a single pair
@@ -595,10 +647,11 @@ def test_stacked_jvp_memory_does_not_grow_with_pairs(make, rng):
         x[rng.choice(n, size=support, replace=False)] = rng.standard_normal(support)
     D = np.where(rng.random((count, n)) < 0.2, rng.standard_normal((count, n)), 0.0)
     X2 = X + D
-    make(m, n, seed=1).remainders(X, X2)
+    half, whole = by_index(X[:200], X2[:200]), by_index(X, X2)
+    make(m, n, seed=1).remainders(*whole)
     sys = make(m, n, seed=2)
-    peaks = peak_bytes([lambda: sys.remainders(X[:200], X2[:200]),
-                        lambda: sys.remainders(X, X2)])
+    peaks = peak_bytes([lambda: sys.remainders(*half),
+                        lambda: sys.remainders(*whole)])
     held = [peak - P * m * 8 for P, peak in zip((200, count), peaks)]
     assert held[1] <= held[0] + 16 * 1024
     assert held[0] < m * n * n * 8
@@ -713,6 +766,23 @@ def test_matrix_free_pool_keeps_the_recently_used_rows(rng):
                                       dense.grad_block(block, x))
         assert computed == [n] * (rows // n) + [rows % n] * (rows % n > 0)
         check_pool(sys)
+
+
+def test_matrix_free_pool_bounded_by_the_instance(rng):
+    # the pool holds min(_POOL_SLABS n, 8 m) rows: at (8, 2000) the 64 rows
+    # of 8 m, 1 MB, not the 32,000 rows (512 MB) of _POOL_SLABS n; a
+    # 2-row block goes through it and gives the single rows bit for bit;
+    # the (200, 100) and (60, 30) instances keep their _POOL_SLABS n rows
+    m, n = 8, 2000
+    sys = random_cosine(m, n, seed=5)
+    x = np.zeros(n)
+    x[rng.choice(n, size=3, replace=False)] = rng.standard_normal(3)
+    rows = sys.grad_block([1, 6], x)
+    assert sys._pool[0].shape == (8 * m, n)
+    assert pool_bytes(sys) <= pool_bound_bytes(sys) < 2 ** 21
+    np.testing.assert_array_equal(rows, [sys.grad_component(i, x) for i in (1, 6)])
+    assert random_cosine(200, 100, seed=0)._pool_size() == 1600
+    assert random_cosine(60, 30, seed=0)._pool_size() == 480
 
 
 def test_matrix_free_rows_after_a_failed_block(rng):
@@ -1089,7 +1159,7 @@ class TestSymmetricContract:
         assert sys.A is A
         x, d = rng.standard_normal(4), rng.standard_normal(4)
         sys.eval_all(x), sys.eval_points(2, [x, d]), sys.grad_block([0, 3], x)
-        sys.remainders(x[None], d[None])
+        sys.remainders(*by_index(x[None], d[None]))
         assert A.tobytes() == before
 
     def test_non_symmetric_tensor_fails_gradient_check(self, rng):
