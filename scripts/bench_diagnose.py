@@ -212,11 +212,10 @@ def replay(solves, method):
     return count, median_ms([partial(rerun, solves, method)] * REPLAYS) / count
 
 
-def pair_shares(points, n):
+def pair_shares(points, budget):
     """The share of the residuals at `points` whose support pairs j <= k
-    fit the budget of held pairs, and the share of the pairs of those
+    fit the `budget` of held pairs, and the share of the pairs of those
     residuals that the last one of them before lacked."""
-    budget = n * n // systems._PAIR_SHARE
     fits, pairs, new, held = 0, 0, 0, set()
     for x in points:
         support = set(np.flatnonzero(x).tolist())
@@ -260,7 +259,8 @@ def residual_solves(workload):
     for preset in workload.presets:
         solve = recorded_calls(workload, preset, ("eval_all",))
         calls, ms = replay([solve], "eval_all")
-        within, new = pair_shares([x for _, (x,) in solve[1]], workload.n)
+        within, new = pair_shares([x for _, (x,) in solve[1]],
+                                   solve[0]._pair_budget())
         yield {**shape(workload), "preset": preset, "calls": calls,
                "within_budget": within, "pairs_new": new, "ms_per_call": ms}
 

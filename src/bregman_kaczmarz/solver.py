@@ -120,20 +120,18 @@ def abnbk_step(dual, primal, F, system, prior, config, rng, k):
     mirror image `primal` and the residual F = F(primal), at step `k`;
     returns the next (dual, primal, F), the block and alpha.
 
-    Precondition: F is nonzero.  Rows with vanishing gradient are dropped
-    from the block before weighting; a DegenerateDirection from the
-    adaptive stepsize falls back to alpha = 1 and is logged.
+    Precondition: F.dot(F) is finite and positive, so that some rounded
+    square F_i F_i is too.  Rows with vanishing gradient are dropped from
+    the block before weighting; a DegenerateDirection from the adaptive
+    stepsize falls back to alpha = 1 and is logged.
     """
     block = sel.select_indices(config.selection, F, rng)
     grads = system.grad_block(block, primal)
     norms_sq = np.einsum("ij,ij->i", grads, grads)
     usable = norms_sq > sel.GRAD_NORM_FLOOR ** 2
-    if not np.all(usable):
-        block = block[usable]
-        grads = grads[usable]
-        norms_sq = norms_sq[usable]
-        if len(block) == 0:
-            raise sel.ZeroGradientRow("every selected row has a zero gradient")
+    block, grads, norms_sq = block[usable], grads[usable], norms_sq[usable]
+    if len(block) == 0:
+        raise sel.ZeroGradientRow("every selected row has a zero gradient")
     fvals = F[block]
 
     weights = sel.weights_for(norms_sq)
@@ -207,7 +205,7 @@ def run(system, prior, config, x0_star, truth=None):
         try:
             dual, primal, F, block, alpha = abnbk_step(
                 dual, primal, F, system, prior, config, rng, k)
-        except (sel.ZeroGradientRow, sel.AllResidualsZero) as exc:
+        except sel.ZeroGradientRow as exc:
             status = DEGENERATE
             message = str(exc)
             break

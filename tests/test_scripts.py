@@ -110,13 +110,13 @@ def test_bench_diagnose_main(bench, tmp_path):
     solves = report["eval_all_solve"]
     assert [r["preset"] for r in solves] == list(bench.WORKLOADS["row-sparse"].presets)
     for solve in solves:
-        _, calls = bench.recorded_calls(bench.WORKLOADS["row-sparse"],
-                                        solve["preset"], ("eval_all",))
+        system, calls = bench.recorded_calls(bench.WORKLOADS["row-sparse"],
+                                             solve["preset"], ("eval_all",))
         points = [x for _, (x,) in calls]
         assert (solve["m"], solve["n"]) == (30, 12)
         assert solve["calls"] == len(points) > 1
         assert (solve["within_budget"], solve["pairs_new"]) == \
-            bench.pair_shares(points, 12)
+            bench.pair_shares(points, system._pair_budget())
         assert 0 < solve["within_budget"] <= 1 and 0 <= solve["pairs_new"] <= 1
         assert solve["ms_per_call"] > 0
     for key in ("remainders", "remainders_matrix_free"):
@@ -158,10 +158,9 @@ def test_counted_cosines(bench):
 
 
 def test_pair_shares(bench):
-    # at n = 12 the budget is 12 pairs, |S| <= 4: the residual at five
-    # indices is beyond it and leaves the held pairs as they are, so the
-    # residual at {1, 4, 7} shares (1, 1), (1, 4) and (4, 4) with {1, 4}
-    assert 12 * 12 // bench.systems._PAIR_SHARE == 12
+    # a budget of 12 pairs holds |S| <= 4: the residual at five indices
+    # is beyond it and leaves the held pairs as they are, so the residual
+    # at {1, 4, 7} shares (1, 1), (1, 4) and (4, 4) with {1, 4}
     points = []
     for support in ({1, 4}, {1, 4}, set(range(5)), {1, 4, 7}, set()):
         x = np.zeros(12)

@@ -280,6 +280,29 @@ class TestRun:
                          np.zeros(2))
         assert record.status == slv.DEGENERATE
 
+    @pytest.mark.parametrize("stepsize", [sel.Constant(1.0), sel.Adaptive(1.3)])
+    def test_zero_gradient_row_dropped_from_block(self, stepsize):
+        # a greedy block of a constant nonzero row and a usable one steps
+        # exactly as the usable row alone: the zero row is dropped before
+        # weighting, and the history counts one row
+        prior, x0 = SparsePrior(0.5), np.array([0.3, -2.0])
+        both = affine_system(np.array([[0.0, 0.0], [1.0, 2.0]]),
+                             np.array([2.0, 0.5]))
+        alone = affine_system(np.array([[1.0, 2.0]]), np.array([0.5]))
+        greedy = slv.SolverConfig(selection=sel.GreedyBlock(0.1),
+                                  stepsize=stepsize, max_iters=1,
+                                  keep_iterates=True)
+        F0 = both.eval_all(prior.conj_grad(x0))
+        assert sel.select_indices(greedy.selection, F0, None).tolist() == [0, 1]
+        record = slv.run(both, prior, greedy, x0)
+        single = slv.run(alone, prior, dataclasses.replace(
+            greedy, selection=sel.MaxResidual()), x0)
+        assert record.iterations == single.iterations == 1
+        assert record.blocks[0].tolist() == [1]
+        assert record.duals[1].tobytes() == single.duals[1].tobytes()
+        assert record.column("alpha_k")[1] == single.column("alpha_k")[1]
+        assert record.column("block_size")[1] == 1
+
     def test_nan_aborts(self):
         record = slv.run(Exploding(), SparsePrior(0.0),
                          slv.SolverConfig(selection=sel.MaxResidual()),

@@ -54,6 +54,25 @@ class TestGradients:
         np.testing.assert_allclose(
             sys.grad_component(1, rng.standard_normal(2)), [1.0, 2.0])
 
+    def test_no_gradient_method_named_not_recursed(self, rng):
+        # a system that implements neither gradient method is told to
+        # implement one, from every gradient entry point, rather than
+        # bouncing between the two defaults until the recursion limit
+        class ValuesOnly(systems.NonlinearSystem):
+            m, n = 3, 2
+
+            def eval_component(self, i, x):
+                return float(x @ x) - i
+
+        sys, x = ValuesOnly(), rng.standard_normal(2)
+        np.testing.assert_array_equal(sys.eval_all(x), x @ x - np.arange(3))
+        for call in (lambda: sys.grad_block([0, 2], x),
+                     lambda: sys.grad_component(1, x),
+                     lambda: sys.jacobian(x)):
+            with pytest.raises(NotImplementedError,
+                               match="grad_component or grad_block"):
+                call()
+
 
 def dense_reference(sys, x):
     """F and the Jacobian by full contraction, with the sums of absolute
@@ -350,7 +369,7 @@ class TestSupportKernel(kernel_checks(random_quadratic, lambda sys: sys)):
         assert held_pair_bytes(sys) == pair_budget_bytes(sys)
         arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
         assert arrays == {"A", "b", "c"}
-        assert set(vars(sys)) - arrays == {"m", "n", "_pairs", "_pair_index"}
+        assert set(vars(sys)) - arrays == {"m", "n", "_pairs"}
 
 
 class TestMatrixFreeKernel(kernel_checks(random_cosine,
@@ -399,8 +418,7 @@ class TestMatrixFreeKernel(kernel_checks(random_cosine,
         assert held_pair_bytes(sys) == pair_budget_bytes(sys)
         arrays = {k for k, v in vars(sys).items() if isinstance(v, np.ndarray)}
         assert arrays == {"xi", "b", "c"}
-        assert set(vars(sys)) - arrays == {"m", "n", "_pairs", "_pair_index",
-                                           "_pool"}
+        assert set(vars(sys)) - arrays == {"m", "n", "_pairs", "_pool"}
 
     def test_eval_component_over_index_array(self, rng):
         # an index array gives its rows of F in one call, bit-equal to the
