@@ -12,8 +12,9 @@ or 3 valid, 4 refused), iterations, eta with the pair and row that set
 it, and grad_dev, and per span of MODULE_SPANS and SYSTEM_SPANS the
 calls and the median ms.  It also times the kernels of KERNELS alone:
 `cold_ms` one call at fixed inputs on a fresh system, which holds no
-support rows or pairs, and `replay` the calls of one method of recorded
-solves in order.  README.md describes each section of the report.
+support rows or pairs, `replay` the calls of one method of recorded
+solves in order, and `step_solves` the steps of recorded block solves in
+order.  README.md describes each section of the report.
 
 A before/after comparison is this script run at both commits.  The
 output holds the numpy version, BLAS name and BLAS thread variables;
@@ -265,6 +266,33 @@ def residual_solves(workload):
                "within_budget": within, "pairs_new": new, "ms_per_call": ms}
 
 
+def step_solves(workload):
+    """For each preset of the workload, the `solver.abnbk_step` calls of
+    its solve of the first instance, replayed on a fresh system with the
+    recorded inputs, with the rows of their blocks."""
+    for preset in workload.presets:
+        steps, step = [], solver.abnbk_step
+
+        def record(dual, primal, F, system, prior, config, rng, k):
+            out = step(dual, primal, F, system, prior, config, rng, k)
+            steps.append(((dual, primal, F), prior, config, out[3].size))
+            return out
+        solver.abnbk_step = record
+        try:
+            system = recorded_calls(workload, preset, ())[0]
+        finally:
+            solver.abnbk_step = step
+
+        def rerun_steps():
+            replica = fresh(system)
+            rng = np.random.default_rng(steps[0][2].seed)
+            for k, (state, prior, config, _) in enumerate(steps):
+                step(*state, replica, prior, config, rng, k)
+        ms = median_ms([rerun_steps] * REPLAYS) / len(steps)
+        yield {**shape(workload), "preset": preset, "steps": len(steps),
+               "rows": sum(rows for *_, rows in steps), "ms_per_step": ms}
+
+
 class CountingNumpy:
     """numpy with a count of the cosines `cos` computes, to stand in for
     the numpy module of `systems` while a replay runs."""
@@ -319,6 +347,7 @@ KERNELS = (
     ("matrix_free_solves", matrix_free_solves, "dct-matfree"),
     ("eval_all", cold, "block-dense", "eval_all", None, (5, 42, 73)),
     ("eval_all_solve", residual_solves, "row-sparse"),
+    ("block_steps", step_solves, "block-dense"),
 )
 
 

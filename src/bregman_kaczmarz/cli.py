@@ -39,7 +39,7 @@ SOLVER_NAMES = list(PRESET_FLAGS)
 DESK_SCALE_BYTES = 400 * 200 ** 2 * 8
 
 TABLE_HEADER = ["m", "n", "sp", "solver", "it_median", "it_mean",
-                "elapsed_median_ns", "converged_frac"]
+                "elapsed_median_ns", "converged_frac", "time_to_tol_median_ns"]
 SIGNAL_HEADER = ["index", "recovered", "truth"]
 
 
@@ -193,9 +193,11 @@ def cmd_bench(args):
     table, summary = [], []
     for name in solvers:
         its, times, conv = zip(*results[name])
+        to_tol = [t for t, c in zip(times, conv) if c]
         table.append([args.m, args.n, args.sp, name, statistics.median(its),
                       statistics.mean(its), int(statistics.median(times)),
-                      sum(conv) / len(conv)])
+                      sum(conv) / len(conv),
+                      int(statistics.median(to_tol)) if to_tol else ""])
         summary.append(f"{name}: median_it={table[-1][4]} "
                        f"converged={sum(conv)}/{args.reps}")
     slv.write_csv(out / "table.csv", TABLE_HEADER, table)

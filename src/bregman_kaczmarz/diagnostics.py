@@ -195,6 +195,9 @@ def contraction_audit(record, eta, config, per_block_jacobians):
     rows = []
     satisfied = 0
     for k, jac in enumerate(per_block_jacobians):
+        # an SVD, not the Gram eigenvalues of the step: sigma_min from a
+        # Gram matrix is resolved only to about 1e-8 sigma_max, and the
+        # cut-off below is 1e-12
         svals = np.linalg.svd(jac, compute_uv=False)
         smin = svals[svals > 1e-12 * svals[0]].min()
         if isinstance(config.stepsize, sel.Constant):

@@ -60,8 +60,9 @@ class SolverConfig:
     # Normalization of the collapsed constant-stepsize block update.
     # "frobenius" is the literal averaged form of the dual update;
     # "spectral" divides by sigma_max^2 of the block Jacobian instead,
-    # which takes much larger steps on wide blocks and is what the
-    # reported constant-stepsize iteration counts correspond to.
+    # the largest eigenvalue of its smaller Gram matrix, which takes much
+    # larger steps on wide blocks and is what the reported
+    # constant-stepsize iteration counts correspond to.
     # The adaptive stepsize is invariant to this choice and ignores it.
     block_norm: str = "frobenius"
 
@@ -123,7 +124,10 @@ def abnbk_step(dual, primal, F, system, prior, config, rng, k):
     Precondition: F.dot(F) is finite and positive, so that some rounded
     square F_i F_i is too.  Rows with vanishing gradient are dropped from
     the block before weighting; a DegenerateDirection from the adaptive
-    stepsize falls back to alpha = 1 and is logged.
+    stepsize falls back to alpha = 1 and is logged.  A spectral block
+    with a constant stepsize takes sigma_max^2 of its gradient rows G as
+    the largest eigenvalue of the smaller Gram matrix, G G^T for at most
+    n rows and G^T G otherwise, not from an SVD of G.
     """
     block = sel.select_indices(config.selection, F, rng)
     grads = system.grad_block(block, primal)
@@ -150,7 +154,8 @@ def abnbk_step(dual, primal, F, system, prior, config, rng, k):
                                         prior.sigma)
     if (config.block_norm == "spectral" and len(block) > 1
             and isinstance(config.stepsize, sel.Constant)):
-        smax_sq = np.linalg.norm(grads, 2) ** 2
+        gram = grads @ grads.T if len(block) <= system.n else grads.T @ grads
+        smax_sq = np.linalg.eigvalsh(gram)[-1]
         direction = direction * (norms_sq.sum() / smax_sq)
     dual = dual - alpha * direction
     primal = prior.conj_grad(dual)

@@ -339,9 +339,10 @@ class QuadraticSystem(_Quadratic):
     m*|S|*(|S| + 1)/2, plus the moves of the pairs it keeps and a gather
     of m entries for each pair new since the residual before, or beyond
     the budget of n^2 // _PAIR_SHARE pairs (m*n^2/12 doubles, |S| <= 60
-    at (300, 150)) a read, for each j in S, of the part of row j of every
-    A_i right of the diagonal, at cost about m*|S|*n/2, which leaves the
-    held pairs as they are; and `remainders` gathers A[:, j, U[t:]] for
+    at (300, 150)) one product, for each j in S, of the part of row j of
+    every A_i from the diagonal on with x, its entry j halved, at cost
+    about m*|S|*n/2, which leaves the held pairs as they are; and
+    `remainders` gathers A[:, j, U[t:]] for
     each j = U[t] of the union support U of a chunk of pairs,
     m*|U|*(|U| + 1)/2 entries, at a cost of as many multiply-adds per
     pair.  The consecutive residuals of the single-row presets share
@@ -379,18 +380,17 @@ class QuadraticSystem(_Quadratic):
         return self.n * self.n // _PAIR_SHARE
 
     def _row_residuals(self, x):
-        """F(x) from the rows of A: for each j in S, the part of row j of
-        every A_i right of the diagonal, at cost about m*|S|*n/2, reading
-        each pair A_i[j, k] = A_i[k, j] once; nothing is held."""
+        """F(x) from the rows of A: for each j in S, one product of the
+        part of row j of every A_i from the diagonal on with a copy of x
+        whose entry j is halved just before, at cost about m*|S|*n/2,
+        reading each pair A_i[j, k] = A_i[k, j] once; nothing is held."""
         S = np.flatnonzero(x)
-        xS = x[S]
-        u = np.empty((self.m, S.size))
+        half = x.copy()
+        u = np.empty((S.size, self.m))
         for s, j in enumerate(S.tolist()):
-            u[:, s] = self.A[:, j, j + 1:] @ x[j + 1:]
-        diagonal = self.A[:, S, S]          # a copy: A_i[j, j] for j in S
-        diagonal *= 0.5 * xS
-        u += diagonal
-        return u @ xS + self.b @ x + self.c
+            half[j] *= 0.5                      # the pair (j, j)
+            np.matmul(self.A[:, j, j:], half[j:], out=u[s])
+        return x[S] @ u + self.b @ x + self.c
 
 
 class DCTQuadraticSystem(_Quadratic):

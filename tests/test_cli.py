@@ -1,5 +1,6 @@
 import csv
 import re
+import statistics
 
 import numpy as np
 import pytest
@@ -228,10 +229,36 @@ class TestBench:
                        "--seed", "11", "--out", str(out)])
         assert rc == cli.EXIT_OK
         table = read_csv(out / "table.csv")
-        assert table[0] == cli.TABLE_HEADER
+        # CI's table checks cut fields 4, 1-2 and 4, and 1-6 and 8
+        assert table[0] == cli.TABLE_HEADER == [
+            "m", "n", "sp", "solver", "it_median", "it_mean",
+            "elapsed_median_ns", "converged_frac", "time_to_tol_median_ns"]
         assert len(table) == 2
         assert table[1][3] == "abnbk-a"
         assert float(table[1][7]) == 1.0
+        # every run converged, so both medians are over the same runs
+        assert table[1][8] == table[1][6]
+
+    @pytest.mark.parametrize("max_iters, converged", [(2, 0), (200, 2)])
+    def test_time_to_tol_over_converged_runs_only(self, tmp_path, max_iters,
+                                                  converged):
+        # capped runs count in elapsed_median_ns, not in
+        # time_to_tol_median_ns, which is empty when no run converged
+        out = tmp_path / "bench"
+        rc = cli.main(["bench", "--kind", "gaussian", "--m", "40", "--n", "20",
+                       "--sp", "0.1", "--reps", "4", "--solver", "nbk",
+                       "--max-iters", str(max_iters), "--seed", "11",
+                       "--curves", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        runs = [read_csv(out / f"curve_nbk_rep{rep}.csv")[1:] for rep in range(4)]
+        times = [sum(int(row[6]) for row in curve) for curve in runs]
+        to_tol = [t for t, curve in zip(times, runs)
+                  if curve[-1][7] == slv.CONVERGED]
+        assert len(to_tol) == converged
+        row = read_csv(out / "table.csv")[1]
+        assert float(row[7]) == converged / 4
+        assert int(row[6]) == int(statistics.median(times))
+        assert row[8] == (str(int(statistics.median(to_tol))) if to_tol else "")
 
     def test_all_solvers_and_curves(self, tmp_path):
         out = tmp_path / "bench"

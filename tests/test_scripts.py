@@ -119,6 +119,17 @@ def test_bench_diagnose_main(bench, tmp_path):
             bench.pair_shares(points, system._pair_budget())
         assert 0 < solve["within_budget"] <= 1 and 0 <= solve["pairs_new"] <= 1
         assert solve["ms_per_call"] > 0
+    # each preset's replayed block solve takes the steps of its solve,
+    # one gradient block a step, with the rows of those blocks
+    solves = report["block_steps"]
+    assert [r["preset"] for r in solves] == list(bench.WORKLOADS["block-dense"].presets)
+    for solve in solves:
+        _, calls = bench.recorded_calls(bench.WORKLOADS["block-dense"],
+                                        solve["preset"], ("grad_block",))
+        assert (solve["m"], solve["n"]) == (120, 75)
+        assert solve["steps"] == len(calls) > 1
+        assert solve["rows"] == sum(idx.size for _, (idx, _) in calls)
+        assert solve["ms_per_step"] > 0
     for key in ("remainders", "remainders_matrix_free"):
         r = report[key]
         assert (r["m"], r["n"], r["pairs"]) == (40, 20, 9) and r["ms"] > 0

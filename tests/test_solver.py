@@ -335,3 +335,34 @@ class TestMonotoneBregman:
         breg = record.column("bregman")
         assert record.status == slv.CONVERGED
         assert np.all(np.diff(breg) <= 1e-10)
+
+
+class TestSpectralStep:
+    @pytest.mark.parametrize("rows, n, repeat", [
+        (5, 8, False), (6, 6, False), (9, 4, False), (5, 8, True)])
+    def test_factor_is_largest_squared_singular_value(self, rows, n, repeat):
+        # blocks of |B| < n, |B| = n and |B| > n gradient rows, and one
+        # with two equal rows: the spectral step is the Frobenius step
+        # scaled by ||G||_F^2 / sigma_max^2 of the block's rows G, with
+        # sigma_max^2 that of an SVD of G within 1e-12 relative
+        G = np.random.default_rng(rows * n).standard_normal((rows, n))
+        if repeat:
+            G[3] = G[1]
+        # at x = 0 every residual is -1, so a greedy block takes all rows
+        system, prior = affine_system(G, np.ones(rows)), SparsePrior(0.0)
+        dual = primal = np.zeros(n)
+        F = system.eval_all(primal)
+        steps = []
+        for block_norm in ("frobenius", "spectral"):
+            config = slv.SolverConfig(selection=sel.GreedyBlock(1.0),
+                                      stepsize=sel.Constant(1.0),
+                                      block_norm=block_norm)
+            step = slv.abnbk_step(dual, primal, F, system, prior, config,
+                                  None, 0)
+            assert step[3].tolist() == list(range(rows))
+            steps.append(step[0])
+        frobenius, spectral = steps
+        factor = np.linalg.norm(spectral) / np.linalg.norm(frobenius)
+        smax_sq = np.linalg.svd(G, compute_uv=False)[0] ** 2
+        assert abs((G * G).sum() / factor - smax_sq) <= 1e-12 * smax_sq
+        np.testing.assert_allclose(spectral, factor * frobenius, rtol=1e-13)

@@ -903,6 +903,20 @@ def test_dense_pairs_pure_over_call_sequences(seed, data):
         assert held_pair_bytes(cosine) <= pair_budget_bytes(cosine)
 
 
+@pytest.mark.parametrize("support", ["first", "last", "all"])
+def test_dense_row_residuals_match_dense_reference(rng, support):
+    # the loop over support rows beyond the budget, at a support holding
+    # index 0, one holding index n - 1 (a one-column product of its row)
+    # and one holding every index
+    m, n = PAIRS_M, PAIRS_N
+    sys = random_quadratic(m, n, seed=6)
+    S = {"first": [0, 7, 12], "last": [3, 11, n - 1], "all": range(n)}[support]
+    x = np.zeros(n)
+    x[S] = rng.standard_normal(len(S))
+    F, F_scale, _, _ = dense_reference(sys, x)
+    assert np.all(abs(sys._row_residuals(x) - F) <= RTOL * F_scale)
+
+
 def test_dense_pairs_after_a_failed_gather(rng):
     # a residual that fails while gathering its new pairs, after the kept
     # ones have moved, leaves the system holding none; the next residuals,
